@@ -6,8 +6,7 @@
 //
 //	specchar [-suite cpu2017|cpu2006] [-mini all|rate-int|rate-fp|speed-int|speed-fp]
 //	         [-size test|train|ref] [-n instructions] [-csv] [-progress]
-//	         [-cache-dir DIR] [-sampling off|default|P/D/W] [-j N]
-//	         [-scenario S | -rate N | -topo T]
+//	         [-cache-dir DIR] [-j N] [-scenario S]
 //	         [-trace FILE] [-slow-pair DUR]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -15,13 +14,14 @@
 // stages, with cache-tier outcomes) as a JSONL run manifest; -slow-pair
 // warns about pairs whose wall time exceeds the threshold.
 //
-// -rate N characterizes each pair as a SPECrate-style run of N copies
-// contending on the shared L3 and appends a contention table
-// (aggregate IPC, shared-L3 MPKI, back-invalidations); -topo runs each
-// pair on a heterogeneous P/E topology ("4P4E-random") and appends the
-// placement runtime distribution. -scenario expresses the whole
-// measurement scenario in one string ("exact,rate=4,topo=4P4E-random")
-// and replaces the individual knob flags.
+// -scenario sets what the campaign measures in one string: a fidelity
+// tier ("sampled", "analytic"), a sampling knob ("sampling=P/D/W"),
+// intra-pair workers ("j-pair=8"), rate copies and a topology
+// ("rate=4,topo=4P4E-random"). rate=N characterizes each pair as a
+// SPECrate-style run of N copies contending on the shared L3 and
+// appends a contention table (aggregate IPC, shared-L3 MPKI,
+// back-invalidations); topo= runs each pair on a heterogeneous P/E
+// topology and appends the placement runtime distribution.
 //
 // Ctrl-C (or SIGTERM) cancels the in-flight campaign through the
 // scheduler's context path rather than killing the process mid-write.
@@ -120,7 +120,7 @@ func run(ctx context.Context, cfg config) error {
 	if err := cfg.Campaign.Finish(); err != nil {
 		return err
 	}
-	sampling := cfg.SamplingKnob()
+	sampling := opt.Normalized().Sampling
 
 	t := report.NewTable(
 		fmt.Sprintf("Characterization of %s (%s inputs, %d pairs)", cfg.suite, cfg.size, len(chars)),

@@ -107,7 +107,7 @@ func TestRunTraceManifest(t *testing.T) {
 		suite: "cpu2017", mini: "rate-int", size: "test", n: 1000000,
 		Campaign: cliflags.Campaign{
 			TraceFile:   traceFile,
-			Sampling:    "131072/4096/4096",
+			Scenario:    "sampling=131072/4096/4096",
 			Parallelism: 1, // sequential, so pair spans tile the campaign span
 		},
 	}

@@ -26,6 +26,9 @@
 // and the report counts grid cells (simulated vs served) instead of
 // pairs. The -min-pairs-per-sec floor then gates cells per second.
 //
+// -sampling is forwarded as each job's "sampling" field, in the syntax
+// of the campaign tools' -scenario sampling= knob.
+//
 // The report is one JSON object on stdout: p50/p99/mean latency
 // (interpolated from the obs histogram), jobs/s and pairs/s (or
 // cells/s) over the wall clock, and error counts. When -slo-p50,

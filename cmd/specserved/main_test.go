@@ -243,7 +243,7 @@ func TestRateSmoke(t *testing.T) {
 	// Parity with a direct library run under the same scenario.
 	pairs := speckit.CPU2017().Mini(speckit.RateInt)
 	direct, err := speckit.Characterize(pairs, speckit.Test,
-		speckit.Options{Instructions: instructions, RateCopies: copies})
+		speckit.Options{Instructions: instructions, Scenario: speckit.Scenario{RateCopies: copies}})
 	if err != nil {
 		t.Fatal(err)
 	}

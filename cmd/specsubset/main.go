@@ -7,7 +7,7 @@
 // Usage:
 //
 //	specsubset [-n instructions] [-pcs 4] [-linkage ward|single|complete|average]
-//	           [-v] [-progress] [-cache-dir DIR] [-sampling off|default|P/D/W]
+//	           [-v] [-progress] [-cache-dir DIR] [-scenario S]
 //	           [-j N] [-trace FILE] [-slow-pair DUR]
 //
 // Ctrl-C (or SIGTERM) cancels the in-flight campaign through the

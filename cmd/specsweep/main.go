@@ -12,7 +12,7 @@
 //	          [-screen analytic] [-escalate sampled|exact|off]
 //	          [-metrics ipc,l3_miss_pct] [-sse-weight 5] [-csv]
 //	          [-addr http://host:8217]
-//	          [-cache-dir DIR] [-sampling P/D/W] [-j N] [-progress]
+//	          [-cache-dir DIR] [-scenario sampling=P/D/W] [-j N] [-progress]
 //
 // Without -addr the sweep runs in-process: the -cache-dir store makes
 // it differential, so re-running a sweep (or a wider one sharing grid
@@ -20,6 +20,9 @@
 // submitted to a specserved instance (single node or fleet coordinator)
 // over /v1/sweeps and the progress meter follows the server's SSE
 // stream.
+//
+// The -scenario flag's sampling knob sets the sampled tier's window
+// geometry, locally and in server mode.
 //
 // Axis values accept KiB/MiB/GiB suffixes; known parameters are listed
 // by -axis help. Cells simulated vs served from cache are reported on
@@ -46,6 +49,7 @@ import (
 	"strconv"
 	"strings"
 
+	speckit "repro"
 	"repro/internal/client"
 	"repro/internal/cliflags"
 	"repro/internal/machine"
@@ -123,7 +127,8 @@ func run(ctx context.Context, cfg config) error {
 }
 
 // runLocal sweeps in-process on top of the shared campaign flags
-// (cache-dir store tier, sampling knob for the sampled tier, -j).
+// (cache-dir store tier, the scenario's sampling knob for the sampled
+// tier, -j).
 func runLocal(ctx context.Context, cfg config, metrics []string) (*sweep.Result, error) {
 	pairs, err := resolvePairs(cfg.suite, cfg.mini, cfg.size)
 	if err != nil {
@@ -165,6 +170,12 @@ func runLocal(ctx context.Context, cfg config, metrics []string) (*sweep.Result,
 // runServer submits the sweep over /v1/sweeps; with -progress it
 // follows the SSE stream, otherwise it waits server-side.
 func runServer(ctx context.Context, cfg config, metrics []string) (*sweep.Result, error) {
+	// Options never runs in server mode, so parse the scenario here
+	// for the sampled tier's knob.
+	scenario, err := speckit.ParseScenario(cfg.Scenario)
+	if err != nil {
+		return nil, err
+	}
 	cl := client.New(cfg.addr)
 	spec := server.SweepSpec{
 		Suite: cfg.suite, Mini: cfg.mini, Size: cfg.size,
@@ -172,12 +183,11 @@ func runServer(ctx context.Context, cfg config, metrics []string) (*sweep.Result
 		Axes:         []sweep.Axis(cfg.axes),
 		Screen:       cfg.screen,
 		Escalate:     cfg.escalate,
-		Sampling:     cfg.SamplingKnob().String(),
+		Sampling:     scenario.Sampling.String(),
 		Metrics:      metrics,
 		SSEWeight:    cfg.sseWeight,
 	}
 	var st server.SweepStatus
-	var err error
 	if cfg.Progress {
 		if st, err = cl.SubmitSweep(ctx, spec); err != nil {
 			return nil, err

@@ -19,57 +19,55 @@ func TestRegisterAndParse(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	c.Register(fs)
 	err := fs.Parse([]string{
-		"-progress", "-cache-dir", "/tmp/x", "-sampling", "default",
-		"-fidelity", "sampled",
-		"-batch", "128", "-j", "2", "-j-pair", "8", "-trace", "run.jsonl", "-slow-pair", "2s",
+		"-progress", "-cache-dir", "/tmp/x", "-scenario", "sampled,j-pair=8",
+		"-batch", "128", "-j", "2", "-trace", "run.jsonl", "-slow-pair", "2s",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Campaign{
-		Progress: true, CacheDir: "/tmp/x", Sampling: "default", Fidelity: "sampled",
-		Batch: 128, Parallelism: 2, PairWorkers: 8, TraceFile: "run.jsonl", SlowPair: 2 * time.Second,
+		Progress: true, CacheDir: "/tmp/x", Scenario: "sampled,j-pair=8",
+		Batch: 128, Parallelism: 2, TraceFile: "run.jsonl", SlowPair: 2 * time.Second,
 	}
 	if c != want {
 		t.Errorf("parsed = %+v, want %+v", c, want)
 	}
 
-	// Defaults: sampling reads as "off", fidelity as "exact", everything
-	// else zero.
+	// Defaults: everything zero.
 	var d Campaign
 	fs = flag.NewFlagSet("defaults", flag.ContinueOnError)
 	d.Register(fs)
 	if err := fs.Parse(nil); err != nil {
 		t.Fatal(err)
 	}
-	if d.Sampling != "off" || d.Fidelity != "exact" || d.Progress || d.TraceFile != "" || d.SlowPair != 0 {
+	if d != (Campaign{}) {
 		t.Errorf("defaults = %+v", d)
 	}
 }
 
 func TestOptionsBadSampling(t *testing.T) {
-	c := Campaign{Sampling: "not-a-knob"}
+	c := Campaign{Scenario: "sampling=not-a-knob"}
 	if _, err := c.Options(context.Background()); err == nil {
 		t.Fatal("bad sampling knob accepted")
 	}
 }
 
 func TestOptionsFidelity(t *testing.T) {
-	c := Campaign{Fidelity: "analytic"}
+	c := Campaign{Scenario: "analytic"}
 	opt, err := c.Options(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Fidelity != speckit.FidelityAnalytic || c.FidelityTier() != speckit.FidelityAnalytic {
-		t.Errorf("fidelity = %v (tier %v), want analytic", opt.Fidelity, c.FidelityTier())
+	if opt.Fidelity != speckit.FidelityAnalytic || c.ScenarioKnob().Fidelity != speckit.FidelityAnalytic {
+		t.Errorf("fidelity = %v (tier %v), want analytic", opt.Fidelity, c.ScenarioKnob().Fidelity)
 	}
 
-	if _, err := (&Campaign{Fidelity: "turbo"}).Options(context.Background()); err == nil {
+	if _, err := (&Campaign{Scenario: "turbo"}).Options(context.Background()); err == nil {
 		t.Error("bad fidelity tier accepted")
 	}
 
-	// -j-pair reaches the campaign options untranslated.
-	pw := Campaign{PairWorkers: 8}
+	// j-pair reaches the campaign options untranslated.
+	pw := Campaign{Scenario: "j-pair=8"}
 	popt, err := pw.Options(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -78,13 +76,17 @@ func TestOptionsFidelity(t *testing.T) {
 		t.Errorf("IntraPairWorkers = %d, want 8", popt.IntraPairWorkers)
 	}
 
-	bad := Campaign{Fidelity: "analytic", Sampling: "default"}
+	bad := Campaign{Scenario: "analytic,sampling=default"}
 	if _, err := bad.Options(context.Background()); err == nil ||
 		!strings.Contains(err.Error(), "analytic") {
 		t.Errorf("analytic+sampling = %v, want rejection", err)
 	}
 }
 
+// TestParseScenario drives the -scenario flag through Options: accepted
+// strings reach the options and round-trip through the canonical
+// String(); rejected ones fail with the message specserved gives for
+// the same scenario.
 func TestParseScenario(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -104,94 +106,67 @@ func TestParseScenario(t *testing.T) {
 		{" Exact , Rate=2 ", speckit.Scenario{RateCopies: 2}},
 	}
 	for _, tc := range cases {
-		got, err := ParseScenario(tc.in)
+		c := Campaign{Scenario: tc.in}
+		opt, err := c.Options(context.Background())
 		if err != nil {
-			t.Errorf("ParseScenario(%q): %v", tc.in, err)
+			t.Errorf("-scenario %q: %v", tc.in, err)
 			continue
 		}
-		if got != tc.want {
-			t.Errorf("ParseScenario(%q) = %+v, want %+v", tc.in, got, tc.want)
+		if got := c.ScenarioKnob(); got != tc.want || opt.Scenario != tc.want {
+			t.Errorf("-scenario %q = %+v (options %+v), want %+v", tc.in, got, opt.Scenario, tc.want)
 			continue
 		}
 		// The canonical string round-trips through the parser.
-		back, err := ParseScenario(got.String())
-		if err != nil || back != got {
-			t.Errorf("round trip %q -> %q -> %+v (%v)", tc.in, got.String(), back, err)
+		back, err := speckit.ParseScenario(tc.want.String())
+		if err != nil || back != tc.want {
+			t.Errorf("round trip %q -> %q -> %+v (%v)", tc.in, tc.want.String(), back, err)
 		}
 	}
 
-	for _, in := range []string{
-		"turbo",                              // unknown tier
-		"exact=1",                            // tier tokens take no value
-		"rate=x",                             // non-numeric knob
-		"warp=9",                             // unknown knob
-		"analytic,sampling=262144/8192/8192", // analytic rejects sampling
-		"analytic,rate=4",                    // rate is exact-tier only
-		"sampled,topo=4P4E-random",           // so is topology
-		"topo=4X4E-random",                   // malformed topology
+	for _, tc := range []struct{ in, msg string }{
+		{"turbo", "unknown knob"},            // unknown tier
+		{"exact=1", "takes no value"},        // tier tokens take no value
+		{"rate=x", "invalid syntax"},         // non-numeric knob
+		{"warp=9", "unknown knob"},           // unknown knob
+		{"topo=4X4E-random", "bad topology"}, // malformed topology
+		{"analytic,sampling=262144/8192/8192", "does not compose"},
+		{"analytic,rate=4", "(got analytic)"},
+		{"sampled,topo=4P4E-random", "(got sampled)"},
+		// Counts the server rejects are rejected here with its message,
+		// as is a copy count past the rate-mode bound.
+		{"rate=-3", "rate_copies must be non-negative"},
+		{"j-pair=-2", "workers_per_pair must be non-negative"},
+		{"rate=65", "rate_copies 65 exceeds the maximum of 64"},
 	} {
-		if sc, err := ParseScenario(in); err == nil {
-			t.Errorf("ParseScenario(%q) = %+v, want error", in, sc)
+		_, err := (&Campaign{Scenario: tc.in}).Options(context.Background())
+		if err == nil || !strings.Contains(err.Error(), tc.msg) {
+			t.Errorf("-scenario %q: err = %v, want %q", tc.in, err, tc.msg)
 		}
 	}
 }
 
-// TestScenarioFlagConflicts: -scenario replaces the individual knobs;
-// setting both is an error naming the conflicting flag, never a silent
-// merge.
-func TestScenarioFlagConflicts(t *testing.T) {
-	cases := []struct {
-		c    Campaign
-		flag string
-	}{
-		{Campaign{Scenario: "rate=4", Sampling: "default"}, "-sampling"},
-		{Campaign{Scenario: "rate=4", Fidelity: "sampled"}, "-fidelity"},
-		{Campaign{Scenario: "rate=4", PairWorkers: 8}, "-j-pair"},
-		{Campaign{Scenario: "exact", Rate: 4}, "-rate"},
-		{Campaign{Scenario: "exact", Topo: "4P4E-random"}, "-topo"},
-	}
-	for _, tc := range cases {
-		_, err := tc.c.Options(context.Background())
-		if err == nil || !strings.Contains(err.Error(), tc.flag) {
-			t.Errorf("%+v: err = %v, want conflict naming %s", tc.c, err, tc.flag)
-		}
-	}
-
-	// Default spellings of the individual flags do not conflict.
-	ok := Campaign{Scenario: "rate=4,topo=4P4E-random", Sampling: "off", Fidelity: "exact"}
-	opt, err := ok.Options(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opt.RateCopies != 4 || !opt.Topology.Enabled() {
-		t.Errorf("scenario did not reach the options: %+v", opt)
-	}
-	if s := ok.ScenarioKnob().String(); s != "rate=4,topo=4P4E-random" {
-		t.Errorf("ScenarioKnob = %q", s)
-	}
-}
-
-// TestScenarioFlagEquivalence: a -scenario string and the individual
-// flags it replaces resolve to identical campaign options — one
-// scenario, one cache keyspace, regardless of spelling.
+// TestScenarioFlagEquivalence: every spelling of one scenario resolves
+// to identical campaign options — one scenario, one cache keyspace.
 func TestScenarioFlagEquivalence(t *testing.T) {
-	composed := Campaign{Scenario: "sampled,j-pair=4"}
-	split := Campaign{Fidelity: "sampled", PairWorkers: 4}
-	co, err := composed.Options(context.Background())
-	if err != nil {
-		t.Fatal(err)
+	spellings := []string{"sampled,j-pair=4", "fidelity=sampled,jpair=4", "j-pair=4,sampling=default"}
+	var first speckit.Options
+	for i, in := range spellings {
+		c := Campaign{Scenario: in}
+		opt, err := c.Options(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt = opt.Normalized()
+		if i == 0 {
+			first = opt
+			continue
+		}
+		if opt.Scenario != first.Scenario {
+			t.Errorf("%q normalizes to %+v, %q to %+v", in, opt.Scenario, spellings[0], first.Scenario)
+		}
 	}
-	so, err := split.Options(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if composed.ScenarioKnob() != split.ScenarioKnob() {
-		t.Errorf("scenarios differ: %+v vs %+v", composed.ScenarioKnob(), split.ScenarioKnob())
-	}
-	if co.Fidelity != so.Fidelity || co.Sampling != so.Sampling ||
-		co.IntraPairWorkers != so.IntraPairWorkers ||
-		co.RateCopies != so.RateCopies || co.Topology != so.Topology {
-		t.Error("composed and split scenario flags derive different options")
+	if first.Fidelity != speckit.FidelitySampled || first.Sampling != speckit.DefaultSampling() {
+		t.Errorf("normalized scenario = %+v, want the default sampled tier", first.Scenario)
 	}
 }
 

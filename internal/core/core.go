@@ -32,36 +32,11 @@ type Options struct {
 	Instructions uint64
 	// Parallelism bounds concurrent pair simulations (default NumCPU).
 	Parallelism int
-	// IntraPairWorkers, when >1, splits each pair's measured stream into
-	// that many windows simulated concurrently and stitched with the
-	// frozen-cache warm-state technique (machine.RunParallel) — the knob
-	// that makes a single large pair scale past one core where
-	// Parallelism maxes out at the number of pairs. Results are an
-	// estimate of the sequential run (bit-reproducible for a fixed
-	// worker count, tolerance-gated against sequential), so the knob is
-	// folded into every result-cache key and can never alias an exact
-	// sequential entry. Exact-tier only: the sampled and analytic tiers
-	// already re-tile or skip the stream, so the knob normalizes away
-	// there instead of erroring — a globally set flag composes with
-	// every tier.
-	IntraPairWorkers int
-	// RateCopies, when >1, characterizes each pair as a rate-mode run:
-	// that many copies of the workload on identical cores with private
-	// L1/L2 contending on one shared inclusive L3
-	// (machine.RunShared), reported with per-copy and aggregate
-	// throughput plus shared-level contention stats
-	// (Characteristics.Rate). Contention changes result bits, so the
-	// copy count is folded into every result-cache key with a versioned
-	// suffix and can never alias a single-copy entry. Exact-tier only.
-	RateCopies int
-	// Topology, when enabled, runs each pair on a heterogeneous
-	// P-core/E-core machine under the topology's OS-placement policy;
-	// non-deterministic policies (random) yield a runtime distribution
-	// (Characteristics.Runtime) instead of a point estimate. Folded into
-	// every result-cache key via its canonical string. Exact-tier only;
-	// composes with RateCopies (each mode runs the full contention
-	// scenario on its class).
-	Topology machine.Topology
+	// Scenario is the measurement scenario: fidelity tier, sampling
+	// knob, intra-pair workers, rate-mode copies and topology. Its
+	// fields are promoted, so opt.Sampling, opt.RateCopies and the rest
+	// read and assign directly.
+	Scenario
 	// MultiplexSlots, when positive, emulates perf's counter multiplexing
 	// with that many hardware counter slots (the paper programs 15
 	// events on a 4-slot Haswell PMU): all derived metrics then carry the
@@ -94,25 +69,6 @@ type Options struct {
 	// from the result-cache key — cached Characteristics stay valid when
 	// it changes.
 	BatchSize int
-	// Sampling, when enabled, runs each pair with SMARTS-style systematic
-	// sampling (machine.Options.Sampling): only periodic detailed windows
-	// are simulated and the counters are extrapolated, trading a bounded
-	// metric error for a multi-x speedup. Unlike BatchSize it changes
-	// result bits, so the knob is folded into every result-cache key —
-	// sampled and exact results can never alias in the memory or store
-	// tiers. Each pair's Characteristics.Sampling then carries the
-	// per-metric error estimate.
-	Sampling machine.Sampling
-	// Fidelity selects the simulation tier: FidelityExact (the zero
-	// value) simulates every uop, FidelitySampled is shorthand for the
-	// default Sampling knob (an explicit Sampling knob wins), and
-	// FidelityAnalytic predicts cache behaviour from a reuse-distance
-	// profile instead of simulating it (internal/analytic) — the
-	// fastest tier, with error floors gated per metric family.
-	// FidelityAnalytic does not compose with Sampling. Like Sampling the
-	// tier changes result bits, so non-exact tiers are folded into every
-	// result-cache key and can never alias each other or an exact entry.
-	Fidelity machine.Fidelity
 	// Trace, when non-nil, records the campaign as a span tree — one
 	// campaign root, one span per pair with its satisfying cache tier,
 	// and per-stage children (fast-forward/warmup/detail) under
@@ -133,33 +89,7 @@ func (o Options) withDefaults() Options {
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.NumCPU()
 	}
-	// Fidelity and Sampling normalize into one canonical pair so every
-	// spelling of "sampled" derives identical cache keys: the sampled
-	// tier with no explicit knob means the default knob, and an explicit
-	// knob under the exact tier means the sampled tier. The invalid
-	// analytic+sampling combination is left as is for Characterize to
-	// reject.
-	if o.Fidelity == machine.FidelitySampled && !o.Sampling.Enabled() {
-		o.Sampling = machine.DefaultSampling()
-	}
-	if o.Sampling.Enabled() && o.Fidelity == machine.FidelityExact {
-		o.Fidelity = machine.FidelitySampled
-	}
-	// A single copy is not a rate run: normalize so "rate=1" and "no
-	// rate knob" derive byte-identical cache keys.
-	if o.RateCopies <= 1 {
-		o.RateCopies = 0
-	}
-	// Intra-pair parallelism is an exact-tier execution knob; on the
-	// other tiers (or at trivial worker counts) it normalizes to zero so
-	// cache keys stay byte-stable and the dispatch below never has to
-	// reconcile it with sampling. Rate and topology scenarios run on the
-	// shared-L3 interleaved kernel, which the window split does not
-	// compose with, so the knob normalizes away there too.
-	if o.IntraPairWorkers <= 1 || o.Fidelity != machine.FidelityExact ||
-		o.RateCopies > 0 || o.Topology.Enabled() {
-		o.IntraPairWorkers = 0
-	}
+	o.Scenario = o.Scenario.normalize()
 	return o
 }
 
@@ -226,8 +156,8 @@ func (c *Characteristics) MemPct() float64 { return c.LoadPct + c.StorePct }
 // from the cache bit-identically instead of being re-simulated.
 func Characterize(pairs []profile.Pair, opt Options) ([]Characteristics, error) {
 	opt = opt.withDefaults()
-	if err := validateFidelity(&opt); err != nil {
-		return nil, err
+	if err := opt.Scenario.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if opt.Store != nil {
 		if opt.Cache == nil {
@@ -279,29 +209,10 @@ func CharacterizePair(pair profile.Pair, opt Options) (*Characteristics, error) 
 	return characterizePairCtx(context.Background(), pair, opt)
 }
 
-// validateFidelity rejects the option combinations no tier can honor.
-func validateFidelity(opt *Options) error {
-	if opt.Fidelity == machine.FidelityAnalytic && opt.Sampling.Enabled() {
-		return fmt.Errorf("core: the analytic fidelity tier does not compose with sampling")
-	}
-	if opt.RateCopies > 0 || opt.Topology.Enabled() {
-		// Sampling skips stream regions and the analytic tier skips the
-		// simulation entirely; neither can carry shared-level
-		// interleaving, so contention scenarios are exact-tier only.
-		if opt.Fidelity != machine.FidelityExact {
-			return fmt.Errorf("core: rate and topology scenarios run at exact fidelity only (got %s)", opt.Fidelity)
-		}
-		if err := opt.Topology.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func characterizePairCtx(ctx context.Context, pair profile.Pair, opt Options) (*Characteristics, error) {
 	opt = opt.withDefaults()
-	if err := validateFidelity(&opt); err != nil {
-		return nil, err
+	if err := opt.Scenario.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if opt.RateCopies > 0 || opt.Topology.Enabled() {
 		// Multi-copy contention and heterogeneous-topology scenarios run

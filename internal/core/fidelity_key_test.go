@@ -107,7 +107,7 @@ func TestAnalyticStoreNoReuse(t *testing.T) {
 	pairs := fakePairs(3)
 	anaOpt := func(st sched.Backend, c *sched.Cache) Options {
 		return Options{Instructions: 20000, Store: st, Cache: c,
-			Fidelity: machine.FidelityAnalytic}
+			Scenario: Scenario{Fidelity: machine.FidelityAnalytic}}
 	}
 
 	st1, err := store.Open(dir)

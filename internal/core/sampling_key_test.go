@@ -66,7 +66,7 @@ func TestSampledStoreNoReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	sampledOpt := Options{Instructions: 20000, Store: st1,
-		Sampling: machine.DefaultSampling()}
+		Scenario: Scenario{Sampling: machine.DefaultSampling()}}
 	if _, err := Characterize(pairs, sampledOpt); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSampledStoreNoReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	repeatOpt := Options{Instructions: 20000, Store: st3,
-		Cache: sched.NewCache(), Sampling: machine.DefaultSampling()}
+		Cache: sched.NewCache(), Scenario: Scenario{Sampling: machine.DefaultSampling()}}
 	if _, err := Characterize(pairs, repeatOpt); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/machine"
@@ -14,63 +15,245 @@ import (
 	"repro/internal/trace"
 )
 
+// MaxRateCopies bounds the rate-mode copy count: every copy owns a
+// synthetic generator and a private L1/L2 hierarchy for the whole run,
+// so beyond this the interleave's memory footprint stops being a
+// sensible single-process simulation.
+const MaxRateCopies = 64
+
 // Scenario bundles every knob that changes what a campaign measures —
 // the fidelity tier, the sampling knob, intra-pair parallelism, the
 // rate-mode copy count and the machine topology — into one typed value
-// with a canonical string form. The individual Options fields remain
-// the storage; Scenario is the API surface that keeps them consistent:
-// CLIs parse one -scenario flag, the server accepts one spec object,
-// and both land here before normalization.
+// with a canonical string form. Options embeds it, so it is the one
+// stored copy of those knobs: CLIs parse one -scenario flag with
+// ParseScenario, the server decodes one spec object, and every path
+// checks it with Validate and canonicalizes it with normalize.
 type Scenario struct {
-	// Fidelity selects the simulation tier (Options.Fidelity).
+	// Fidelity selects the simulation tier: FidelityExact (the zero
+	// value) simulates every uop, FidelitySampled is shorthand for the
+	// default Sampling knob (an explicit Sampling knob wins), and
+	// FidelityAnalytic predicts cache behaviour from a reuse-distance
+	// profile instead of simulating it (internal/analytic) — the
+	// fastest tier, with error floors gated per metric family.
+	// FidelityAnalytic does not compose with Sampling. Like Sampling the
+	// tier changes result bits, so non-exact tiers are folded into every
+	// result-cache key and can never alias each other or an exact entry.
 	Fidelity machine.Fidelity
-	// Sampling is the systematic-sampling knob (Options.Sampling).
+	// Sampling, when enabled, runs each pair with SMARTS-style systematic
+	// sampling (machine.Options.Sampling): only periodic detailed windows
+	// are simulated and the counters are extrapolated, trading a bounded
+	// metric error for a multi-x speedup. Unlike BatchSize it changes
+	// result bits, so the knob is folded into every result-cache key —
+	// sampled and exact results can never alias in the memory or store
+	// tiers. Each pair's Characteristics.Sampling then carries the
+	// per-metric error estimate.
 	Sampling machine.Sampling
-	// IntraPairWorkers splits each pair across cores (Options.IntraPairWorkers).
+	// IntraPairWorkers, when >1, splits each pair's measured stream into
+	// that many windows simulated concurrently and stitched with the
+	// frozen-cache warm-state technique (machine.RunParallel) — the knob
+	// that makes a single large pair scale past one core where
+	// Parallelism maxes out at the number of pairs. Results are an
+	// estimate of the sequential run (bit-reproducible for a fixed
+	// worker count, tolerance-gated against sequential), so the knob is
+	// folded into every result-cache key and can never alias an exact
+	// sequential entry. Exact-tier only: the sampled and analytic tiers
+	// already re-tile or skip the stream, so the knob normalizes away
+	// there instead of erroring — a globally set flag composes with
+	// every tier.
 	IntraPairWorkers int
-	// RateCopies is the rate-mode copy count (Options.RateCopies).
+	// RateCopies, when >1, characterizes each pair as a rate-mode run:
+	// that many copies of the workload on identical cores with private
+	// L1/L2 contending on one shared inclusive L3
+	// (machine.RunShared), reported with per-copy and aggregate
+	// throughput plus shared-level contention stats
+	// (Characteristics.Rate). Contention changes result bits, so the
+	// copy count is folded into every result-cache key with a versioned
+	// suffix and can never alias a single-copy entry. Exact-tier only;
+	// at most MaxRateCopies.
 	RateCopies int
-	// Topology is the heterogeneous-machine model (Options.Topology).
+	// Topology, when enabled, runs each pair on a heterogeneous
+	// P-core/E-core machine under the topology's OS-placement policy;
+	// non-deterministic policies (random) yield a runtime distribution
+	// (Characteristics.Runtime) instead of a point estimate. Folded into
+	// every result-cache key via its canonical string. Exact-tier only;
+	// composes with RateCopies (each mode runs the full contention
+	// scenario on its class).
 	Topology machine.Topology
 }
 
-// Scenario extracts the measurement scenario from the options.
-func (o Options) Scenario() Scenario {
-	return Scenario{
-		Fidelity:         o.Fidelity,
-		Sampling:         o.Sampling,
-		IntraPairWorkers: o.IntraPairWorkers,
-		RateCopies:       o.RateCopies,
-		Topology:         o.Topology,
-	}
-}
-
-// Apply copies the scenario onto the options, returning the result. It
-// does not normalize; Characterize's withDefaults does that, so a
-// scenario round-trips through Options exactly like individually set
-// fields.
+// Apply stores the scenario in the options, returning the result. It
+// does not normalize; Characterize does that, so a scenario round-trips
+// through Options exactly like individually set fields.
 func (s Scenario) Apply(o Options) Options {
-	o.Fidelity = s.Fidelity
-	o.Sampling = s.Sampling
-	o.IntraPairWorkers = s.IntraPairWorkers
-	o.RateCopies = s.RateCopies
-	o.Topology = s.Topology
+	o.Scenario = s
 	return o
 }
 
-// Validate rejects scenarios no tier can honor, with the same rules
-// Characterize enforces (validateFidelity over the applied options).
+// Over layers s over base, the way a campaign spec's scenario refines a
+// server's base options: every knob s sets replaces base's, and a knob
+// s leaves at its zero value (exact tier, sampling off, counts <= 0,
+// homogeneous topology) inherits base's. Base knobs that cannot
+// compose with what s asks for are dropped: an analytic tier in s drops
+// the base sampling knob, and a rate or topology scenario whose tier s
+// leaves unset runs exact whatever the base tier.
+func (s Scenario) Over(base Scenario) Scenario {
+	m := base
+	if s.Fidelity != machine.FidelityExact {
+		m.Fidelity = s.Fidelity
+	}
+	if s.Sampling.Enabled() {
+		m.Sampling = s.Sampling
+	}
+	if s.IntraPairWorkers > 0 {
+		m.IntraPairWorkers = s.IntraPairWorkers
+	}
+	if s.RateCopies > 0 {
+		m.RateCopies = s.RateCopies
+	}
+	if s.Topology.Enabled() {
+		m.Topology = s.Topology
+	}
+	explicitTier := s.Fidelity != machine.FidelityExact || s.Sampling.Enabled()
+	switch {
+	case s.Fidelity == machine.FidelityAnalytic:
+		m.Sampling = machine.Sampling{}
+	case (m.RateCopies > 1 || m.Topology.Enabled()) && !explicitTier:
+		m.Fidelity = machine.FidelityExact
+		m.Sampling = machine.Sampling{}
+	}
+	return m
+}
+
+// normalize maps every spelling of a scenario onto one canonical value,
+// so equivalent spellings derive byte-identical cache keys. Invalid
+// combinations (analytic with sampling) are left as they are for
+// Validate to reject.
+func (s Scenario) normalize() Scenario {
+	// The sampled tier with no explicit knob means the default knob, and
+	// an explicit knob under the exact tier means the sampled tier.
+	if s.Fidelity == machine.FidelitySampled && !s.Sampling.Enabled() {
+		s.Sampling = machine.DefaultSampling()
+	}
+	if s.Sampling.Enabled() && s.Fidelity == machine.FidelityExact {
+		s.Fidelity = machine.FidelitySampled
+	}
+	// A single copy is not a rate run, and a disabled topology is the
+	// homogeneous machine, whatever placement it names.
+	if s.RateCopies <= 1 {
+		s.RateCopies = 0
+	}
+	if !s.Topology.Enabled() {
+		s.Topology = machine.Topology{}
+	}
+	// Intra-pair parallelism is an exact-tier execution knob; on the
+	// other tiers (or at trivial worker counts) it normalizes to zero so
+	// cache keys stay byte-stable and the dispatch never has to
+	// reconcile it with sampling. Rate and topology scenarios run on the
+	// shared-L3 interleaved kernel, which the window split does not
+	// compose with, so the knob normalizes away there too.
+	if s.IntraPairWorkers <= 1 || s.Fidelity != machine.FidelityExact ||
+		s.RateCopies > 0 || s.Topology.Enabled() {
+		s.IntraPairWorkers = 0
+	}
+	return s
+}
+
+// FieldError is a scenario that no tier can honor, tied to the knob at
+// fault. Field is the knob's campaign-spec JSON name ("fidelity",
+// "sampling", "workers_per_pair", "rate_copies", "topology"), so the
+// server can return it as the 400's "field" and the CLI gives the same
+// message for the same mistake.
+type FieldError struct {
+	Field string
+	Msg   string
+}
+
+func (e *FieldError) Error() string { return e.Msg }
+
+// Validate rejects scenarios no tier can honor, returning a *FieldError.
+// Negative counts are rejected here, though normalize maps them to
+// "off": Characterize validates the normalized scenario, while the
+// server and the CLIs validate what the user wrote.
 func (s Scenario) Validate() error {
-	opt := s.Apply(Options{}).withDefaults()
-	return validateFidelity(&opt)
+	switch {
+	case s.IntraPairWorkers < 0:
+		return &FieldError{"workers_per_pair", "workers_per_pair must be non-negative"}
+	case s.RateCopies < 0:
+		return &FieldError{"rate_copies", "rate_copies must be non-negative"}
+	case s.RateCopies > MaxRateCopies:
+		return &FieldError{"rate_copies", fmt.Sprintf("rate_copies %d exceeds the maximum of %d", s.RateCopies, MaxRateCopies)}
+	}
+	n := s.normalize()
+	if n.Fidelity == machine.FidelityAnalytic && n.Sampling.Enabled() {
+		return &FieldError{"fidelity", "the analytic fidelity tier does not compose with sampling"}
+	}
+	if n.RateCopies > 0 || n.Topology.Enabled() {
+		// Sampling skips stream regions and the analytic tier skips the
+		// simulation entirely; neither can carry shared-level
+		// interleaving, so contention scenarios are exact-tier only.
+		if n.Fidelity != machine.FidelityExact {
+			field := "fidelity"
+			if s.Fidelity == machine.FidelityExact {
+				field = "sampling"
+			}
+			return &FieldError{field, fmt.Sprintf("rate and topology scenarios run at exact fidelity only (got %s)", n.Fidelity)}
+		}
+		if err := n.Topology.Validate(); err != nil {
+			return &FieldError{"topology", err.Error()}
+		}
+	}
+	return nil
+}
+
+// ParseScenario parses the -scenario flag syntax shared by the cmd
+// tools: comma-separated tokens, each either a bare fidelity tier
+// ("exact", "sampled", "analytic") or a key=value knob
+// ("fidelity=sampled", "sampling=262144/8192/8192", "j-pair=8",
+// "rate=4", "topo=4P4E-random"). The empty string is the default
+// (exact, single-copy, homogeneous) scenario. The result is validated
+// but not normalized; the canonical String() of any accepted scenario
+// parses back to the same normalized value.
+func ParseScenario(s string) (Scenario, error) {
+	var sc Scenario
+	for _, tok := range strings.Split(s, ",") {
+		tok = strings.TrimSpace(tok)
+		if tok == "" {
+			continue
+		}
+		key, val, _ := strings.Cut(tok, "=")
+		var err error
+		switch strings.ToLower(key) {
+		case "exact", "sampled", "analytic":
+			if val != "" {
+				return Scenario{}, fmt.Errorf("scenario: tier token %q takes no value", tok)
+			}
+			sc.Fidelity, err = machine.ParseFidelity(key)
+		case "fidelity":
+			sc.Fidelity, err = machine.ParseFidelity(val)
+		case "sampling":
+			sc.Sampling, err = machine.ParseSampling(val)
+		case "j-pair", "jpair":
+			sc.IntraPairWorkers, err = strconv.Atoi(val)
+		case "rate":
+			sc.RateCopies, err = strconv.Atoi(val)
+		case "topo", "topology":
+			sc.Topology, err = machine.ParseTopology(val)
+		default:
+			return Scenario{}, fmt.Errorf("scenario: unknown knob %q (want a fidelity tier, sampling=, j-pair=, rate= or topo=)", key)
+		}
+		if err != nil {
+			return Scenario{}, fmt.Errorf("scenario: %q: %v", tok, err)
+		}
+	}
+	return sc, sc.Validate()
 }
 
 // String renders the scenario in the comma-separated token form
-// ParseScenario (internal/cliflags) accepts: "exact" for the zero
+// ParseScenario accepts: "exact" for the zero
 // value, otherwise only the knobs that differ from it, e.g.
 // "sampled,j-pair=8" or "rate=4,topo=4P4E-random". The string is a
 // human/CLI surface, not a cache key — keys are derived from the
-// normalized Options fields as before.
+// normalized scenario fields.
 func (s Scenario) String() string {
 	var tok []string
 	switch {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -264,4 +265,101 @@ func TestScenarioString(t *testing.T) {
 			t.Errorf("Scenario%+v.String() = %q, want %q", tc.sc, got, tc.want)
 		}
 	}
+}
+
+// TestScenarioValidateFields: every rejection names the offending knob
+// by its campaign-spec JSON field, while normalized scenarios — what
+// Characterize validates — keep treating counts <= 1 as "off".
+func TestScenarioValidateFields(t *testing.T) {
+	sampling := machine.DefaultSampling()
+	topo := machine.Topology{PCores: 4, ECores: 4, Placement: machine.PlaceRandom}
+	cases := []struct {
+		sc    Scenario
+		field string
+	}{
+		{Scenario{IntraPairWorkers: -2}, "workers_per_pair"},
+		{Scenario{RateCopies: -3}, "rate_copies"},
+		{Scenario{RateCopies: MaxRateCopies + 1}, "rate_copies"},
+		{Scenario{Fidelity: machine.FidelityAnalytic, Sampling: sampling}, "fidelity"},
+		{Scenario{Fidelity: machine.FidelityAnalytic, RateCopies: 4}, "fidelity"},
+		{Scenario{Fidelity: machine.FidelitySampled, Topology: topo}, "fidelity"},
+		{Scenario{Sampling: sampling, RateCopies: 4}, "sampling"},
+		{Scenario{Topology: machine.Topology{PCores: 4, Placement: machine.PlaceRandom}}, "topology"},
+	}
+	for _, tc := range cases {
+		var fe *FieldError
+		if err := tc.sc.Validate(); !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("%+v: Validate = %v, want a %q FieldError", tc.sc, err, tc.field)
+		}
+	}
+	for _, sc := range []Scenario{
+		{IntraPairWorkers: -2, RateCopies: -3},
+		{RateCopies: MaxRateCopies, Topology: topo},
+		{Fidelity: machine.FidelitySampled, IntraPairWorkers: 8},
+	} {
+		if err := sc.normalize().Validate(); err != nil {
+			t.Errorf("%+v: normalized scenario rejected: %v", sc, err)
+		}
+	}
+}
+
+// TestScenarioOver: a campaign scenario layered over a base replaces the
+// knobs it sets, inherits the ones it leaves at zero, and drops base
+// knobs that cannot compose with an explicit analytic tier or
+// contention scenario.
+func TestScenarioOver(t *testing.T) {
+	sampling := machine.DefaultSampling()
+	base := Scenario{Sampling: sampling, IntraPairWorkers: 4}
+	cases := []struct {
+		name          string
+		s, base, want Scenario
+	}{
+		{"zero inherits", Scenario{}, base, base},
+		{"knob replaces", Scenario{IntraPairWorkers: 8}, base,
+			Scenario{Sampling: sampling, IntraPairWorkers: 8}},
+		{"analytic drops base sampling", Scenario{Fidelity: machine.FidelityAnalytic}, base,
+			Scenario{Fidelity: machine.FidelityAnalytic, IntraPairWorkers: 4}},
+		{"rate runs exact", Scenario{RateCopies: 4},
+			Scenario{Fidelity: machine.FidelitySampled, Sampling: sampling},
+			Scenario{RateCopies: 4}},
+		{"explicit tier left for Validate", Scenario{Fidelity: machine.FidelitySampled, RateCopies: 4}, Scenario{},
+			Scenario{Fidelity: machine.FidelitySampled, RateCopies: 4}},
+	}
+	for _, tc := range cases {
+		if got := tc.s.Over(tc.base); got != tc.want {
+			t.Errorf("%s: Over = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// FuzzParseScenario: the -scenario parser never panics, every scenario
+// it accepts passes Validate, and the canonical String() of an accepted
+// scenario parses back to the same normalized value. The seeds are the
+// accepted and rejected spellings of the -scenario flag tests.
+func FuzzParseScenario(f *testing.F) {
+	for _, s := range []string{
+		"", "exact", "sampled", "analytic", "sampling=131072/4096/4096",
+		"j-pair=8", "rate=4", "exact,rate=4,topo=4P4E-random", " Exact , Rate=2 ",
+		"turbo", "exact=1", "rate=x", "warp=9", "topo=4X4E-random",
+		"analytic,sampling=262144/8192/8192", "analytic,rate=4", "sampled,topo=4P4E-random",
+		"rate=-3", "j-pair=-2", "rate=65", "sampled,j-pair=4", "fidelity=sampled,jpair=4",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		s, err := ParseScenario(in)
+		if err != nil {
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("ParseScenario(%q) accepted %+v, which fails Validate: %v", in, s, err)
+		}
+		back, err := ParseScenario(s.String())
+		if err != nil {
+			t.Fatalf("ParseScenario(%q) = %+v; its string %q does not parse: %v", in, s, s.String(), err)
+		}
+		if back.normalize() != s.normalize() {
+			t.Fatalf("ParseScenario(%q) = %+v; %q parses back to %+v", in, s.normalize(), s.String(), back.normalize())
+		}
+	})
 }

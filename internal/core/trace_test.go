@@ -30,7 +30,7 @@ func TestCharacterizeTraceManifest(t *testing.T) {
 	opt := Options{
 		Instructions: 600000,
 		Parallelism:  2,
-		Sampling:     machine.Sampling{Period: 131072, DetailLen: 4096, WarmupLen: 4096},
+		Scenario:     Scenario{Sampling: machine.Sampling{Period: 131072, DetailLen: 4096, WarmupLen: 4096}},
 		Trace:        tr,
 	}
 	if _, err := Characterize(pairs, opt); err != nil {

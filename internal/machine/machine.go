@@ -60,6 +60,23 @@ var metWindowSeconds = map[string]*obs.Histogram{
 	"rate":     obs.Default().Histogram("speckit_pair_window_seconds", "", obs.LatencyBuckets, "source", "rate"),
 }
 
+// PairWindowStats summarizes the window-level series for specserved's
+// expvar snapshot: total windows plus wall-time sum and latency
+// quantiles per windowing source.
+func PairWindowStats() map[string]any {
+	out := make(map[string]any, len(metPairWindows))
+	for src, c := range metPairWindows {
+		h := metWindowSeconds[src].Snapshot()
+		out[src] = map[string]any{
+			"windows":     c.Value(),
+			"seconds_sum": h.Sum,
+			"p50_seconds": h.Quantile(0.5),
+			"p99_seconds": h.Quantile(0.99),
+		}
+	}
+	return out
+}
+
 // Config describes a simulated machine.
 type Config struct {
 	// Name labels the configuration in reports.

@@ -92,9 +92,8 @@ func ParseSampling(s string) (Sampling, error) {
 // exact but costs ~30-40% extra on the fast-forward path; the tables'
 // hot entries retrain within a few thousand branches, so a bounded tail
 // recovers nearly all of the accuracy at a fraction of the cost (see
-// EXPERIMENTS.md for the sweep). A variable only so the tuning
-// experiment can sweep it; not part of the public knob.
-var warmTailFactor = uint64(8)
+// EXPERIMENTS.md for the sweep). Not part of the public knob.
+const warmTailFactor uint64 = 8
 
 // ageCoeff and agePow scale the gap-turnover aging of the big caches
 // (L2, L3; see runSampled) as alpha = ageCoeff * missRate^agePow of the
@@ -104,19 +103,16 @@ var warmTailFactor = uint64(8)
 // on arrival, and the power law is the simplest shape that matched the
 // per-family bias sweep (EXPERIMENTS.md). The L1s age at the full fill
 // rate — their reuse horizon is far shorter than any practical gap, so
-// their turnover really is complete. Variables only so the tuning
-// experiment can sweep them; not part of the public knob.
-var (
+// their turnover really is complete. Not part of the public knob.
+const (
 	ageCoeff = 0.4
 	agePow   = 1.5
 )
 
 // jitterSeed seeds the fixed splitmix64 stream that jitters each
-// period's window offset (see runSampled). A package variable only so
-// the tuning experiment can re-draw the placement and separate
-// window-placement variance from model bias; sampled runs are
-// bit-reproducible because it is never varied at runtime.
-var jitterSeed = uint64(0x9E3779B97F4A7C15)
+// period's window offset (see runSampled); sampled runs are
+// bit-reproducible because it is fixed.
+const jitterSeed uint64 = 0x9E3779B97F4A7C15
 
 // Enabled reports whether the knob turns sampling on.
 func (s Sampling) Enabled() bool { return s.Period > 0 }
@@ -139,8 +135,8 @@ func (s Sampling) Validate() error {
 	return nil
 }
 
-// String renders the knob in the "period/detail/warmup" form the
-// -sampling CLI flags accept.
+// String renders the knob in the "period/detail/warmup" form
+// ParseSampling accepts.
 func (s Sampling) String() string {
 	if !s.Enabled() {
 		return "off"

@@ -98,15 +98,16 @@ func ParseTopology(s string) (Topology, error) {
 		return Topology{}, nil
 	}
 	var t Topology
-	rest := strings.ToUpper(raw)
-	core := rest
-	place := ""
+	core, place := raw, ""
 	// The placement suffix starts at the first separator after the E
 	// count ("4P4E-random", "4P+4E/random"); "+" only joins the classes.
-	if i := strings.IndexAny(rest, "-/"); i >= 0 {
-		core, place = rest[:i], raw[i+1:]
+	// Split before upper-casing: ToUpper may change the byte length of
+	// invalid UTF-8, so indices into the upper-cased string are not
+	// indices into raw.
+	if i := strings.IndexAny(raw, "-/"); i >= 0 {
+		core, place = raw[:i], raw[i+1:]
 	}
-	core = strings.ReplaceAll(core, "+", "")
+	core = strings.ReplaceAll(strings.ToUpper(core), "+", "")
 	p := strings.IndexByte(core, 'P')
 	e := strings.IndexByte(core, 'E')
 	if p < 0 || e < 0 || e < p || e != len(core)-1 {

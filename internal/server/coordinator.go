@@ -269,10 +269,11 @@ func (s *Server) runFleet(ctx context.Context, id string, base CampaignSpec, pai
 		}
 	}
 
-	// The chunk specs carry the merged machine, window, multiplexing,
-	// sampling and fidelity values explicitly so worker-side content
-	// keys match the coordinator's regardless of each worker's base
-	// flags. The machine travels in its fingerprint-stable JSON form —
+	// The chunk specs carry the merged machine, window, multiplexing
+	// and scenario values explicitly so worker-side content keys match
+	// the coordinator's; a worker's base options fill only the scenario
+	// knobs left at their defaults, which specserved never sets. The
+	// machine travels in its fingerprint-stable JSON form —
 	// this is what lets a sweep scatter per-grid-point configurations.
 	chunkMachine := opt.Machine
 	tasks := make([]sched.RemoteTask[[]core.Characteristics], len(chunks))
@@ -288,15 +289,17 @@ func (s *Server) runFleet(ctx context.Context, id string, base CampaignSpec, pai
 			Instructions:   opt.Instructions,
 			MultiplexSlots: opt.MultiplexSlots,
 			Machine:        &chunkMachine,
-			Sampling:       opt.Sampling.String(),
-			Fidelity:       opt.Fidelity.String(),
-			WorkersPerPair: opt.IntraPairWorkers,
-			// Rate/topology travel in their normalized form (RateCopies
-			// 0 or >1; the canonical topology string, "" when disabled)
-			// so worker-side keys — and therefore store records — match
-			// the coordinator's bit for bit.
-			RateCopies: opt.RateCopies,
-			Topology:   opt.Topology.String(),
+			// The scenario travels in its normalized form (sampling
+			// knob explicit, counts 0 or >1, the canonical topology
+			// string) so worker-side keys — and therefore store
+			// records — match the coordinator's bit for bit.
+			Scenario: &ScenarioSpec{
+				Fidelity:       opt.Fidelity.String(),
+				Sampling:       opt.Sampling.String(),
+				WorkersPerPair: opt.IntraPairWorkers,
+				RateCopies:     opt.RateCopies,
+				Topology:       opt.Topology.String(),
+			},
 		}
 		name := fmt.Sprintf("%s/chunk%d", id, t)
 		tasks[t] = sched.RemoteTask[[]core.Characteristics]{

@@ -756,7 +756,7 @@ func TestFidelityCampaigns(t *testing.T) {
 	// The server's base options carry a sampling default, which an
 	// explicit analytic request must override.
 	s, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8,
-		Characterize: core.Options{Sampling: machine.DefaultSampling()}})
+		Characterize: core.Options{Scenario: core.Scenario{Sampling: machine.DefaultSampling()}}})
 	ctx := ctxT(t)
 
 	base := server.CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "train"}
@@ -852,6 +852,11 @@ func TestScenarioCampaigns(t *testing.T) {
 	}{
 		{func(s *server.CampaignSpec) { s.Topology = "4X4E-random" }, "topology"},
 		{func(s *server.CampaignSpec) { s.RateCopies = -2 }, "rate_copies"},
+		// Every copy owns a generator and a private hierarchy, so an
+		// unbounded count could exhaust the server's memory.
+		{func(s *server.CampaignSpec) {
+			s.Scenario = &server.ScenarioSpec{RateCopies: core.MaxRateCopies + 1}
+		}, "rate_copies"},
 		{func(s *server.CampaignSpec) { s.RateCopies = 4; s.Fidelity = "analytic" }, "fidelity"},
 		{func(s *server.CampaignSpec) { s.RateCopies = 4; s.Sampling = "default" }, "sampling"},
 		{func(s *server.CampaignSpec) { // flat field conflicting with the scenario object

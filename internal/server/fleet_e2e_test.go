@@ -227,7 +227,7 @@ func TestFleetAnalyticBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := core.Characterize(pairs, core.Options{
-		Instructions: instructions, Fidelity: machine.FidelityAnalytic,
+		Instructions: instructions, Scenario: core.Scenario{Fidelity: machine.FidelityAnalytic},
 		Cache: sched.NewCache(), Store: baseSt,
 	})
 	if err != nil {
@@ -317,7 +317,7 @@ func TestFleetParallelBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := core.Characterize(pairs, core.Options{
-		Instructions: instructions, IntraPairWorkers: 2,
+		Instructions: instructions, Scenario: core.Scenario{IntraPairWorkers: 2},
 		Cache: sched.NewCache(), Store: baseSt,
 	})
 	if err != nil {

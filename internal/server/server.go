@@ -130,12 +130,7 @@ type CampaignSpec struct {
 	// MultiplexSlots overrides the server's counter-multiplexing
 	// emulation when positive.
 	MultiplexSlots int `json:"multiplex_slots,omitempty"`
-	// Sampling sets the systematic-sampling fidelity knob for this
-	// campaign: "off", "default", or "PERIOD/DETAIL/WARMUP" instruction
-	// counts (e.g. "262144/8192/8192"). Empty inherits the server's base
-	// options. Sampled results are bounded-error estimates keyed
-	// separately from exact runs in every cache tier, and their pairs
-	// are reported under the sampled_* counters in /metrics.
+	// Sampling is the flat spelling of Scenario.Sampling.
 	Sampling string `json:"sampling,omitempty"`
 	// Machine, when non-nil, overrides the server's base machine
 	// configuration for this campaign (the declarative JSON form;
@@ -144,44 +139,18 @@ type CampaignSpec struct {
 	// is fingerprint-stable, so worker-side content keys match the
 	// coordinator's exactly.
 	Machine *machine.Config `json:"machine,omitempty"`
-	// Fidelity selects this campaign's simulation tier: "exact",
-	// "sampled" (shorthand for the default sampling knob), or "analytic"
-	// (miss-curve prediction — the fastest tier, with per-metric error
-	// floors). Empty inherits the server's base options. "analytic" does
-	// not compose with a sampling knob and overrides any server-side
-	// sampling default; analytic pairs are reported under the analytic_*
-	// counters in /metrics and keyed separately from both simulation
-	// tiers in every cache tier.
-	Fidelity string `json:"fidelity,omitempty"`
-	// WorkersPerPair, when >1, splits each pair's measured stream into
-	// that many windows simulated concurrently and stitched with
-	// frozen-cache warm state (intra-pair parallelism). Exact tier
-	// only — the sampled and analytic tiers normalize the knob away.
-	// Results are tolerance-gated estimates of the sequential run,
-	// bit-reproducible for a fixed count and keyed separately in every
-	// cache tier; the coordinator forwards the knob to fleet workers
-	// verbatim so a sharded campaign derives the same keys a
-	// single-node run would.
-	WorkersPerPair int `json:"workers_per_pair,omitempty"`
-	// RateCopies, when >1, characterizes each pair as a rate-mode run:
-	// that many co-running copies with private L1/L2 contending on one
-	// shared inclusive L3, reported with per-copy and aggregate
-	// throughput plus contention stats (Characteristics.Rate). Exact
-	// tier only; rate pairs are reported under the rate_* counters in
-	// /metrics and keyed separately in every cache tier.
-	RateCopies int `json:"rate_copies,omitempty"`
-	// Topology, when non-empty, runs each pair on a heterogeneous
-	// P-core/E-core machine under an OS-placement policy, e.g.
-	// "4P4E-random" (machine.ParseTopology syntax). Random placement
-	// yields a runtime distribution (Characteristics.Runtime). Exact
-	// tier only; keyed separately in every cache tier.
-	Topology string `json:"topology,omitempty"`
+	// Fidelity, WorkersPerPair, RateCopies and Topology are the flat
+	// spellings of the equally named Scenario fields.
+	Fidelity       string `json:"fidelity,omitempty"`
+	WorkersPerPair int    `json:"workers_per_pair,omitempty"`
+	RateCopies     int    `json:"rate_copies,omitempty"`
+	Topology       string `json:"topology,omitempty"`
 	// Scenario, when non-nil, is the structured form of the measurement
 	// scenario. It replaces the flat sampling, fidelity,
 	// workers_per_pair, rate_copies and topology fields, which must then
 	// stay unset — a spec naming a knob in both forms is rejected with a
-	// field-tagged 400. Flat-only specs keep working unchanged: they are
-	// normalized into the same internal view.
+	// field-tagged 400. Flat-only specs keep working unchanged: they
+	// decode into the same core.Scenario.
 	Scenario *ScenarioSpec `json:"scenario,omitempty"`
 	// Pairs, when non-empty, filters the expanded suite to exactly the
 	// named pairs (profile.Pair.Name, e.g. "502.gcc_r-in3"), in the
@@ -192,16 +161,29 @@ type CampaignSpec struct {
 }
 
 // ScenarioSpec is the wire form of a campaign's measurement scenario
-// (core.Scenario): which tier simulates the pairs and under what
-// contention/topology model. Field semantics match the equally named
-// flat CampaignSpec fields; empty fields inherit the server's base
-// options.
+// (core.Scenario, whose field docs give the semantics): which tier
+// simulates the pairs and under what contention/topology model. Knobs
+// left empty or at their default (exact, off, 0) inherit the server's
+// base options (core.Scenario.Over). Every non-exact tier and every
+// contention scenario is keyed separately in every cache tier, and its
+// pairs are reported under their own sampled_*, analytic_* or rate_*
+// counters in /metrics.
 type ScenarioSpec struct {
-	Fidelity       string `json:"fidelity,omitempty"`
-	Sampling       string `json:"sampling,omitempty"`
-	WorkersPerPair int    `json:"workers_per_pair,omitempty"`
-	RateCopies     int    `json:"rate_copies,omitempty"`
-	Topology       string `json:"topology,omitempty"`
+	// Fidelity is the tier: "exact", "sampled" (shorthand for the
+	// default sampling knob) or "analytic".
+	Fidelity string `json:"fidelity,omitempty"`
+	// Sampling is the sampling knob: "off", "default", or
+	// "PERIOD/DETAIL/WARMUP" instruction counts.
+	Sampling string `json:"sampling,omitempty"`
+	// WorkersPerPair splits each pair into that many concurrently
+	// simulated windows (intra-pair parallelism, exact tier only).
+	WorkersPerPair int `json:"workers_per_pair,omitempty"`
+	// RateCopies runs that many co-running copies on a shared L3
+	// (rate mode, exact tier only, at most core.MaxRateCopies).
+	RateCopies int `json:"rate_copies,omitempty"`
+	// Topology is a P/E-core topology with its placement policy, e.g.
+	// "4P4E-random" (machine.ParseTopology syntax; exact tier only).
+	Topology string `json:"topology,omitempty"`
 }
 
 // scenarioView returns the spec's scenario knobs in structured form
@@ -237,18 +219,31 @@ func (spec *CampaignSpec) scenarioView() (ScenarioSpec, error) {
 	return *spec.Scenario, nil
 }
 
-// specError ties a campaign-spec validation failure to the JSON field
-// that caused it, so a 400 response carries a machine-readable "field"
-// alongside the human-readable "error".
-type specError struct {
-	field string
-	msg   string
+// decode parses the wire scenario into the typed value and checks it
+// with core.Scenario.Validate, so the server enforces exactly the rules
+// the library and the CLIs do; every error names its JSON field.
+func (v ScenarioSpec) decode() (core.Scenario, error) {
+	var sc core.Scenario
+	var err error
+	if sc.Sampling, err = machine.ParseSampling(v.Sampling); err != nil {
+		return sc, badField("sampling", "%v", err)
+	}
+	if sc.Fidelity, err = machine.ParseFidelity(v.Fidelity); err != nil {
+		return sc, badField("fidelity", "%v", err)
+	}
+	if sc.Topology, err = machine.ParseTopology(v.Topology); err != nil {
+		return sc, badField("topology", "%v", err)
+	}
+	sc.IntraPairWorkers, sc.RateCopies = v.WorkersPerPair, v.RateCopies
+	return sc, sc.Validate()
 }
 
-func (e *specError) Error() string { return e.msg }
-
-func badField(field, format string, args ...any) *specError {
-	return &specError{field: field, msg: fmt.Sprintf(format, args...)}
+// badField ties a campaign-spec validation failure to the JSON field
+// that caused it (the type core.Scenario.Validate returns), so a 400
+// response carries a machine-readable "field" alongside the
+// human-readable "error".
+func badField(field, format string, args ...any) *core.FieldError {
+	return &core.FieldError{Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
 // resolve expands the spec into the campaign's pair list.
@@ -368,15 +363,10 @@ type campaign struct {
 	id    string
 	spec  CampaignSpec
 	pairs []profile.Pair
-	// view is the spec's scenario knobs in structured form (whichever
-	// spec form carried them); sampling, fidelity and topology are their
-	// parsed values, resolved at submit time (validation happens before
-	// the campaign is admitted). Empty view fields inherit the server's
-	// base options.
-	view     ScenarioSpec
-	sampling machine.Sampling
-	fidelity machine.Fidelity
-	topology machine.Topology
+	// scenario is the spec's validated scenario (whichever spec form
+	// carried it), layered over the server's base options at run time
+	// (core.Scenario.Over: zero knobs inherit the base).
+	scenario core.Scenario
 
 	// ctx is cancelled by DELETE, a waiting client's disconnect, or the
 	// drain timeout; the sched engine aborts queued and in-flight pairs
@@ -795,36 +785,7 @@ func (s *Server) run(c *campaign) {
 	if c.spec.Machine != nil {
 		opt.Machine = *c.spec.Machine
 	}
-	if c.view.Sampling != "" {
-		opt.Sampling = c.sampling
-	}
-	if c.view.WorkersPerPair > 0 {
-		opt.IntraPairWorkers = c.view.WorkersPerPair
-	}
-	if c.view.Fidelity != "" {
-		opt.Fidelity = c.fidelity
-		if c.fidelity == machine.FidelityAnalytic {
-			// An explicit analytic request overrides any server-side
-			// sampling default: the submit-time validation already
-			// rejected specs that name both knobs themselves.
-			opt.Sampling = machine.Sampling{}
-		}
-	}
-	if c.view.RateCopies > 0 {
-		opt.RateCopies = c.view.RateCopies
-	}
-	if c.view.Topology != "" {
-		opt.Topology = c.topology
-	}
-	if (opt.RateCopies > 1 || opt.Topology.Enabled()) &&
-		c.view.Fidelity == "" && c.view.Sampling == "" {
-		// Like an explicit analytic request, an explicit rate/topology
-		// request overrides any server-side sampling default: the
-		// scenario is exact-tier only, and submit-time validation
-		// already rejected specs that name both knobs themselves.
-		opt.Fidelity = machine.FidelityExact
-		opt.Sampling = machine.Sampling{}
-	}
+	opt.Scenario = c.scenario.Over(opt.Scenario)
 	opt.Context = c.ctx
 	opt.Progress = c.setProgress
 	tr := obs.NewTrace()
@@ -905,14 +866,14 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 }
 
 // writeSpecError renders a 400 for a spec validation failure; when the
-// error is field-tagged (specError) the envelope carries the offending
-// JSON field so typed clients can point at it.
+// error is field-tagged (core.FieldError) the envelope carries the
+// offending JSON field so typed clients can point at it.
 func writeSpecError(w http.ResponseWriter, err error) {
-	var se *specError
-	if errors.As(err, &se) {
+	var fe *core.FieldError
+	if errors.As(err, &fe) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": "bad campaign spec: " + se.msg,
-			"field": se.field,
+			"error": "bad campaign spec: " + fe.Msg,
+			"field": fe.Field,
 		})
 		return
 	}
@@ -937,56 +898,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeSpecError(w, err)
 		return
 	}
-	sampling, err := machine.ParseSampling(view.Sampling)
+	scenario, err := view.decode()
 	if err != nil {
-		writeSpecError(w, badField("sampling", "%v", err))
+		writeSpecError(w, err)
 		return
-	}
-	fidelity, err := machine.ParseFidelity(view.Fidelity)
-	if err != nil {
-		writeSpecError(w, badField("fidelity", "%v", err))
-		return
-	}
-	topology, err := machine.ParseTopology(view.Topology)
-	if err != nil {
-		writeSpecError(w, badField("topology", "%v", err))
-		return
-	}
-	if fidelity == machine.FidelityAnalytic && sampling.Enabled() {
-		writeSpecError(w, badField("fidelity",
-			"the analytic fidelity tier does not compose with sampling"))
-		return
-	}
-	if view.WorkersPerPair < 0 {
-		writeSpecError(w, badField("workers_per_pair",
-			"workers_per_pair must be non-negative"))
-		return
-	}
-	if view.RateCopies < 0 {
-		writeSpecError(w, badField("rate_copies",
-			"rate_copies must be non-negative"))
-		return
-	}
-	if view.RateCopies > 1 || topology.Enabled() {
-		// Contention and topology scenarios are exact-tier only (see
-		// core.Options); an explicitly non-exact tier in the same spec
-		// cannot be honored.
-		switch {
-		case fidelity != machine.FidelityExact:
-			writeSpecError(w, badField("fidelity",
-				"rate and topology scenarios run at exact fidelity only (got %s)", fidelity))
-			return
-		case sampling.Enabled():
-			writeSpecError(w, badField("sampling",
-				"rate and topology scenarios run at exact fidelity only"))
-			return
-		}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &campaign{
-		spec: spec, pairs: pairs,
-		view: view, sampling: sampling, fidelity: fidelity, topology: topology,
+		spec: spec, pairs: pairs, scenario: scenario,
 		ctx: ctx, cancel: cancel,
 		status: StatusQueued, created: time.Now(),
 		subs: make(map[chan sseEvent]struct{}),
@@ -1197,42 +1117,6 @@ var metServedPairs = func() map[string]*obs.Counter {
 	return m
 }()
 
-// Window-level simulation metrics, mirrored into the expvar snapshot.
-// The machine kernels feed these series (the obs registry get-or-create
-// contract hands back the same instances here): "sampled" counts a
-// sampled run's periodic detail windows, "parallel" the concurrently
-// simulated sub-windows of intra-pair parallel runs, and "rate" the
-// round-robin interleaving rounds of shared-L3 rate runs.
-var (
-	metWinCount = map[string]*obs.Counter{
-		"sampled":  obs.Default().Counter("speckit_pair_windows_total", "", "source", "sampled"),
-		"parallel": obs.Default().Counter("speckit_pair_windows_total", "", "source", "parallel"),
-		"rate":     obs.Default().Counter("speckit_pair_windows_total", "", "source", "rate"),
-	}
-	metWinSeconds = map[string]*obs.Histogram{
-		"sampled":  obs.Default().Histogram("speckit_pair_window_seconds", "", obs.LatencyBuckets, "source", "sampled"),
-		"parallel": obs.Default().Histogram("speckit_pair_window_seconds", "", obs.LatencyBuckets, "source", "parallel"),
-		"rate":     obs.Default().Histogram("speckit_pair_window_seconds", "", obs.LatencyBuckets, "source", "rate"),
-	}
-)
-
-// pairWindowsSnapshot summarizes the window-level series for the expvar
-// map: total windows plus wall-time count/sum and latency quantiles per
-// windowing source.
-func pairWindowsSnapshot() map[string]any {
-	out := make(map[string]any, len(metWinCount))
-	for src, c := range metWinCount {
-		h := metWinSeconds[src].Snapshot()
-		out[src] = map[string]any{
-			"windows":     c.Value(),
-			"seconds_sum": h.Sum,
-			"p50_seconds": h.Quantile(0.5),
-			"p99_seconds": h.Quantile(0.99),
-		}
-	}
-	return out
-}
-
 func (s *Server) publishMetrics() {
 	activeServer.Store(s)
 	reg := obs.Default()
@@ -1348,7 +1232,7 @@ func (s *Server) MetricsSnapshot() map[string]any {
 			"rate_from_remote":     s.rateFromRemote.Load(),
 		},
 	}
-	m["pair_windows"] = pairWindowsSnapshot()
+	m["pair_windows"] = machine.PairWindowStats()
 	m["sweeps"] = s.sweepSnapshot()
 	if n := len(s.cfg.Fleet); n > 0 {
 		workers := make([]map[string]any, n)

@@ -50,11 +50,6 @@ import (
 // dropping it.
 const RateAxis = "rate.copies"
 
-// MaxRateCopies bounds the swept copy count; beyond it the round-robin
-// interleave's memory footprint (one hierarchy per copy) stops being a
-// sensible single-process simulation.
-const MaxRateCopies = 64
-
 // MaxPoints bounds a sweep's grid: axes multiply fast, and a grid this
 // size at the analytic screen tier is already hours of work at exact
 // fidelity. Specs expanding beyond it are rejected up front.
@@ -140,23 +135,30 @@ func (s Spec) Validate() error {
 		if ax.Param != RateAxis {
 			continue
 		}
+		// Every rate cell is a core scenario at its phase's tier, so
+		// core's rules decide: contention only exists at exact fidelity
+		// (an analytic screen would silently score contention-free
+		// cells), and the copy count is bounded.
 		for _, v := range ax.Values {
 			if v < 1 {
 				return fmt.Errorf("sweep: %s value %d: copy counts start at 1", RateAxis, v)
 			}
-			if v > MaxRateCopies {
-				return fmt.Errorf("sweep: %s value %d exceeds %d", RateAxis, v, MaxRateCopies)
+			if err := validateRateCell(v, "screen", s.Screen); err != nil {
+				return err
+			}
+			if !s.EscalateOff {
+				if err := validateRateCell(v, "escalate", s.Escalate); err != nil {
+					return err
+				}
 			}
 		}
-		// Rate cells run on the shared-L3 interleaved kernel, which only
-		// exists at exact fidelity; an analytic screen would silently
-		// score contention-free cells, so the combination is an error.
-		if s.Screen != machine.FidelityExact {
-			return fmt.Errorf("sweep: axis %s requires an exact screen tier (got %s): contention cannot be screened analytically", RateAxis, s.Screen)
-		}
-		if !s.EscalateOff && s.Escalate != machine.FidelityExact {
-			return fmt.Errorf("sweep: axis %s requires an exact (or disabled) escalate tier (got %s)", RateAxis, s.Escalate)
-		}
+	}
+	return nil
+}
+
+func validateRateCell(copies int64, phase string, tier machine.Fidelity) error {
+	if err := (core.Scenario{Fidelity: tier, RateCopies: int(copies)}).Validate(); err != nil {
+		return fmt.Errorf("sweep: axis %s value %d at the %s tier: %w", RateAxis, copies, phase, err)
 	}
 	return nil
 }
@@ -289,8 +291,8 @@ func Expand(base machine.Config, axes []Axis) ([]Point, error) {
 			if ax.Param == RateAxis {
 				// Scenario pseudo-axis: the copy count is recorded on
 				// the point, not applied to the configuration.
-				if v < 1 || v > MaxRateCopies {
-					return nil, fmt.Errorf("sweep: %s value %d out of range [1,%d]", RateAxis, v, MaxRateCopies)
+				if v < 1 || v > core.MaxRateCopies {
+					return nil, fmt.Errorf("sweep: %s value %d out of range [1,%d]", RateAxis, v, core.MaxRateCopies)
 				}
 				copies = int(v)
 			} else {

@@ -215,7 +215,7 @@ func TestRateAxisExpand(t *testing.T) {
 	}
 
 	// Out-of-range copy counts fail at expansion, naming the bound.
-	for _, v := range []int64{0, -1, sweep.MaxRateCopies + 1} {
+	for _, v := range []int64{0, -1, core.MaxRateCopies + 1} {
 		if _, err := sweep.Expand(base, []sweep.Axis{{Param: sweep.RateAxis, Values: []int64{v}}}); err == nil {
 			t.Errorf("rate.copies=%d expanded, want range error", v)
 		}
@@ -253,7 +253,7 @@ func TestRateAxisValidate(t *testing.T) {
 		t.Error("copy count 0 validated")
 	}
 	if err := run(func(s *sweep.Spec) {
-		s.Axes[0].Values = []int64{sweep.MaxRateCopies + 1}
+		s.Axes[0].Values = []int64{core.MaxRateCopies + 1}
 	}); err == nil {
 		t.Error("copy count beyond MaxRateCopies validated")
 	}

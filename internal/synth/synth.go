@@ -264,7 +264,7 @@ func (g *Generator) buildMix() {
 // randomly (hot pool) or round-robin (guaranteed-gap pools). Random pools
 // draw their line offset with a single 32-bit Lemire draw (pool sizes are
 // validated far below 2^32 lines), so there is no per-draw setup for the
-// batch path to hoist — addr and addrFast are the same code.
+// batch path to hoist.
 type poolRegion struct {
 	baseLine uint64
 	size     int
@@ -287,12 +287,6 @@ func (p *poolRegion) addr(heap uint64, rng *xrand.PCG32) uint64 {
 		}
 	}
 	return heap + (p.baseLine+i)*lineBytes
-}
-
-// addrFast is kept as an explicit alias so the batched fill paths read
-// symmetrically with the legacy ones.
-func (p *poolRegion) addrFast(heap uint64, rng *xrand.PCG32) uint64 {
-	return p.addr(heap, rng)
 }
 
 func (g *Generator) buildMemory() {
@@ -472,29 +466,29 @@ func (g *Generator) memRef() uint64 {
 func (g *Generator) memRefFast(rng *xrand.PCG32) uint64 {
 	switch g.bandProb.Pick(rng.Uint32()) {
 	case 0:
-		return g.pool1.addrFast(g.heap, rng)
+		return g.pool1.addr(g.heap, rng)
 	case 1:
 		if g.pool2.size > 0 {
-			return g.pool2.addrFast(g.heap, rng)
+			return g.pool2.addr(g.heap, rng)
 		}
-		return g.pool1.addrFast(g.heap, rng)
+		return g.pool1.addr(g.heap, rng)
 	case 2:
 		if g.pool3.size > 0 {
-			return g.pool3.addrFast(g.heap, rng)
+			return g.pool3.addr(g.heap, rng)
 		}
-		return g.pool1.addrFast(g.heap, rng)
+		return g.pool1.addr(g.heap, rng)
 	default:
 		if g.pool4.size > 0 {
-			a := g.pool4.addrFast(g.heap, rng)
+			a := g.pool4.addr(g.heap, rng)
 			if t := (a-g.heap)/lineBytes + 1; t > g.touched {
 				g.touched = t
 			}
 			return a
 		}
 		if g.pool3.size > 0 {
-			return g.pool3.addrFast(g.heap, rng)
+			return g.pool3.addr(g.heap, rng)
 		}
-		return g.pool1.addrFast(g.heap, rng)
+		return g.pool1.addr(g.heap, rng)
 	}
 }
 

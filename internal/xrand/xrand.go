@@ -442,11 +442,6 @@ func (c *Categorical) Pick(r uint32) int {
 	return int(v)
 }
 
-// SampleFast is an alias for Sample, kept so call sites on the batched
-// hot path read explicitly; the single-draw sampler no longer has any
-// per-call setup worth hoisting.
-func (c *Categorical) SampleFast(rng *PCG32) int { return c.Sample(rng) }
-
 // Zipf samples integers in [0, n) with probability proportional to
 // 1/(i+1)^s. The CDF is precomputed in 32-bit fixed point and sampled
 // with one 32-bit draw and an integer binary search; a 256-entry guide

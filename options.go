@@ -95,7 +95,7 @@ func WithSampling(s Sampling) Option {
 // when the scenario arrives as one value (a -scenario flag, a campaign
 // spec's scenario object).
 func WithScenario(s Scenario) Option {
-	return func(o *Options) { *o = s.Apply(*o) }
+	return func(o *Options) { o.Scenario = s }
 }
 
 // WithRateCopies characterizes each pair as a SPECrate-style run: n

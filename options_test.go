@@ -28,7 +28,7 @@ func TestNewOptionsComposes(t *testing.T) {
 	want := Options{
 		Context: ctx, Instructions: 12345, Parallelism: 3,
 		BatchSize: 64, Cache: cache,
-		Sampling: DefaultSampling(), Trace: tr,
+		Scenario: Scenario{Sampling: DefaultSampling()}, Trace: tr,
 	}
 	// Func-valued fields (Progress, the machine's predictor factory)
 	// never compare equal under DeepEqual; check them separately.

@@ -147,8 +147,8 @@ type SamplingStats = machine.SamplingStats
 // machine.DefaultSampling for the tuning rationale).
 func DefaultSampling() Sampling { return machine.DefaultSampling() }
 
-// ParseSampling parses the -sampling flag syntax shared by the cmd
-// tools: "off" or "" disables sampling, "on" or "default" selects
+// ParseSampling parses the sampling= knob of the -scenario syntax:
+// "off" or "" disables sampling, "on" or "default" selects
 // DefaultSampling, and "PERIOD/DETAIL/WARMUP" (instruction counts, e.g.
 // "32768/4096/8192") sets the knob explicitly.
 func ParseSampling(s string) (Sampling, error) { return machine.ParseSampling(s) }
@@ -166,17 +166,23 @@ const (
 	FidelityAnalytic = machine.FidelityAnalytic
 )
 
-// ParseFidelity parses the -fidelity flag syntax shared by the cmd
-// tools: "exact" (or ""), "sampled", or "analytic".
+// ParseFidelity parses a tier token of the -scenario syntax: "exact"
+// (or ""), "sampled", or "analytic".
 func ParseFidelity(s string) (Fidelity, error) { return machine.ParseFidelity(s) }
 
 // Scenario bundles every knob that changes what a campaign measures —
 // fidelity tier, sampling knob, intra-pair parallelism, rate-mode copy
 // count and machine topology — into one typed value with a canonical
-// string form (Options keeps the individual fields for compatibility).
-// Build one directly or with ParseScenario (internal/cliflags syntax),
-// then attach it with WithScenario.
+// string form. Options embeds it, so Options.Sampling, RateCopies and
+// the other knobs are its fields. Build one directly or with
+// ParseScenario, then attach it with WithScenario.
 type Scenario = core.Scenario
+
+// ParseScenario parses the -scenario flag syntax shared by the cmd
+// tools: comma-separated tokens such as "sampled,j-pair=8" or
+// "rate=4,topo=4P4E-random". Scenarios no tier can honor are rejected
+// with the same message specserved gives for them.
+func ParseScenario(s string) (Scenario, error) { return core.ParseScenario(s) }
 
 // Topology describes a heterogeneous machine for Options.Topology /
 // Scenario.Topology: P-core and E-core class sizes plus the OS
@@ -196,7 +202,7 @@ const (
 	PlaceWorst   = machine.PlaceWorst
 )
 
-// ParseTopology parses the -topo flag syntax shared by the cmd tools:
+// ParseTopology parses the topo= knob syntax of the -scenario flag:
 // "" (or "off") disables topology modelling, otherwise "4P4E-random"
 // style (class sizes plus a placement policy).
 func ParseTopology(s string) (Topology, error) { return machine.ParseTopology(s) }
