@@ -36,9 +36,12 @@ bench-smoke:
 
 # The analytic tier's accuracy gate, forced fresh (-count=1): the
 # per-family tolerance harness comparing analytic predictions against
-# exact 16Mi-instruction baselines (skipped under -short).
+# exact 16Mi-instruction baselines (skipped under -short), and the
+# profile-memo gate requiring every cell predicted from a shared stream
+# profile to be byte-identical to a fresh analytic.Run.
 analytic-smoke:
 	$(GO) test -run='^TestAnalyticTolerance$$' -count=1 ./internal/analytic
+	$(GO) test -run='^TestAnalyticProfileMemoEquivalence$$' -count=1 ./internal/core
 
 # Build the real specserved binary, run a campaign over HTTP, restart on
 # the same store and assert the repeat simulates zero pairs, then check

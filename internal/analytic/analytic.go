@@ -19,11 +19,13 @@ package analytic
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/machine"
 	"repro/internal/mem"
+	"repro/internal/profile"
 	"repro/internal/rdist"
 	"repro/internal/synth"
 	"repro/internal/tlb"
@@ -51,29 +53,100 @@ const (
 	batchLen    = 4096
 )
 
+// StreamProfile is the expensive, machine-point-independent half of an
+// analytic characterization: everything the simulated windows measure
+// about one synthetic stream. It depends only on the inputs ProfileKey
+// names — the stream (model and cache geometry in lines) and the front
+// end that walks it — so every machine point that shares those inputs
+// can Predict from one profile instead of replaying the stream. A
+// profile is immutable once built and safe to share between goroutines.
+type StreamProfile struct {
+	// dists are the exact finite reuse distances of the profile window,
+	// in stream order; cold references are counted in refs only.
+	// Predict sums its per-level hit probabilities over them in this
+	// order, which keeps every float bit-identical to a fused run.
+	dists []int32
+	// refs counts every memory reference of the profile window.
+	refs uint64
+	// kinds, fetchMisses, walks and branch are the measure window's raw
+	// counters, before scaling to the nominal stream length.
+	kinds       [trace.NumKinds]uint64
+	fetchMisses uint64
+	walks       uint64
+	branch      branch.Stats
+	// rss and vsz are the footprint high-water marks.
+	rss, vsz uint64
+}
+
 // Run characterizes one synthetic uop stream analytically, returning a
 // Result shaped exactly like the simulation tiers' (the shared
 // machine.DeriveResult back half guarantees the tiers cannot drift in
 // how counts become a Result). The warmup options are ignored: the
 // generator prologue defines the warmup, and the tier chooses its own
-// window lengths.
+// window lengths. Run is Predict over a fresh Profile; callers that
+// evaluate one stream at many machine points memoize the profile by
+// ProfileKey instead.
 func Run(cfg machine.Config, gen *synth.Generator, opt machine.Options) (*machine.Result, error) {
-	if err := cfg.Validate(); err != nil {
+	sp, err := Profile(cfg, gen)
+	if err != nil {
 		return nil, err
 	}
-	if opt.Instructions == 0 {
-		return nil, fmt.Errorf("analytic: zero-length run")
-	}
-	if opt.Sampling.Enabled() {
-		return nil, fmt.Errorf("analytic: sampling does not compose with the analytic tier")
+	return Predict(cfg, opt, sp)
+}
+
+// checkConfig rejects machines the miss-curve model cannot represent.
+func checkConfig(cfg machine.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
 	if cfg.Hierarchy.Prefetcher != nil {
-		return nil, fmt.Errorf("analytic: miss-curve prediction has no prefetcher model (machine %q configures one)", cfg.Name)
+		return fmt.Errorf("analytic: miss-curve prediction has no prefetcher model (machine %q configures one)", cfg.Name)
 	}
 	if cfg.UnifiedCodePath {
-		return nil, fmt.Errorf("analytic: unified code path routes fetch fills through the data levels, which the miss-curve model cannot see (machine %q)", cfg.Name)
+		return fmt.Errorf("analytic: unified code path routes fetch fills through the data levels, which the miss-curve model cannot see (machine %q)", cfg.Name)
 	}
+	return nil
+}
 
+// check is checkConfig plus the run options the tier accepts.
+func check(cfg machine.Config, opt machine.Options) error {
+	if err := checkConfig(cfg); err != nil {
+		return err
+	}
+	if opt.Instructions == 0 {
+		return fmt.Errorf("analytic: zero-length run")
+	}
+	if opt.Sampling.Enabled() {
+		return fmt.Errorf("analytic: sampling does not compose with the analytic tier")
+	}
+	return nil
+}
+
+// ProfileKey returns the content key of the StreamProfile that Profile
+// builds for model on cfg: every input Profile reads, and nothing else.
+// The stream is fixed by the full model (seed included) and the cache
+// geometry in lines; the front end that walks it by the L1I level, the
+// L1D line size the profiler buckets addresses into, and the branch
+// unit. Data-cache ways and policies, the pipeline, the clock and the
+// machine name only enter Predict, so machine points that differ only
+// in those share one profile.
+func ProfileKey(cfg machine.Config, model profile.Model) string {
+	l1i := cfg.Hierarchy.L1I
+	return fmt.Sprintf("analytic-profile|model=%+v|geo=%+v|l1i=%d:%d:%d:%s|l1d.line=%d|bp=%s:%d:%d",
+		model, cfg.Geometry(),
+		l1i.SizeBytes, l1i.Ways, l1i.LineBytes, cache.PolicyFingerprint(l1i.Policy),
+		cfg.Hierarchy.L1D.LineBytes,
+		cfg.PredictorFingerprint(), cfg.BTBBits, cfg.RASDepth)
+}
+
+// Profile drives gen through the tier's simulated windows on cfg's
+// front end and returns the stream's profile. gen must be fresh (built
+// by synth.New for the model and cfg.Geometry() the profile is keyed
+// by); it is consumed.
+func Profile(cfg machine.Config, gen *synth.Generator) (*StreamProfile, error) {
+	if err := checkConfig(cfg); err != nil {
+		return nil, err
+	}
 	// The front-end, translation and footprint structures are the real
 	// component models, driven through the simulated windows so their
 	// measured slices see warm state — only the data-cache stack is
@@ -110,20 +183,13 @@ func Run(cfg machine.Config, gen *synth.Generator, opt machine.Options) (*machin
 	prof.Preload(addrs)
 
 	// Phase 2 — profile window: the full component step plus the
-	// reuse-distance profiler on every memory reference. The miss curve
-	// is evaluated on the exact per-reference distances as they stream
-	// by, not on the bucketed histogram afterwards: the power-of-two
-	// buckets smear mass across each level's narrow conflict ramp, which
-	// alone costs up to ten points of local L2 miss rate on the
-	// pointer-chasing profiles (see HitFractions for the coarse
-	// histogram-resolution equivalent).
-	geoms := [3]geom{
-		geomOf(cfg.Hierarchy.L1D),
-		geomOf(cfg.Hierarchy.L2),
-		geomOf(cfg.Hierarchy.L3),
-	}
-	var hitSum [3]float64
-	var refs uint64
+	// reuse-distance profiler on every memory reference. The exact
+	// per-reference distances are kept in stream order, not folded into
+	// the bucketed histogram: the power-of-two buckets smear mass across
+	// each level's narrow conflict ramp, which alone costs up to ten
+	// points of local L2 miss rate on the pointer-chasing profiles (see
+	// HitFractions for the coarse histogram-resolution equivalent).
+	sp := &StreamProfile{dists: make([]int32, 0, profileUops)}
 	for i := 0; i < profileUops; i++ {
 		if !gen.Next(&u) {
 			return nil, fmt.Errorf("analytic: source exhausted")
@@ -133,12 +199,9 @@ func Run(cfg machine.Config, gen *synth.Generator, opt machine.Options) (*machin
 		}
 		switch u.Kind {
 		case trace.KindLoad, trace.KindStore:
-			refs++
+			sp.refs++
 			if d := prof.Touch(u.Addr); d != rdist.Infinite {
-				fd := float64(d)
-				hitSum[0] += hitProb(fd, geoms[0])
-				hitSum[1] += hitProb(fd, geoms[1])
-				hitSum[2] += hitProb(fd, geoms[2])
+				sp.dists = append(sp.dists, int32(d))
 			}
 			dtlb.Translate(u.Addr)
 			foot.Touch(u.Addr)
@@ -146,9 +209,12 @@ func Run(cfg machine.Config, gen *synth.Generator, opt machine.Options) (*machin
 			unit.Resolve(&u)
 		}
 	}
-	if refs == 0 {
+	if sp.refs == 0 {
 		return nil, fmt.Errorf("analytic: no memory references in the profile window")
 	}
+	// Callers may keep the profile for a long time: trim the window-
+	// sized buffer to the distances actually recorded.
+	sp.dists = slices.Clone(sp.dists)
 
 	// Phase 3 — warm window. Only the branch predictor still needs
 	// training at this point (the prologue is branch-free, and big
@@ -179,7 +245,6 @@ func Run(cfg machine.Config, gen *synth.Generator, opt machine.Options) (*machin
 	unit.ResetStats()
 	l1i.ResetStats()
 	dtlb.ResetStats()
-	var kinds [trace.NumKinds]uint64
 	for done := 0; done < measureUops; {
 		want := measureUops - done
 		if want > batchLen {
@@ -191,7 +256,7 @@ func Run(cfg machine.Config, gen *synth.Generator, opt machine.Options) (*machin
 		}
 		for j := range buf[:n] {
 			b := &buf[j]
-			kinds[b.Kind]++
+			sp.kinds[b.Kind]++
 			if !l1i.Access(b.PC, cache.AccessFetch) {
 				l1i.Access(b.PC+64, cache.AccessPrefetch)
 			}
@@ -207,28 +272,51 @@ func Run(cfg machine.Config, gen *synth.Generator, opt machine.Options) (*machin
 		}
 		done += n
 	}
-	fetchMisses := l1i.Stats().Misses
-	walks := dtlb.Walks()
+	sp.fetchMisses = l1i.Stats().Misses
+	sp.walks = dtlb.Walks()
+	sp.branch = unit.Stats()
+	sp.rss, sp.vsz = foot.PeakRSS(), foot.VSZ()
+	return sp, nil
+}
 
-	// Predict per-level service fractions from the miss curve, then
-	// scale the measured counts to the full stream and hand everything
-	// to the shared derivation.
-	fr := levelFractions(hitSum, refs)
+// Predict evaluates a stream profile at one machine point: the miss
+// curve at cfg's data-cache levels, the measured counters scaled to
+// opt.Instructions, and the shared derivation. sp must come from
+// Profile on a configuration with the same ProfileKey as cfg.
+func Predict(cfg machine.Config, opt machine.Options, sp *StreamProfile) (*machine.Result, error) {
+	if err := check(cfg, opt); err != nil {
+		return nil, err
+	}
+	// Evaluate this point's miss curve on the profiled distances, then
+	// predict per-level service fractions, scale the measured counts to
+	// the full stream and hand everything to the shared derivation.
+	geoms := [3]geom{
+		geomOf(cfg.Hierarchy.L1D),
+		geomOf(cfg.Hierarchy.L2),
+		geomOf(cfg.Hierarchy.L3),
+	}
+	var hitSum [3]float64
+	for _, d := range sp.dists {
+		fd := float64(d)
+		hitSum[0] += hitProb(fd, geoms[0])
+		hitSum[1] += hitProb(fd, geoms[1])
+		hitSum[2] += hitProb(fd, geoms[2])
+	}
+	fr := levelFractions(hitSum, sp.refs)
 	ratio := float64(opt.Instructions) / float64(measureUops)
 	up := func(v uint64) uint64 { return uint64(float64(v)*ratio + 0.5) }
 	ct := machine.Counts{
-		FetchMisses: up(fetchMisses),
-		Walks:       up(walks),
-		RSSBytes:    foot.PeakRSS(),
-		VSZBytes:    foot.VSZ(),
+		FetchMisses: up(sp.fetchMisses),
+		Walks:       up(sp.walks),
+		RSSBytes:    sp.rss,
+		VSZBytes:    sp.vsz,
 	}
-	for i, n := range kinds {
+	for i, n := range sp.kinds {
 		ct.Kinds[i] = up(n)
 	}
-	bs := unit.Stats()
-	for i := range bs.Executed {
-		ct.Branch.Executed[i] = up(bs.Executed[i])
-		ct.Branch.Mispredicted[i] = up(bs.Mispredicted[i])
+	for i := range sp.branch.Executed {
+		ct.Branch.Executed[i] = up(sp.branch.Executed[i])
+		ct.Branch.Mispredicted[i] = up(sp.branch.Mispredicted[i])
 	}
 	ct.LoadLevel = splitByLevel(ct.Kinds[trace.KindLoad], fr)
 	ct.DataLevel = splitByLevel(ct.Kinds[trace.KindLoad]+ct.Kinds[trace.KindStore], fr)

@@ -196,6 +196,20 @@ type Fingerprinter interface {
 	Fingerprint() string
 }
 
+// PolicyFingerprint identifies a level's replacement policy for content
+// keys: its Fingerprint when it has one, its Name otherwise, and "lru"
+// for the nil default.
+func PolicyFingerprint(p Policy) string {
+	switch p := p.(type) {
+	case nil:
+		return "lru"
+	case Fingerprinter:
+		return p.Fingerprint()
+	default:
+		return p.Name()
+	}
+}
+
 // Fingerprint implements Fingerprinter: Random's victim stream depends on
 // its seed, which the bare name does not carry.
 func (r Random) Fingerprint() string { return fmt.Sprintf("random:seed=%d", r.Seed) }

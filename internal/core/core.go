@@ -221,19 +221,26 @@ func characterizePairCtx(ctx context.Context, pair profile.Pair, opt Options) (*
 		return characterizeScenario(ctx, pair, opt)
 	}
 	m := pair.Model
-	gen, err := synth.New(m, opt.Machine.Geometry())
-	if err != nil {
-		return nil, err
-	}
 	mopt := machine.Options{
-		Instructions:       opt.Instructions,
-		WarmupInstructions: gen.Prologue(),
-		Workload:           pipeline.Workload{ILP: 2, MLP: m.MLP},
-		CalibrateIPC:       m.TargetIPC,
-		Context:            ctx,
-		BatchSize:          opt.BatchSize,
-		Sampling:           opt.Sampling,
-		Span:               obs.SpanFromContext(ctx),
+		Instructions: opt.Instructions,
+		Workload:     pipeline.Workload{ILP: 2, MLP: m.MLP},
+		CalibrateIPC: m.TargetIPC,
+		Context:      ctx,
+		BatchSize:    opt.BatchSize,
+		Sampling:     opt.Sampling,
+		Span:         obs.SpanFromContext(ctx),
+	}
+	var (
+		gen *synth.Generator
+		err error
+	)
+	if opt.Fidelity != machine.FidelityAnalytic {
+		// The analytic tier builds its generator only when it has no
+		// stream profile to reuse (see runAnalytic).
+		if gen, err = synth.New(m, opt.Machine.Geometry()); err != nil {
+			return nil, err
+		}
+		mopt.WarmupInstructions = gen.Prologue()
 	}
 	if opt.Sampling.Enabled() {
 		// Under sampling the fractional pre-measurement warmup would
@@ -246,7 +253,7 @@ func characterizePairCtx(ctx context.Context, pair profile.Pair, opt Options) (*
 	var res *machine.Result
 	switch {
 	case opt.Fidelity == machine.FidelityAnalytic:
-		res, err = analytic.Run(opt.Machine, gen, mopt)
+		res, err = runAnalytic(opt, m, mopt)
 	case opt.IntraPairWorkers > 1:
 		// Every window needs an independently positioned copy of the
 		// stream, so the kernel gets the factory, not gen.
@@ -259,6 +266,13 @@ func characterizePairCtx(ctx context.Context, pair profile.Pair, opt Options) (*
 	if err != nil {
 		return nil, err
 	}
+	return characteristicsOf(pair, res, opt), nil
+}
+
+// characteristicsOf derives a pair's Characteristics from its kernel
+// result.
+func characteristicsOf(pair profile.Pair, res *machine.Result, opt Options) *Characteristics {
+	m := pair.Model
 	counters := res.Counters
 	if opt.MultiplexSlots > 0 {
 		counters = perf.Multiplex(counters, opt.MultiplexSlots, m.Seed)
@@ -293,7 +307,39 @@ func characterizePairCtx(ctx context.Context, pair profile.Pair, opt Options) (*
 		c.ReturnPct = pct(perf.Returns)
 	}
 	c.ExecSeconds = execSeconds(m.InstrBillions, c.IPC, opt.Machine.ClockHz, m.Threads)
-	return c, nil
+	return c
+}
+
+// metAnalyticProfiles counts the analytic tier's stream profiles by
+// source: computed (the stream was replayed and profiled) or reused
+// (served from the campaign cache's side table).
+var metAnalyticProfiles = map[string]*obs.Counter{
+	"computed": obs.Default().Counter("speckit_analytic_profiles_total", "Analytic stream profiles by source: computed (stream replayed) or reused (shared through the result cache).", "source", "computed"),
+	"reused":   obs.Default().Counter("speckit_analytic_profiles_total", "", "source", "reused"),
+}
+
+// runAnalytic predicts one pair at the analytic tier. The stream profile
+// — the tier's whole simulation cost — depends only on the inputs
+// analytic.ProfileKey names, so it is memoized in opt.Cache's side
+// table: machine points that differ only in data-cache ways, policies,
+// pipeline or clock share one profile and pay for one Predict each. The
+// pair span records which happened as its analytic_profile attribute.
+func runAnalytic(opt Options, m profile.Model, mopt machine.Options) (*machine.Result, error) {
+	source := "reused"
+	v, err := opt.Cache.Memo(analytic.ProfileKey(opt.Machine, m), func() (any, error) {
+		source = "computed"
+		gen, err := synth.New(m, opt.Machine.Geometry())
+		if err != nil {
+			return nil, err
+		}
+		return analytic.Profile(opt.Machine, gen)
+	})
+	if err != nil {
+		return nil, err
+	}
+	metAnalyticProfiles[source].Inc()
+	mopt.Span.SetAttr("analytic_profile", source)
+	return analytic.Predict(opt.Machine, mopt, v.(*analytic.StreamProfile))
 }
 
 // execSeconds models the full-run execution time. A degenerate rate

@@ -140,15 +140,7 @@ func (c Config) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "machine|%s|%s|", kernelDigest, c.Name)
 	for _, l := range []cache.Config{c.Hierarchy.L1I, c.Hierarchy.L1D, c.Hierarchy.L2, c.Hierarchy.L3} {
-		policy := "lru"
-		if l.Policy != nil {
-			if f, ok := l.Policy.(cache.Fingerprinter); ok {
-				policy = f.Fingerprint()
-			} else {
-				policy = l.Policy.Name()
-			}
-		}
-		fmt.Fprintf(&b, "%s:%d:%d:%d:%s|", l.Name, l.SizeBytes, l.Ways, l.LineBytes, policy)
+		fmt.Fprintf(&b, "%s:%d:%d:%d:%s|", l.Name, l.SizeBytes, l.Ways, l.LineBytes, cache.PolicyFingerprint(l.Policy))
 	}
 	switch pf := c.Hierarchy.Prefetcher.(type) {
 	case nil:
@@ -164,22 +156,29 @@ func (c Config) Fingerprint() string {
 			fmt.Fprintf(&b, "pf=%T|", pf)
 		}
 	}
-	newPred := c.NewPredictor
-	if newPred == nil {
-		newPred = func() branch.Predictor { return branch.NewTournament(14) }
-	}
-	pred := newPred()
-	predictor := pred.Name()
-	if f, ok := pred.(branch.Fingerprinter); ok {
-		predictor = f.Fingerprint()
-	}
-	fmt.Fprintf(&b, "bp=%s:%d:%d|", predictor, c.BTBBits, c.RASDepth)
+	fmt.Fprintf(&b, "bp=%s:%d:%d|", c.PredictorFingerprint(), c.BTBBits, c.RASDepth)
 	p := c.Pipeline
 	fmt.Fprintf(&b, "pipe=%v:%v:%v:%v:%v:%v:%v:%v|clock=%v|unified=%v",
 		p.Width, p.MispredictPenalty, p.L2HitLatency, p.L3HitLatency,
 		p.MemLatency, p.FetchMissPenalty, p.WalkPenalty, p.ShortMLP,
 		c.ClockHz, c.UnifiedCodePath)
 	return b.String()
+}
+
+// PredictorFingerprint identifies the configured branch direction
+// predictor (the tournament default when NewPredictor is nil) by its
+// Fingerprint, falling back to its Name. It constructs a throwaway
+// predictor to ask.
+func (c Config) PredictorFingerprint() string {
+	newPred := c.NewPredictor
+	if newPred == nil {
+		newPred = func() branch.Predictor { return branch.NewTournament(14) }
+	}
+	pred := newPred()
+	if f, ok := pred.(branch.Fingerprinter); ok {
+		return f.Fingerprint()
+	}
+	return pred.Name()
 }
 
 // Geometry returns the cache capacities in lines, for the trace generator.

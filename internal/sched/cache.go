@@ -48,11 +48,16 @@ const (
 // not re-run, and the stored value is returned bit-identical.
 //
 // The memory tier grows without bound; campaigns are finite (194 pairs
-// in the paper's full sweep) and entries are a few hundred bytes, so
-// eviction is deliberately out of scope. With SetBackend a persistent
-// second tier sits underneath: lookups fall through memory to the
-// backend (promoting hits), and writes go through to both tiers, so
-// results survive the process and are shared between runs.
+// in the paper's full sweep) and entries are a few kilobytes (a pair's
+// Characteristics with its counter snapshot encodes to about 2.3 KB),
+// so eviction is deliberately out of scope. With SetBackend a
+// persistent second tier sits underneath: lookups fall through memory
+// to the backend (promoting hits), and writes go through to both tiers,
+// so results survive the process and are shared between runs.
+//
+// Beside the result tiers the cache carries a memory-only side table
+// (Memo) for intermediate values that many results share, so its
+// lifetime — one campaign, one sweep, one server — is the caller's.
 type Cache struct {
 	mu        sync.Mutex
 	entries   map[string]any
@@ -61,11 +66,40 @@ type Cache struct {
 	misses    uint64
 	backend   Backend
 	codec     Codec
+	memo      map[string]any
 }
 
 // NewCache returns an empty cache with no persistent tier.
 func NewCache() *Cache {
-	return &Cache{entries: make(map[string]any)}
+	return &Cache{entries: make(map[string]any), memo: make(map[string]any)}
+}
+
+// Memo returns the side-table value stored under key, calling compute
+// and storing its result on a miss. The side table holds intermediate
+// values, not results: it never reaches the Backend and is not counted
+// in Stats or Len. Errors are returned uncached, and a nil receiver just
+// computes. compute runs outside the lock, so two callers missing on
+// one key concurrently may both compute; the values must be
+// interchangeable (content-keyed), and the last store wins harmlessly,
+// as in GetTier.
+func (c *Cache) Memo(key string, compute func() (any, error)) (any, error) {
+	if c == nil {
+		return compute()
+	}
+	c.mu.Lock()
+	v, ok := c.memo[key]
+	c.mu.Unlock()
+	if ok {
+		return v, nil
+	}
+	v, err := compute()
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	c.memo[key] = v
+	c.mu.Unlock()
+	return v, nil
 }
 
 // SetBackend attaches (or, with a nil backend, detaches) a persistent

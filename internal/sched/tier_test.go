@@ -160,3 +160,97 @@ func TestRunReportsStoreHits(t *testing.T) {
 		t.Errorf("write-through record = %v, %v", v, tier)
 	}
 }
+
+// TestMemoSideTable pins the side table's contract: a miss computes and
+// stores, a hit does not recompute, and neither touches the backend or
+// the result tier's counters.
+func TestMemoSideTable(t *testing.T) {
+	b := newMemBackend()
+	c := NewCache()
+	c.SetBackend(b, intCodec{})
+	c.Put("result", 1)
+	stores, stats, n := b.stores, c.Stats(), c.Len()
+
+	calls := 0
+	compute := func() (any, error) { calls++; return 42, nil }
+	for i := 0; i < 3; i++ {
+		v, err := c.Memo("profile", compute)
+		if err != nil || v != 42 {
+			t.Fatalf("Memo = %v, %v; want 42, nil", v, err)
+		}
+	}
+	if calls != 1 {
+		t.Errorf("compute ran %d times, want 1", calls)
+	}
+	if b.stores != stores || b.loads != 0 {
+		t.Errorf("backend stores %d -> %d, loads %d: the side table must never reach the backend", stores, b.stores, b.loads)
+	}
+	if c.Stats() != stats || c.Len() != n {
+		t.Errorf("Stats %+v -> %+v, Len %d -> %d: the side table must not count as results", stats, c.Stats(), n, c.Len())
+	}
+	if _, ok := c.Get("profile"); ok {
+		t.Error("a side-table key is visible to Get")
+	}
+}
+
+func TestMemoDoesNotCacheErrors(t *testing.T) {
+	c := NewCache()
+	boom := errors.New("boom")
+	calls := 0
+	compute := func() (any, error) {
+		calls++
+		if calls == 1 {
+			return nil, boom
+		}
+		return "ok", nil
+	}
+	if _, err := c.Memo("k", compute); !errors.Is(err, boom) {
+		t.Fatalf("first Memo err = %v, want boom", err)
+	}
+	if v, err := c.Memo("k", compute); err != nil || v != "ok" {
+		t.Fatalf("second Memo = %v, %v; want a recomputed ok", v, err)
+	}
+	if calls != 2 {
+		t.Errorf("compute ran %d times, want 2", calls)
+	}
+}
+
+func TestMemoNilReceiverComputes(t *testing.T) {
+	var c *Cache
+	calls := 0
+	for i := 0; i < 2; i++ {
+		v, err := c.Memo("k", func() (any, error) { calls++; return calls, nil })
+		if err != nil || v != i+1 {
+			t.Fatalf("nil Memo = %v, %v; want %d", v, err, i+1)
+		}
+	}
+}
+
+// TestMemoConcurrent hammers one cache's side table and result tier from
+// many goroutines (run under -race). Concurrent misses on one key may
+// each compute, but every caller sees the one content-keyed value.
+func TestMemoConcurrent(t *testing.T) {
+	c := NewCache()
+	c.SetBackend(newMemBackend(), intCodec{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				k := strconv.Itoa(i % 7)
+				v, err := c.Memo(k, func() (any, error) { return "v" + k, nil })
+				if err != nil || v != "v"+k {
+					t.Errorf("Memo(%s) = %v, %v", k, v, err)
+					return
+				}
+				c.Put(strconv.Itoa(g), i)
+				c.Get(k)
+			}
+		}(g)
+	}
+	wg.Wait()
+	if c.Len() != 8 {
+		t.Errorf("Len = %d, want the 8 result entries only", c.Len())
+	}
+}

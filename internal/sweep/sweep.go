@@ -439,7 +439,8 @@ type Progress struct {
 // Options configure a sweep run.
 type Options struct {
 	// Base carries the per-campaign options every grid point inherits:
-	// cache and store tiers (the differential scheduling substrate),
+	// cache and store tiers (the differential scheduling substrate; a
+	// nil Cache gets one fresh cache shared by the whole sweep),
 	// instruction window, parallelism, multiplexing, sampling knob for
 	// the sampled tier, and trace. Machine, Fidelity, Context and
 	// Progress are overridden per point.
@@ -541,6 +542,13 @@ func Run(ctx context.Context, spec Spec, opt Options) (*Result, error) {
 	points, err := Expand(spec.Base, spec.Axes)
 	if err != nil {
 		return nil, err
+	}
+	if opt.Base.Cache == nil {
+		// One cache for the sweep's lifetime, so points share what they
+		// can: a repeated cell is a memory hit, and points that differ
+		// only in what the analytic tier predicts (data-cache ways, say)
+		// share one stream profile through the cache's side table.
+		opt.Base.Cache = sched.NewCache()
 	}
 	e := &engine{spec: spec, opt: opt, run: opt.Run, points: points, start: time.Now()}
 	if e.run == nil {

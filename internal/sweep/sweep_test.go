@@ -1,6 +1,7 @@
 package sweep_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -595,5 +596,48 @@ func TestSweepEscalationAgreement(t *testing.T) {
 				t.Errorf("metric %s: frontier not sorted by cost", k.Metric)
 			}
 		}
+	}
+}
+
+// TestSweepSharesOneCache: a sweep without a caller cache runs every
+// point against one cache of its own, and its results and cell counts
+// equal those of points run cacheless.
+func TestSweepSharesOneCache(t *testing.T) {
+	spec := testSpec(testPairs())
+	seen := map[*sched.Cache]bool{}
+	shared, err := sweep.Run(context.Background(), spec, sweep.Options{
+		Base: baseOptions(),
+		Run: func(ctx context.Context, pairs []profile.Pair, opt core.Options) ([]core.Characteristics, error) {
+			seen[opt.Cache] = true
+			opt.Context = ctx
+			return core.Characterize(pairs, opt)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 || seen[nil] {
+		t.Fatalf("points ran against %d caches (nil among them: %v), want one shared cache", len(seen), seen[nil])
+	}
+	cacheless, err := sweep.Run(context.Background(), spec, sweep.Options{
+		Base: baseOptions(),
+		Run: func(ctx context.Context, pairs []profile.Pair, opt core.Options) ([]core.Characteristics, error) {
+			opt.Cache, opt.Context = nil, ctx
+			return core.Characterize(pairs, opt)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := json.Marshal(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(cacheless)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("shared-cache sweep differs from a cacheless one:\n%s\n%s", a, b)
 	}
 }
