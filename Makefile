@@ -22,16 +22,20 @@ bench:
 
 # Run every fuzz target over its seed corpus (no fuzzing engine time).
 fuzz-seed:
-	$(GO) test -run='^Fuzz' ./internal/cache ./internal/synth ./internal/rdist ./internal/core
+	$(GO) test -run='^Fuzz' ./internal/cache ./internal/synth ./internal/rdist ./internal/core ./internal/server
 
 # One-iteration pass over the kernel benchmarks: catches benchmarks that
 # no longer build or crash without paying for stable timings. The
 # baseline gate then checks the ratios recorded in BENCH_kernel.json
 # against the acceptance floors (batched >=1.5x per-uop, sampled >=3x
 # exact, analytic >=100x exact, parallel critical path >=2x sequential)
-# — recorded numbers, so a loaded machine can't flake it.
+# — recorded numbers, so a loaded machine can't flake it. The status
+# codec benchmark (a 24-result campaign response, encode and decode)
+# gets the same one-iteration pass; its allocation gate is
+# TestCodecAllocs in internal/core.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Kernel -benchtime=1x .
+	$(GO) test -run='^$$' -bench=CampaignStatusCodec -benchtime=1x -benchmem ./internal/server
 	$(GO) test -run='^TestKernelBenchBaselines$$' -count=1 .
 
 # The analytic tier's accuracy gate, forced fresh (-count=1): the

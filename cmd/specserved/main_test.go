@@ -585,28 +585,26 @@ func TestServeSmokeMetrics(t *testing.T) {
 		t.Fatalf("campaign = %s (%s)", st.Status, st.Error)
 	}
 
-	resp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	// The server counts a request after its handler returns, and a
+	// ?wait=1 response body can reach the client before that: scrape,
+	// with a deadline, until the submit is counted before asserting.
+	const submitSeries = `speckit_http_requests_total{code="200",route="submit"} 1`
+	var text, ct string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		text, ct = scrapeMetrics(t, base)
+		if strings.Contains(text, submitSeries+"\n") || time.Now().After(deadline) {
+			break
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics = %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") || !strings.Contains(ct, "version=0.0.4") {
+	if !strings.HasPrefix(ct, "text/plain") || !strings.Contains(ct, "version=0.0.4") {
 		t.Errorf("Content-Type = %q, want Prometheus text exposition 0.0.4", ct)
 	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(raw)
 	for _, series := range []string{
 		`speckit_served_pairs_total{mode="exact",source="simulated"} ` + fmt.Sprint(st.Pairs),
 		`speckit_pairs_total{source="simulated"} ` + fmt.Sprint(st.Pairs),
 		`speckit_stage_seconds_bucket{stage="detail",le="+Inf"}`,
 		`speckit_pair_seconds_bucket{source="simulated",le="+Inf"}`,
-		`speckit_http_requests_total{code="200",route="submit"} 1`,
+		submitSeries,
 		`speckit_http_request_seconds_bucket{route="submit",le="+Inf"} 1`,
 		`speckit_server_queue_depth 0`,
 		`speckit_server_jobs{state="running"} 0`,
@@ -631,6 +629,24 @@ func TestServeSmokeMetrics(t *testing.T) {
 		}
 	}
 	sigtermAndWait(t, cmd)
+}
+
+// scrapeMetrics fetches /metrics and returns its body and Content-Type.
+func scrapeMetrics(t *testing.T, base string) (text, contentType string) {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/metrics = %d", resp.StatusCode)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw), resp.Header.Get("Content-Type")
 }
 
 // TestServeSmokeDrainsInFlight: SIGTERM while a campaign is running

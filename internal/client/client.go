@@ -163,7 +163,31 @@ func (c *Client) do(ctx context.Context, method, path string, body any, out any)
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
+	if u, ok := out.(json.Unmarshaler); ok {
+		// A campaign status decodes in one pass over the whole body;
+		// json.Decoder would first scan it to find the value's end and
+		// then again to validate it before calling UnmarshalJSON.
+		data, err := readBody(resp)
+		if err != nil {
+			return err
+		}
+		return u.UnmarshalJSON(data)
+	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// maxBodyHint caps how much readBody preallocates on the strength of a
+// Content-Length header alone.
+const maxBodyHint = 64 << 20
+
+// readBody reads a response body, sized up front from Content-Length.
+func readBody(resp *http.Response) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxBodyHint {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 // maxRetryAfter caps the Retry-After hint a server can impose: beyond
@@ -325,7 +349,7 @@ func (e Event) Progress() (server.ProgressStatus, error) {
 // Status decodes the event payload as a campaign status.
 func (e Event) Status() (server.CampaignStatus, error) {
 	var st server.CampaignStatus
-	err := json.Unmarshal(e.Data, &st)
+	err := st.UnmarshalJSON(e.Data)
 	return st, err
 }
 

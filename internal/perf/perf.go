@@ -6,9 +6,11 @@
 package perf
 
 import (
-	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+
+	"repro/internal/jsonx"
 )
 
 // Event names used by the paper (Table VIII and Section IV).
@@ -86,43 +88,114 @@ func NewCounters(values map[string]uint64, rss, vsz uint64, seconds float64) *Co
 	return &Counters{values: m, RSSBytes: rss, VSZBytes: vsz, Seconds: seconds}
 }
 
-// countersJSON is the serialized form of Counters. Event counts are
-// uint64 and the footprint/time fields are plain numbers, so a
-// marshal→unmarshal round trip reproduces the snapshot bit-identically
-// (Go's JSON encoder emits the shortest float representation that parses
-// back to the same float64). The persistent result store depends on this.
-type countersJSON struct {
-	Values   map[string]uint64 `json:"values"`
-	RSSBytes uint64            `json:"rss_bytes"`
-	VSZBytes uint64            `json:"vsz_bytes"`
-	Seconds  float64           `json:"seconds"`
+// eventNames interns the events the simulator records, so decoding a
+// snapshot reuses these strings instead of allocating one per key.
+var eventNames = func() map[string]string {
+	m := map[string]string{}
+	for _, n := range []string{InstRetired, RefCycles, UopsRetired, AllLoads, AllStores,
+		AllBranches, MispBranches, CondBranches, DirectJumps, DirectCalls, IndirectJumps,
+		Returns, L1Hit, L1Miss, L2Hit, L2Miss, L3Hit, L3Miss, ICacheMisses, DTLBWalks} {
+		m[n] = n
+	}
+	return m
+}()
+
+// AppendJSON appends the snapshot's serialized form,
+// {"values":{...},"rss_bytes":N,"vsz_bytes":N,"seconds":F}, with the
+// event map in sorted key order — byte-identical to json.Marshal of the
+// equivalent tagged struct. Event counts are uint64 and Seconds is
+// written in its shortest round-tripping form, so UnmarshalJSON
+// reproduces the snapshot bit-identically; the persistent result store
+// depends on this. Seconds must be finite.
+func (c *Counters) AppendJSON(dst []byte) ([]byte, error) {
+	w := jsonx.Writer{B: dst}
+	c.WriteJSON(&w)
+	if w.Err != nil {
+		return dst, w.Err
+	}
+	return w.B, nil
 }
 
-// MarshalJSON implements json.Marshaler, exposing the private event map
-// so snapshots can be persisted (map keys are emitted sorted, making the
-// encoding deterministic).
-func (c *Counters) MarshalJSON() ([]byte, error) {
-	return json.Marshal(countersJSON{
-		Values: c.values, RSSBytes: c.RSSBytes,
-		VSZBytes: c.VSZBytes, Seconds: c.Seconds,
-	})
+// WriteJSON is AppendJSON on a caller's writer, for records that embed
+// a snapshot.
+func (c *Counters) WriteJSON(w *jsonx.Writer) {
+	if c.values == nil {
+		w.Raw(`{"values":null`)
+	} else {
+		var buf [32]string // room for every simulator event, on the stack
+		names := buf[:0]
+		for k := range c.values {
+			names = append(names, k)
+		}
+		slices.Sort(names)
+		w.Raw(`{"values":{`)
+		for i, k := range names {
+			if i > 0 {
+				w.Raw(",")
+			}
+			w.String(k)
+			w.Raw(":")
+			w.Uint(c.values[k])
+		}
+		w.Raw("}")
+	}
+	w.Raw(`,"rss_bytes":`)
+	w.Uint(c.RSSBytes)
+	w.Raw(`,"vsz_bytes":`)
+	w.Uint(c.VSZBytes)
+	w.Raw(`,"seconds":`)
+	w.Float(c.Seconds)
+	w.Raw("}")
 }
+
+// MarshalJSON implements json.Marshaler through AppendJSON.
+func (c *Counters) MarshalJSON() ([]byte, error) { return c.AppendJSON(nil) }
 
 // UnmarshalJSON implements json.Unmarshaler, rebuilding the snapshot
-// produced by MarshalJSON.
+// produced by AppendJSON.
 func (c *Counters) UnmarshalJSON(data []byte) error {
-	var j countersJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
+	var d jsonx.Decoder
+	d.Reset(data)
+	c.DecodeJSON(&d)
+	return d.End()
+}
+
+// DecodeJSON is UnmarshalJSON on a caller's cursor, for records that
+// embed a snapshot. Unknown keys are skipped; a missing or null event
+// map decodes as an empty one.
+func (c *Counters) DecodeJSON(d *jsonx.Decoder) {
+	var values map[string]uint64
+	if d.Object() {
+		for key, ok := d.NextKey(); ok; key, ok = d.NextKey() {
+			switch string(key) {
+			case "values":
+				if d.Object() {
+					if values == nil {
+						values = make(map[string]uint64, len(eventNames))
+					}
+					for name, ok := d.NextKey(); ok; name, ok = d.NextKey() {
+						s, known := eventNames[string(name)]
+						if !known {
+							s = string(name)
+						}
+						values[s] = d.Uint()
+					}
+				}
+			case "rss_bytes":
+				c.RSSBytes = d.Uint()
+			case "vsz_bytes":
+				c.VSZBytes = d.Uint()
+			case "seconds":
+				c.Seconds = d.Float()
+			default:
+				d.Skip()
+			}
+		}
 	}
-	if j.Values == nil {
-		j.Values = map[string]uint64{}
+	if values == nil {
+		values = map[string]uint64{}
 	}
-	c.values = j.Values
-	c.RSSBytes = j.RSSBytes
-	c.VSZBytes = j.VSZBytes
-	c.Seconds = j.Seconds
-	return nil
+	c.values = values
 }
 
 // Value returns the count for the named event, and whether it is present.

@@ -1,8 +1,11 @@
 package perf
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -272,5 +275,64 @@ func TestMultiplexGroupSharesScale(t *testing.T) {
 	}
 	if !differs {
 		t.Error("groups never scaled independently across 20 seeds")
+	}
+}
+
+// countersRef is the tagged struct Counters serialized through before
+// its codec was hand-written: json.Marshal of it is the reference the
+// codec must match byte for byte.
+type countersRef struct {
+	Values   map[string]uint64 `json:"values"`
+	RSSBytes uint64            `json:"rss_bytes"`
+	VSZBytes uint64            `json:"vsz_bytes"`
+	Seconds  float64           `json:"seconds"`
+}
+
+// TestCountersJSONMatchesReference: AppendJSON writes exactly what
+// json.Marshal writes for the reference struct (sorted, HTML-escaped
+// keys; encoding/json float formatting), UnmarshalJSON reads it back
+// bit-identically, and the exported field set is the one the codec
+// covers — a new field must be added to the codec and to this test.
+func TestCountersJSONMatchesReference(t *testing.T) {
+	var fields []string
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Counters{})) {
+		if f.IsExported() {
+			fields = append(fields, f.Name)
+		}
+	}
+	if want := []string{"RSSBytes", "VSZBytes", "Seconds"}; !reflect.DeepEqual(fields, want) {
+		t.Fatalf("Counters exported fields = %v, codec covers %v", fields, want)
+	}
+	cases := []*Counters{
+		NewCounters(map[string]uint64{InstRetired: 1 << 63, RefCycles: 7, "z<&>": 1, "a": 0}, 1<<40, math.MaxUint64, 1e-7),
+		NewCounters(nil, 0, 0, math.Copysign(0, -1)),
+		NewCounters(map[string]uint64{L1Hit: 3}, 1, 2, 1e21),
+	}
+	for i, c := range cases {
+		want, err := json.Marshal(countersRef{Values: c.values, RSSBytes: c.RSSBytes, VSZBytes: c.VSZBytes, Seconds: c.Seconds})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("case %d: AppendJSON\n got %s\nwant %s", i, got, want)
+		}
+		var back Counters
+		if err := back.UnmarshalJSON(got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(&back, c) || math.Signbit(back.Seconds) != math.Signbit(c.Seconds) {
+			t.Fatalf("case %d: round trip %+v, want %+v", i, back, *c)
+		}
+	}
+	if _, err := NewCounters(nil, 0, 0, math.NaN()).AppendJSON(nil); err == nil {
+		t.Fatal("AppendJSON accepted a NaN")
+	}
+	var c Counters
+	if err := c.UnmarshalJSON([]byte(`{"values":null}`)); err != nil || c.values == nil {
+		t.Fatalf("null event map: err %v, values %v (want an empty map)", err, c.values)
 	}
 }

@@ -197,12 +197,14 @@ func (s *Server) runFleet(ctx context.Context, id string, base CampaignSpec, pai
 		pmu  sync.Mutex
 		prog = sched.Progress{Total: len(pairs)}
 	)
+	// report calls opt.Progress under pmu, as sched.Run does: progress
+	// callbacks are invoked serially, and chunks finish concurrently.
 	report := func() {
 		pmu.Lock()
-		p := prog
-		p.Elapsed = time.Since(start)
-		pmu.Unlock()
+		defer pmu.Unlock()
 		if opt.Progress != nil {
+			p := prog
+			p.Elapsed = time.Since(start)
 			opt.Progress(p)
 		}
 	}

@@ -50,6 +50,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -63,6 +64,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/jsonx"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -853,12 +855,47 @@ func (s *Server) run(c *campaign) {
 
 // --- HTTP handlers ----------------------------------------------------
 
+// jsonAppender is a response value with a hand-written encoder
+// (CampaignStatus): writeJSON appends it directly instead of running
+// encoding/json, whose reflection and compaction of Marshaler output
+// would dominate the cost of serving stored results.
+type jsonAppender interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// respBufs recycles response buffers across requests.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeJSON encodes v, followed by a newline as json.Encoder writes it,
+// into a buffer before sending any header, so an encoding failure is a
+// JSON 500 rather than a 200 with a truncated body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	bp := respBufs.Get().(*[]byte)
+	defer respBufs.Put(bp)
+	data, err := appendJSON((*bp)[:0], v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		data = append((*bp)[:0], `{"error":`...)
+		data = jsonx.AppendString(data, "encoding response: "+err.Error(), false)
+		data = append(data, "}\n"...)
+	}
+	*bp = data
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	w.Write(data)
+}
+
+func appendJSON(dst []byte, v any) ([]byte, error) {
+	if a, ok := v.(jsonAppender); ok {
+		b, err := a.AppendJSON(dst)
+		return append(b, '\n'), err
+	}
+	buf := bytes.NewBuffer(dst)
+	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
-	enc.Encode(v)
+	err := enc.Encode(v)
+	return buf.Bytes(), err
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {
