@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -73,16 +74,49 @@ func goldenModels(t *testing.T) []profile.Pair {
 	return pairs
 }
 
-func goldenCharacterize(t *testing.T) []goldenRow {
+// goldenScenarios are the measurement scenarios the golden test pins,
+// all at the same six pairs and window. The exact row keeps its
+// field-per-metric file; every other scenario pins each pair's full
+// CharacteristicsCodec record, so the Sampling, Rate and Runtime
+// extensions are covered too.
+var goldenScenarios = []struct {
+	name, scenario string
+}{
+	{"exact", ""},
+	{"sampled", "sampling=16384/2048/2048"},
+	{"analytic", "analytic"},
+	{"j-pair", "j-pair=2"},
+	{"rate", "rate=2"},
+	{"topo", "topo=1P1E-random"},
+}
+
+// goldenFile names a scenario's golden file.
+func goldenFile(name string) string {
+	if name == "exact" {
+		return goldenPath
+	}
+	return "testdata/golden_" + name + ".json"
+}
+
+func goldenRun(t *testing.T, scenario string) []Characteristics {
 	t.Helper()
+	sc, err := ParseScenario(scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
 	chars, err := Characterize(goldenModels(t), Options{
 		Machine:      machine.HaswellScaled(),
 		Instructions: 100000,
 		Parallelism:  2,
+		Scenario:     sc,
 	})
 	if err != nil {
-		t.Fatalf("Characterize: %v", err)
+		t.Fatalf("Characterize(%q): %v", scenario, err)
 	}
+	return chars
+}
+
+func goldenRows(chars []Characteristics) []goldenRow {
 	rows := make([]goldenRow, len(chars))
 	for i := range chars {
 		c := &chars[i]
@@ -148,15 +182,133 @@ func diffRow(want, got *goldenRow) []string {
 	return diffs
 }
 
-// TestGoldenMetrics locks the end-to-end characterization pipeline to a
-// committed snapshot: any change to the generator, the simulation kernel
-// or the metric derivations that alters a single counter for any of the
-// six pinned pairs fails with a field-level diff. Refresh intentionally
-// changed baselines with:
+// TestGoldenMetrics locks the end-to-end characterization pipeline to
+// committed snapshots, one per scenario: any change to the generator,
+// a simulation kernel or the metric derivations that alters a single
+// counter for any of the six pinned pairs under any pinned scenario
+// fails with a field-level diff. Refresh intentionally changed
+// baselines with:
 //
 //	go test ./internal/core -run TestGoldenMetrics -update
 func TestGoldenMetrics(t *testing.T) {
-	got := goldenCharacterize(t)
+	for _, sc := range goldenScenarios {
+		t.Run(sc.name, func(t *testing.T) {
+			chars := goldenRun(t, sc.scenario)
+			switch sc.name {
+			case "exact":
+				checkGoldenRows(t, goldenRows(chars))
+				return
+			case "sampled":
+				// A sampled row that fell back to exact simulation would
+				// pin the exact path twice and the sampled one never.
+				for i := range chars {
+					if s := chars[i].Sampling; s == nil || s.Windows == 0 {
+						t.Fatalf("%s: no sampled windows (%+v)", chars[i].Pair.Name(), s)
+					}
+				}
+			case "j-pair":
+				// A K=1 fallback would reproduce the exact counters on
+				// every row; split windows differ on most of them.
+				requireCountersDiffer(t, chars)
+			}
+			checkGoldenRecords(t, goldenFile(sc.name), chars)
+		})
+	}
+}
+
+// requireCountersDiffer fails unless at least one row's counters differ
+// from the exact golden row of the same pair.
+func requireCountersDiffer(t *testing.T, chars []Characteristics) {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var exact []goldenRow
+	if err := json.Unmarshal(data, &exact); err != nil {
+		t.Fatal(err)
+	}
+	got := goldenRows(chars)
+	for i := range got {
+		if i < len(exact) && !reflect.DeepEqual(got[i].Counters, exact[i].Counters) {
+			return
+		}
+	}
+	t.Fatal("every row's counters equal the exact golden row: the scenario fell back to exact simulation")
+}
+
+// checkGoldenRecords compares each pair's encoded record with the
+// golden file's, or rewrites the file under -update.
+func checkGoldenRecords(t *testing.T, path string, chars []Characteristics) {
+	t.Helper()
+	got := make([]json.RawMessage, len(chars))
+	for i := range chars {
+		rec, err := CharacteristicsCodec{}.Encode(chars[i])
+		if err != nil {
+			t.Fatalf("%s: encode: %v", chars[i].Pair.Name(), err)
+		}
+		got[i] = rec
+	}
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s with %d pairs", path, len(got))
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	var want []json.RawMessage
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("corrupt golden file %s: %v", path, err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("%s has %d pairs, fresh run produced %d", path, len(want), len(got))
+	}
+	for i := range want {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, want[i]); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(compact.Bytes(), got[i]) {
+			continue
+		}
+		for _, d := range diffRecords(compact.Bytes(), got[i]) {
+			t.Errorf("%s: %s", chars[i].Pair.Name(), d)
+		}
+	}
+}
+
+// diffRecords lists the top-level fields in which two encoded records
+// differ, with both values.
+func diffRecords(want, got []byte) []string {
+	var w, g map[string]json.RawMessage
+	if json.Unmarshal(want, &w) != nil || json.Unmarshal(got, &g) != nil {
+		return []string{fmt.Sprintf("record: golden %s != got %s", want, got)}
+	}
+	var diffs []string
+	for k := range w {
+		if !bytes.Equal(w[k], g[k]) {
+			diffs = append(diffs, fmt.Sprintf("%s: golden %s != got %s", k, w[k], g[k]))
+		}
+	}
+	for k := range g {
+		if _, ok := w[k]; !ok {
+			diffs = append(diffs, fmt.Sprintf("%s: absent from golden, got %s", k, g[k]))
+		}
+	}
+	return diffs
+}
+
+// checkGoldenRows is the exact scenario's field-per-metric comparison.
+func checkGoldenRows(t *testing.T, got []goldenRow) {
+	t.Helper()
 	for i := range got {
 		for _, f := range []float64{got[i].IPC, got[i].L1MissPct, got[i].L2MissPct, got[i].L3MissPct} {
 			if math.IsNaN(f) || math.IsInf(f, 0) {
