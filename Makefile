@@ -22,7 +22,7 @@ bench:
 
 # Run every fuzz target over its seed corpus (no fuzzing engine time).
 fuzz-seed:
-	$(GO) test -run='^Fuzz' ./internal/cache ./internal/synth ./internal/rdist ./internal/core ./internal/server
+	$(GO) test -run='^Fuzz' ./internal/cache ./internal/synth ./internal/machine ./internal/rdist ./internal/core ./internal/server
 
 # One-iteration pass over the kernel benchmarks: catches benchmarks that
 # no longer build or crash without paying for stable timings. The

@@ -68,14 +68,11 @@ type StreamProfile struct {
 	dists []int32
 	// refs counts every memory reference of the profile window.
 	refs uint64
-	// kinds, fetchMisses, walks and branch are the measure window's raw
-	// counters, before scaling to the nominal stream length.
-	kinds       [trace.NumKinds]uint64
-	fetchMisses uint64
-	walks       uint64
-	branch      branch.Stats
-	// rss and vsz are the footprint high-water marks.
-	rss, vsz uint64
+	// counts holds the measure window's raw counters, before scaling to
+	// the nominal stream length, and the footprint high-water marks. Its
+	// per-level splits stay empty: Predict fills them from the miss
+	// curve.
+	counts machine.Counts
 }
 
 // Run characterizes one synthetic uop stream analytically, returning a
@@ -256,7 +253,7 @@ func Profile(cfg machine.Config, gen *synth.Generator) (*StreamProfile, error) {
 		}
 		for j := range buf[:n] {
 			b := &buf[j]
-			sp.kinds[b.Kind]++
+			sp.counts.Kinds[b.Kind]++
 			if !l1i.Access(b.PC, cache.AccessFetch) {
 				l1i.Access(b.PC+64, cache.AccessPrefetch)
 			}
@@ -272,10 +269,10 @@ func Profile(cfg machine.Config, gen *synth.Generator) (*StreamProfile, error) {
 		}
 		done += n
 	}
-	sp.fetchMisses = l1i.Stats().Misses
-	sp.walks = dtlb.Walks()
-	sp.branch = unit.Stats()
-	sp.rss, sp.vsz = foot.PeakRSS(), foot.VSZ()
+	sp.counts.FetchMisses = l1i.Stats().Misses
+	sp.counts.Walks = dtlb.Walks()
+	sp.counts.Branch = unit.Stats()
+	sp.counts.RSSBytes, sp.counts.VSZBytes = foot.PeakRSS(), foot.VSZ()
 	return sp, nil
 }
 
@@ -303,21 +300,7 @@ func Predict(cfg machine.Config, opt machine.Options, sp *StreamProfile) (*machi
 		hitSum[2] += hitProb(fd, geoms[2])
 	}
 	fr := levelFractions(hitSum, sp.refs)
-	ratio := float64(opt.Instructions) / float64(measureUops)
-	up := func(v uint64) uint64 { return uint64(float64(v)*ratio + 0.5) }
-	ct := machine.Counts{
-		FetchMisses: up(sp.fetchMisses),
-		Walks:       up(sp.walks),
-		RSSBytes:    sp.rss,
-		VSZBytes:    sp.vsz,
-	}
-	for i, n := range sp.kinds {
-		ct.Kinds[i] = up(n)
-	}
-	for i := range sp.branch.Executed {
-		ct.Branch.Executed[i] = up(sp.branch.Executed[i])
-		ct.Branch.Mispredicted[i] = up(sp.branch.Mispredicted[i])
-	}
+	ct := sp.counts.Scaled(float64(opt.Instructions) / float64(measureUops))
 	ct.LoadLevel = splitByLevel(ct.Kinds[trace.KindLoad], fr)
 	ct.DataLevel = splitByLevel(ct.Kinds[trace.KindLoad]+ct.Kinds[trace.KindStore], fr)
 	return machine.DeriveResult(cfg, opt, ct)

@@ -7,12 +7,8 @@ import (
 	"strings"
 
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/perf"
-	"repro/internal/pipeline"
 	"repro/internal/profile"
-	"repro/internal/synth"
-	"repro/internal/trace"
 )
 
 // MaxRateCopies bounds the rate-mode copy count: every copy owns a
@@ -361,33 +357,9 @@ func characterizeScenario(ctx context.Context, pair profile.Pair, opt Options) (
 		if topo.Enabled() {
 			cfg = topo.ClassConfig(opt.Machine, mode.Class)
 		}
-		srcs := make([]trace.Source, copies)
-		var prologue uint64
-		for i := 0; i < copies; i++ {
-			tm := m
-			// Decorrelate the copies' address streams the way threaded
-			// runs decorrelate OpenMP threads — but unlike threads, rate
-			// copies each run the whole problem, so the footprint is NOT
-			// divided.
-			tm.Seed = m.Seed + uint64(i)*0x9e37
-			gen, err := synth.New(tm, cfg.Geometry())
-			if err != nil {
-				return nil, err
-			}
-			if p := gen.Prologue(); p > prologue {
-				prologue = p
-			}
-			srcs[i] = gen
-		}
-		res, err := machine.RunShared(cfg, srcs, machine.Options{
-			Instructions:       opt.Instructions,
-			WarmupInstructions: prologue,
-			Workload:           pipeline.Workload{ILP: 2, MLP: m.MLP},
-			CalibrateIPC:       m.TargetIPC,
-			Context:            ctx,
-			BatchSize:          opt.BatchSize,
-			Span:               obs.SpanFromContext(ctx),
-		})
+		// Rate copies each run the whole problem, so unlike threads the
+		// footprint is not divided.
+		res, err := runCopies(ctx, cfg, m, copies, opt)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
@@ -21,34 +24,20 @@ import (
 // studies of the mechanism itself (see BenchmarkAblationSharedL3).
 func CharacterizeThreaded(pair profile.Pair, opt Options) (*Characteristics, error) {
 	opt = opt.withDefaults()
+	ctx := opt.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	m := pair.Model
 	threads := m.Threads
 	if threads <= 1 {
-		return CharacterizePair(pair, opt)
+		return characterizePairCtx(ctx, pair, opt)
 	}
-	srcs := make([]trace.Source, threads)
-	var prologue uint64
-	for i := 0; i < threads; i++ {
-		tm := m
-		tm.Seed = m.Seed + uint64(i)*0x9e37
-		// Threads share the problem: each works on its slice of the
-		// footprint.
-		tm.RSSMiB = m.RSSMiB / float64(threads)
-		gen, err := synth.New(tm, opt.Machine.Geometry())
-		if err != nil {
-			return nil, err
-		}
-		if p := gen.Prologue(); p > prologue {
-			prologue = p
-		}
-		srcs[i] = gen
-	}
-	res, err := machine.RunShared(opt.Machine, srcs, machine.Options{
-		Instructions:       opt.Instructions,
-		WarmupInstructions: prologue,
-		Workload:           pipeline.Workload{ILP: 2, MLP: m.MLP},
-		CalibrateIPC:       m.TargetIPC,
-	})
+	// Threads share the problem: each works on its slice of the
+	// footprint.
+	tm := m
+	tm.RSSMiB = m.RSSMiB / float64(threads)
+	res, err := runCopies(ctx, opt.Machine, tm, threads, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -93,6 +82,35 @@ func CharacterizeThreaded(pair profile.Pair, opt Options) (*Characteristics, err
 	}
 	c.ExecSeconds = m.InstrBillions * 1e9 / (c.IPC * opt.Machine.ClockHz * n)
 	return c, nil
+}
+
+// runCopies runs n copies of m's stream on cfg's shared-L3 kernel, the
+// way threaded pairs and rate-mode scenarios both do. Copy i is seeded
+// m.Seed + i*0x9e37 so the copies' address streams decorrelate; the
+// warmup covers the longest prologue. Callers set each copy's footprint
+// through m.
+func runCopies(ctx context.Context, cfg machine.Config, m profile.Model, n int, opt Options) (*machine.SharedResult, error) {
+	srcs := make([]trace.Source, n)
+	var prologue uint64
+	for i := range srcs {
+		cm := m
+		cm.Seed = m.Seed + uint64(i)*0x9e37
+		gen, err := synth.New(cm, cfg.Geometry())
+		if err != nil {
+			return nil, err
+		}
+		prologue = max(prologue, gen.Prologue())
+		srcs[i] = gen
+	}
+	return machine.RunShared(cfg, srcs, machine.Options{
+		Instructions:       opt.Instructions,
+		WarmupInstructions: prologue,
+		Workload:           pipeline.Workload{ILP: 2, MLP: m.MLP},
+		CalibrateIPC:       m.TargetIPC,
+		Context:            ctx,
+		BatchSize:          opt.BatchSize,
+		Span:               obs.SpanFromContext(ctx),
+	})
 }
 
 // sumCounters merges per-core counter snapshots into one.

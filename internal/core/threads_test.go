@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/profile"
@@ -70,5 +72,16 @@ func TestSharedL3ContentionMechanism(t *testing.T) {
 	if threaded.L3MissPct <= solo.L3MissPct {
 		t.Errorf("threaded L3 miss %.2f%% not above solo %.2f%% under shared-LLC pressure",
 			threaded.L3MissPct, solo.L3MissPct)
+	}
+}
+
+// TestCharacterizeThreadedHonoursContext: a cancelled campaign context
+// stops a threaded pair instead of simulating it to completion.
+func TestCharacterizeThreadedHonoursContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	pair := speedFPPair(t, "619.lbm_s")
+	if _, err := CharacterizeThreaded(pair, Options{Instructions: 30000, Context: ctx}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

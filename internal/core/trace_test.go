@@ -23,7 +23,7 @@ func tracedPairs(t *testing.T) []profile.Pair {
 // TestCharacterizeTraceManifest runs a sampled campaign under a trace
 // and checks the manifest's span tree: one campaign root, one span per
 // pair carrying its tier, and the three sampling stages nested under
-// each simulated pair.
+// each simulated pair, each exactly once.
 func TestCharacterizeTraceManifest(t *testing.T) {
 	pairs := tracedPairs(t)
 	tr := obs.NewTrace()
@@ -82,9 +82,14 @@ func TestCharacterizeTraceManifest(t *testing.T) {
 		if ps.Attrs["tier"] != "simulated" {
 			t.Errorf("%s tier = %v, want simulated", p.Name(), ps.Attrs["tier"])
 		}
+		// Each stage is recorded once per run, however many windows
+		// fed it (speckit_stage_seconds' contract).
 		stages := map[string]obs.ManifestSpan{}
 		for _, s := range spans {
 			if s.Parent == ps.ID && s.Kind == "stage" {
+				if _, dup := stages[s.Name]; dup {
+					t.Errorf("%s: stage %s recorded twice", p.Name(), s.Name)
+				}
 				stages[s.Name] = s
 			}
 		}

@@ -184,7 +184,18 @@ func predictorFromJSON(spec string) (func() branch.Predictor, error) {
 		f1, f2, ok := strings.Cut(rest, ":")
 		a, err1 := strconv.Atoi(f1)
 		b, err2 := strconv.Atoi(f2)
-		if !ok || err1 != nil || err2 != nil || a <= 0 || a > 24 || b <= 0 || b > 64 {
+		// Bounds keep every table a decoded spec can build to tens of
+		// MiB: two-level-local's pattern table has 2^HIST entries behind
+		// 16-bit history registers, and a perceptron entry holds HIST+1
+		// weights.
+		maxA, maxB := 24, 64
+		switch kind {
+		case "two-level-local":
+			maxB = 16
+		case "perceptron":
+			maxA = 16
+		}
+		if !ok || err1 != nil || err2 != nil || a <= 0 || a > maxA || b <= 0 || b > maxB {
 			return nil, fmt.Errorf("machine: bad %s predictor spec %q (want %s:BITS:HIST)", kind, spec, kind)
 		}
 		switch kind {

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -184,4 +185,39 @@ func TestApplyAxis(t *testing.T) {
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Error("different axis values share a fingerprint")
 	}
+}
+
+// FuzzConfigJSON feeds arbitrary bytes to Config's JSON decoder: it must
+// never panic, and every config it accepts must re-encode and decode
+// back to the same Fingerprint.
+func FuzzConfigJSON(f *testing.F) {
+	for _, c := range []Config{Haswell(), HaswellScaled()} {
+		b, err := json.Marshal(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		// Predictor specs whose tables would not fit in memory must be
+		// rejected at decode, before Fingerprint builds one.
+		for _, spec := range []string{"two-level-local:1:40", "perceptron:24:64"} {
+			f.Add(bytes.Replace(b, []byte(`"btb_bits"`), []byte(`"predictor":"`+spec+`","btb_bits"`), 1))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var c Config
+		if json.Unmarshal(data, &c) != nil {
+			return
+		}
+		b, err := json.Marshal(c)
+		if err != nil {
+			t.Fatalf("decoded config does not re-encode: %v", err)
+		}
+		var back Config
+		if err := json.Unmarshal(b, &back); err != nil {
+			t.Fatalf("re-encoded config does not decode: %v\n%s", err, b)
+		}
+		if got, want := back.Fingerprint(), c.Fingerprint(); got != want {
+			t.Fatalf("fingerprint changed across a round trip:\n%s\n%s", want, got)
+		}
+	})
 }

@@ -10,11 +10,11 @@ import (
 	"repro/internal/trace"
 )
 
-// Counts is the complete event-count input to DeriveResult: everything
-// the performance model needs to turn a simulated (or predicted) stream
-// into a Result. The simulation kernels fill it from their counter
-// snapshots; the analytic tier fills it from miss-curve predictions
-// scaled to the full stream.
+// Counts is the one counter record: everything the performance model
+// needs to turn a simulated (or predicted) stream into a Result. Every
+// run mode snapshots its cores into it, sampled and parallel windows
+// merge through it, the sampled and analytic tiers extrapolate it with
+// Scaled, and DeriveResult derives the Result from it.
 type Counts struct {
 	// Kinds counts retired uops by kind.
 	Kinds [trace.NumKinds]uint64
@@ -33,6 +33,63 @@ type Counts struct {
 	VSZBytes uint64
 }
 
+// each applies f to every event count of ct, paired with the same
+// count of o. The footprint marks are not event counts.
+func (ct *Counts) each(o *Counts, f func(v *uint64, ov uint64)) {
+	for i := range ct.Kinds {
+		f(&ct.Kinds[i], o.Kinds[i])
+	}
+	for i := range ct.LoadLevel {
+		f(&ct.LoadLevel[i], o.LoadLevel[i])
+		f(&ct.DataLevel[i], o.DataLevel[i])
+	}
+	f(&ct.FetchMisses, o.FetchMisses)
+	f(&ct.Walks, o.Walks)
+	for i := range ct.Branch.Executed {
+		f(&ct.Branch.Executed[i], o.Branch.Executed[i])
+		f(&ct.Branch.Mispredicted[i], o.Branch.Mispredicted[i])
+	}
+}
+
+// sub returns the counts accumulated between prev and ct. The
+// footprint marks are ct's own: a high-water mark has no difference.
+func (ct Counts) sub(prev Counts) Counts {
+	ct.each(&prev, func(v *uint64, p uint64) { *v -= p })
+	return ct
+}
+
+// add accumulates w into ct; the footprint marks merge as the maximum.
+func (ct *Counts) add(w Counts) {
+	ct.each(&w, func(v *uint64, x uint64) { *v += x })
+	ct.RSSBytes = max(ct.RSSBytes, w.RSSBytes)
+	ct.VSZBytes = max(ct.VSZBytes, w.VSZBytes)
+}
+
+// Scaled extrapolates every event count by ratio, rounding to nearest:
+// the step that stretches a measured slice of a stream (the sampled
+// tier's detailed windows, the analytic tier's measure window) over
+// the whole stream. The footprint marks are never scaled.
+func (ct Counts) Scaled(ratio float64) Counts {
+	ct.each(&ct, func(v *uint64, _ uint64) { *v = uint64(float64(*v)*ratio + 0.5) })
+	return ct
+}
+
+// events converts the counts into the interval model's inputs.
+func (ct *Counts) events() pipeline.Events {
+	ev := pipeline.Events{
+		L2Hits:      ct.DataLevel[cache.HitL2],
+		L3Hits:      ct.DataLevel[cache.HitL3],
+		MemAccesses: ct.DataLevel[cache.HitMemory],
+		FetchMisses: ct.FetchMisses,
+		Walks:       ct.Walks,
+	}
+	for _, k := range ct.Kinds {
+		ev.Instructions += k
+	}
+	_, ev.Mispredicts = ct.Branch.Total()
+	return ev
+}
+
 // DeriveResult runs the analytical back half of a characterization: the
 // first-order interval model (stall events -> cycle breakdown -> IPC,
 // with optional ILP calibration against a target IPC) plus the derived
@@ -41,21 +98,8 @@ type Counts struct {
 // it predicted ones — so the tiers can never drift apart in how counts
 // become a Result.
 func DeriveResult(cfg Config, opt Options, ct Counts) (*Result, error) {
-	n := uint64(0)
-	for _, k := range ct.Kinds {
-		n += k
-	}
-	ev := pipeline.Events{
-		Instructions: n,
-		L2Hits:       ct.DataLevel[cache.HitL2],
-		L3Hits:       ct.DataLevel[cache.HitL3],
-		MemAccesses:  ct.DataLevel[cache.HitMemory],
-		FetchMisses:  ct.FetchMisses,
-		Walks:        ct.Walks,
-	}
-	_, misp := ct.Branch.Total()
-	ev.Mispredicts = misp
-
+	ev := ct.events()
+	n, misp := ev.Instructions, ev.Mispredicts
 	w := opt.Workload
 	res := &Result{Events: ev, ILP: w.ILP, Calibrated: false}
 	if opt.CalibrateIPC > 0 {

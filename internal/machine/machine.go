@@ -17,7 +17,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -29,20 +28,6 @@ import (
 	"repro/internal/tlb"
 	"repro/internal/trace"
 )
-
-// Per-stage wall-time histograms, one observation per run and stage.
-// The timing happens at window boundaries only (a window is thousands
-// of instructions), so the kernel's inner loop is untouched: zero
-// added allocations and no per-uop work. "simulate" is the exact
-// path's measured window; sampled runs split into fast-forward (skip
-// work between windows), warmup (settle plus per-period re-warm) and
-// detail (the counted windows).
-var metStageSeconds = map[string]*obs.Histogram{
-	"simulate":     obs.Default().Histogram("speckit_stage_seconds", "Wall time per simulation stage, accumulated over one run.", obs.LatencyBuckets, "stage", "simulate"),
-	"fast-forward": obs.Default().Histogram("speckit_stage_seconds", "", obs.LatencyBuckets, "stage", "fast-forward"),
-	"warmup":       obs.Default().Histogram("speckit_stage_seconds", "", obs.LatencyBuckets, "stage", "warmup"),
-	"detail":       obs.Default().Histogram("speckit_stage_seconds", "", obs.LatencyBuckets, "stage", "detail"),
-}
 
 // Window-level instrumentation, shared by the two stream-tiling run
 // modes: "sampled" counts the periodic detail windows of a sampled run,
@@ -256,11 +241,13 @@ type Options struct {
 	// the measured stream and extrapolates the counters to the full
 	// length (see the Sampling type). Unlike BatchSize it changes result
 	// bits, so it participates in every result-cache key. Only the
-	// batched Run supports it; RunReference and RunShared reject it.
+	// batched Run supports it; RunReference, RunParallel and RunShared
+	// reject it.
 	Sampling Sampling
-	// Span, when non-nil, receives per-stage child spans
-	// (fast-forward/warmup/detail for sampled runs, warmup/simulate for
-	// exact ones) plus a windows attribute on sampled runs. Stage wall
+	// Span, when non-nil, receives one child span per stage that ran
+	// (fast-forward/warmup/detail for sampled and parallel runs,
+	// warmup/simulate for exact and shared ones) plus a windows
+	// attribute on sampled and parallel runs. Stage wall
 	// times additionally feed the speckit_stage_seconds histograms
 	// whether or not a span is attached. Like BatchSize it never enters
 	// a cache key: observability must not change what is computed.
@@ -308,17 +295,30 @@ type Result struct {
 // Run simulates one uop stream on the machine. The source must produce at
 // least the requested number of instructions.
 func Run(cfg Config, src trace.Source, opt Options) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkRun(cfg, opt, ""); err != nil {
 		return nil, err
 	}
-	if opt.Instructions == 0 {
-		return nil, fmt.Errorf("machine: zero-length run")
-	}
-	if err := opt.Sampling.Validate(); err != nil {
+	d := newDriver(cfg, opt, []trace.Source{src}, false, nil)
+	if err := d.warmup(); err != nil {
 		return nil, err
 	}
-	hier := cache.NewHierarchy(cfg.Hierarchy)
-	return run(cfg, hier, src, opt)
+	sp := opt.Sampling
+	if sp.Enabled() && opt.Instructions >= 2*sp.Period {
+		return d.sample()
+	}
+	if err := d.simulate(opt.Instructions, stageSimulate); err != nil {
+		return nil, err
+	}
+	res, err := d.finish(d.cores[0].counts())
+	if err != nil {
+		return nil, err
+	}
+	if sp.Enabled() {
+		// A stream under two periods has no room for a settle window
+		// plus a counted window, so it ran exact.
+		res[0].Sampling = &SamplingStats{Period: sp.Period, DetailLen: sp.DetailLen, WarmupLen: sp.WarmupLen, SampledFraction: 1}
+	}
+	return res[0], nil
 }
 
 // core holds the per-stream simulation state.
@@ -383,22 +383,59 @@ var (
 // the data address.
 const storeBit = uint64(1) << 63
 
-func newCore(cfg Config, hier *cache.Hierarchy) *core {
+// newCore builds a core on a private hierarchy (l3 nil) or on one
+// whose last level is the shared l3. Private hierarchies get the set
+// memos wherever the touch policy is idempotent. A shared-L3 eviction
+// can back-invalidate a privately cached line between any two accesses,
+// so the hit-armed soundness argument behind the register dedups and
+// set memos does not hold there: shared cores run with both dedups off
+// and no memos, and the batched sweeps still carry the run.
+func newCore(cfg Config, l3 *cache.Cache) *core {
 	pred := cfg.NewPredictor
 	if pred == nil {
 		pred = func() branch.Predictor { return branch.NewTournament(14) }
 	}
-	return &core{
-		hier:       hier,
+	c := &core{
 		unified:    cfg.UnifiedCodePath,
 		unit:       branch.NewUnit(pred(), cfg.BTBBits, cfg.RASDepth),
 		tlb:        tlb.NewHaswell(),
 		foot:       mem.NewFootprint(0, 1<<30, 0),
 		dataPage:   ^uint64(0),
-		fetchDedup: cache.TouchIdempotent(cfg.Hierarchy.L1I.Policy),
-		dataDedup:  cache.TouchIdempotent(cfg.Hierarchy.L1D.Policy),
 		fetchShift: lineShift(cfg.Hierarchy.L1I.LineBytes),
 		dataShift:  lineShift(cfg.Hierarchy.L1D.LineBytes),
+	}
+	if l3 != nil {
+		c.hier = cache.NewShared(cfg.Hierarchy, l3)
+		return c
+	}
+	c.hier = cache.NewHierarchy(cfg.Hierarchy)
+	if c.fetchDedup = cache.TouchIdempotent(cfg.Hierarchy.L1I.Policy); c.fetchDedup {
+		c.hier.L1I().EnableFetchMemo()
+	}
+	if c.dataDedup = cache.TouchIdempotent(cfg.Hierarchy.L1D.Policy); c.dataDedup {
+		c.hier.Cache(cache.L1).EnableFetchMemo()
+	}
+	return c
+}
+
+// agedLevels returns the caches gap aging acts on, in fill-estimate
+// order: L1I, L1D, L2, L3.
+func (c *core) agedLevels() [4]*cache.Cache {
+	return [4]*cache.Cache{c.hier.L1I(), c.hier.Cache(cache.L1), c.hier.Cache(cache.L2), c.hier.Cache(cache.L3)}
+}
+
+// counts returns the core's statistics since the last reset, with its
+// footprint high-water marks.
+func (c *core) counts() Counts {
+	return Counts{
+		Kinds:       c.kinds,
+		LoadLevel:   c.loadLevel,
+		DataLevel:   c.dataLevel,
+		FetchMisses: c.hier.L1I().Stats().Misses,
+		Walks:       c.tlb.Walks(),
+		Branch:      c.unit.Stats(),
+		RSSBytes:    c.foot.PeakRSS(),
+		VSZBytes:    c.foot.VSZ(),
 	}
 }
 
@@ -412,8 +449,7 @@ func lineShift(lineBytes int) uint {
 }
 
 // step consumes one uop. It returns false when the source is exhausted.
-// It is the reference per-uop kernel, kept verbatim for RunReference and
-// the shared-L3 interleaved runner.
+// It is the reference per-uop kernel, kept verbatim for RunReference.
 func (c *core) step(src trace.Source, u *trace.Uop) bool {
 	if !src.Next(u) {
 		return false
@@ -712,11 +748,7 @@ func (c *core) runWindow(src trace.BatchSource, buf []trace.Uop, n uint64, ctx c
 				return done, err
 			}
 		}
-		want := n - done
-		if want > uint64(len(buf)) {
-			want = uint64(len(buf))
-		}
-		got := src.NextBatch(buf[:want])
+		got := src.NextBatch(buf[:min(n-done, uint64(len(buf)))])
 		if got == 0 {
 			return done, nil
 		}
@@ -726,72 +758,18 @@ func (c *core) runWindow(src trace.BatchSource, buf []trace.Uop, n uint64, ctx c
 	return done, nil
 }
 
-func run(cfg Config, hier *cache.Hierarchy, src trace.Source, opt Options) (*Result, error) {
-	c := newCore(cfg, hier)
-	if cache.TouchIdempotent(cfg.Hierarchy.L1I.Policy) {
-		hier.L1I().EnableFetchMemo()
-	}
-	if cache.TouchIdempotent(cfg.Hierarchy.L1D.Policy) {
-		hier.Cache(cache.L1).EnableFetchMemo()
-	}
-	bs := opt.BatchSize
-	if bs <= 0 {
-		bs = DefaultBatchSize
-	}
-	bsrc := trace.AsBatch(src)
-	buf := make([]trace.Uop, bs)
-	if warm := warmupLength(opt); warm > 0 {
-		warmStart := time.Now()
-		done, err := c.runWindow(bsrc, buf, warm, opt.Context)
-		if err != nil {
-			return nil, err
-		}
-		if done < warm {
-			return nil, fmt.Errorf("machine: source exhausted during warmup")
-		}
-		c.resetStats()
-		recordStage(opt.Span, "warmup", time.Since(warmStart))
-	}
-	if opt.Sampling.Enabled() {
-		return c.runSampled(cfg, bsrc, buf, opt)
-	}
-	simStart := time.Now()
-	done, err := c.runWindow(bsrc, buf, opt.Instructions, opt.Context)
-	if err != nil {
-		return nil, err
-	}
-	if done < opt.Instructions {
-		return nil, fmt.Errorf("machine: source exhausted after %d instructions", done)
-	}
-	recordStage(opt.Span, "simulate", time.Since(simStart))
-	return c.finish(cfg, opt, c.snap())
-}
-
-// recordStage feeds one stage's wall time into its histogram and, when
-// a span is attached, records it as a finished stage child span.
-func recordStage(span *obs.Span, stage string, d time.Duration) {
-	metStageSeconds[stage].ObserveDuration(d)
-	span.Stage(stage, d)
-}
-
 // RunReference simulates one uop stream with the legacy per-uop kernel.
 // It is the executable specification the batched Run is tested against:
 // both must produce bit-identical Results for the same configuration,
 // source and options. It is exported for the equivalence tests and the
 // kernel benchmarks; production callers should use Run.
 func RunReference(cfg Config, src trace.Source, opt Options) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	// The reference kernel is the exact-run executable specification; a
+	// sampled reference would have nothing to be a reference for.
+	if err := checkRun(cfg, opt, "the reference kernel (use Run)"); err != nil {
 		return nil, err
 	}
-	if opt.Instructions == 0 {
-		return nil, fmt.Errorf("machine: zero-length run")
-	}
-	if opt.Sampling.Enabled() {
-		// The reference kernel is the exact-run executable specification;
-		// a sampled reference would have nothing to be a reference for.
-		return nil, fmt.Errorf("machine: sampling requires the batched kernel (use Run)")
-	}
-	c := newCore(cfg, cache.NewHierarchy(cfg.Hierarchy))
+	c := newCore(cfg, nil)
 	checkCancel := opt.Context != nil
 	if warm := warmupLength(opt); warm > 0 {
 		var u trace.Uop
@@ -818,26 +796,7 @@ func RunReference(cfg Config, src trace.Source, opt Options) (*Result, error) {
 			return nil, fmt.Errorf("machine: source exhausted after %d instructions", i)
 		}
 	}
-	return c.finish(cfg, opt, c.snap())
-}
-
-// finish derives the Result from a counter snapshot — the core's own
-// cumulative statistics for exact runs, or the scaled aggregate of the
-// detailed windows for sampled runs. Only the footprint is read from
-// the core directly (it is a high-water mark, not a rate, and is
-// reported pre-extrapolation either way). The heavy lifting lives in
-// DeriveResult, shared with the analytic tier.
-func (c *core) finish(cfg Config, opt Options, s counterSnap) (*Result, error) {
-	return DeriveResult(cfg, opt, Counts{
-		Kinds:       s.kinds,
-		LoadLevel:   s.loadLevel,
-		DataLevel:   s.dataLevel,
-		FetchMisses: s.fetchMisses,
-		Walks:       s.walks,
-		Branch:      s.branch,
-		RSSBytes:    c.foot.PeakRSS(),
-		VSZBytes:    c.foot.VSZ(),
-	})
+	return DeriveResult(cfg, opt, c.counts())
 }
 
 // warmupLength resolves the warmup policy from the options.

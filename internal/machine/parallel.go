@@ -8,29 +8,18 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/trace"
 )
 
 // This file implements intra-pair parallel simulation: one uop stream's
 // measured window is split into contiguous sub-windows simulated
-// concurrently on independent cores, each stitched onto warm state with
-// the frozen-cache technique the sampled run loop uses for its gaps.
-// Every worker first simulates a warm-state pass — the caller's warmup
-// head (the generator prologue, a working-set sweep that primes every
-// cache level) plus a settle window, the same foundation the sampled
-// loop runs on — redundantly, but concurrently, so it costs one pass of
-// wall clock instead of K. The stretch from there to the worker's
-// window (the fractional warmup tail plus all preceding windows) is
-// then treated as one long sampling gap: the caches are frozen (skipped
-// over), aged by the gap's estimated content turnover (the alpha model
-// from the sampled loop, driven by fill rates measured during the
-// settle window), the branch predictor is kept functionally warm across
-// the gap's tail (trace.SkipRecordsWarm), and a re-warm window — sized
-// from the same fill rates to rebuild what aging evicted — settles the
-// hierarchy before the counted detail region. Per-window counters merge
-// in window order. Campaign-level parallelism maxes out at the number
-// of pairs; this is the knob that makes a single large pair scale.
+// concurrently on independent cores. Each worker runs the driver's
+// warm-state pass, then bridges the stretch up to its window (the
+// fractional warmup tail plus all preceding windows) as one long
+// sampling gap and re-warms before counting (runParallelWindow).
+// Per-window counters merge in window order. Campaign-level
+// parallelism maxes out at the number of pairs; this is the knob that
+// makes a single large pair scale.
 //
 // Parallel windowing is an estimate of the sequential run, not a
 // bit-identical reordering of it: a window's cache image is the aged
@@ -137,14 +126,13 @@ type parallelWindow struct {
 	warmPro, warmSettle, gap, counted uint64
 }
 
-// parallelResult is one finished window: its counter diff, footprint
-// high-water marks, stage timings, and the first error if any.
+// parallelResult is one finished window: its counts, stage timings,
+// wall time, and the first error if any.
 type parallelResult struct {
-	snap             counterSnap
-	rss, vsz         uint64
-	err              error
-	seconds          float64
-	ff, warm, detail time.Duration
+	counts  Counts
+	stages  stageTimes
+	seconds float64
+	err     error
 }
 
 // RunParallel simulates opt.Instructions of a uop stream with the
@@ -164,14 +152,9 @@ type parallelResult struct {
 // itself does not compose — both knobs re-tile the measured stream —
 // and is rejected.
 func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options, workers int) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
+	// Sampling and windowing both re-tile the measured stream.
+	if err := checkRun(cfg, opt, "parallel windowed simulation"); err != nil {
 		return nil, err
-	}
-	if opt.Instructions == 0 {
-		return nil, fmt.Errorf("machine: zero-length run")
-	}
-	if opt.Sampling.Enabled() {
-		return nil, fmt.Errorf("machine: sampling does not compose with parallel windowed simulation (both re-tile the measured stream)")
 	}
 	if newSource == nil {
 		return nil, fmt.Errorf("machine: RunParallel needs a source factory")
@@ -210,19 +193,14 @@ func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options
 	// measured region; whatever warmup remains after it (the fractional
 	// tail) is the head of every window's gap.
 	warmLen := warmupLength(opt)
-	pro := min64(opt.WarmupInstructions, warmLen)
-	settle := min64(parallelSettle, warmLen-pro)
+	pro := min(opt.WarmupInstructions, warmLen)
+	settle := min(parallelSettle, warmLen-pro)
 	lens := parallelWindowLens(total, k)
 	jobs := make([]parallelWindow, k)
 	start := uint64(0)
 	for i := range jobs {
-		// Each window's gap — the stream between the end of the
-		// warm-state pass and the window's start — is bridged exactly
-		// the way the sampled loop bridges a period gap: the caches are
-		// frozen and aged (runParallelWindow), only the tail keeps the
-		// branch predictor functionally warm, the head is a cold skip,
-		// and a re-warm window rebuilds aged-out content before counting
-		// starts.
+		// Each window's gap is the stream between the end of the
+		// warm-state pass and the window's start.
 		jobs[i] = parallelWindow{
 			warmPro:    pro,
 			warmSettle: settle,
@@ -232,19 +210,12 @@ func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options
 		start += lens[i]
 	}
 
-	bs := opt.BatchSize
-	if bs <= 0 {
-		bs = DefaultBatchSize
-	}
 	// Executor pool: window jobs are independent, so running them on
 	// min(k, GOMAXPROCS) executors changes scheduling only, never a
 	// result bit. Each executor owns one batch buffer reused across all
 	// the windows it runs (the per-worker arena; the alloc-regression
 	// test pins the steady-state window loop at zero allocations).
-	execs := runtime.GOMAXPROCS(0)
-	if execs > k {
-		execs = k
-	}
+	execs := min(runtime.GOMAXPROCS(0), k)
 	results := make([]parallelResult, k)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -252,7 +223,7 @@ func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]trace.Uop, bs)
+			buf := batchBuf(opt)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= k {
@@ -268,9 +239,8 @@ func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options
 	// merge as the maximum (windows of a cyclic synthetic stream touch
 	// near-identical working sets, and RSS is a high-water mark, not a
 	// rate).
-	var agg counterSnap
-	var rss, vsz uint64
-	var ffDur, warmDur, detailDur time.Duration
+	var agg Counts
+	var stages stageTimes
 	st := &ParallelStats{
 		Requested:     workers,
 		Workers:       k,
@@ -283,35 +253,16 @@ func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options
 		if r.err != nil {
 			return nil, fmt.Errorf("machine: parallel window %d/%d: %w", i, k, r.err)
 		}
-		agg.add(r.snap)
-		if r.rss > rss {
-			rss = r.rss
-		}
-		if r.vsz > vsz {
-			vsz = r.vsz
-		}
-		ffDur += r.ff
-		warmDur += r.warm
-		detailDur += r.detail
+		agg.add(r.counts)
+		stages.merge(&r.stages)
 		st.WindowSeconds[i] = r.seconds
 		metWindowSeconds["parallel"].Observe(r.seconds)
 	}
 	metPairWindows["parallel"].Add(uint64(k))
-	recordStage(opt.Span, "fast-forward", ffDur)
-	recordStage(opt.Span, "warmup", warmDur)
-	recordStage(opt.Span, "detail", detailDur)
+	stages.record(opt.Span)
 	opt.Span.SetAttr("windows", k)
 
-	res, err := DeriveResult(cfg, opt, Counts{
-		Kinds:       agg.kinds,
-		LoadLevel:   agg.loadLevel,
-		DataLevel:   agg.dataLevel,
-		FetchMisses: agg.fetchMisses,
-		Walks:       agg.walks,
-		Branch:      agg.branch,
-		RSSBytes:    rss,
-		VSZBytes:    vsz,
-	})
+	res, err := DeriveResult(cfg, opt, agg)
 	if err != nil {
 		return nil, err
 	}
@@ -320,176 +271,71 @@ func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options
 }
 
 // runParallelWindow simulates one window on a fresh core and source.
-// The worker first simulates the warm-state pass — warmup head then
-// settle window, identical for every window, measuring per-cache fill
-// rates as it goes — then bridges its gap with the sampled loop's
-// frozen-cache procedure: age each cache by the gap's estimated content
-// turnover, cold-skip the gap head, warm-skip the branch tail
-// (trace.SkipRecordsWarm keeps the predictor functionally warm), and
-// simulate a re-warm window sized to rebuild what aging evicted.
-// Counters reset, then the detail window is counted.
+// The worker first simulates the warm-state pass — warmup head, a stats
+// reset, then the settle window, identical for every window, measuring
+// per-cache fill rates — then bridges its gap the way the sampled loop
+// does (aging, cold skip, warm-skipped branch tail) and simulates a
+// re-warm window sized to rebuild what aging evicted. Counters reset,
+// then the detail window is counted.
 func runParallelWindow(cfg Config, newSource func() (trace.Source, error), opt Options, job parallelWindow, buf []trace.Uop) parallelResult {
-	startT := time.Now()
-	var r parallelResult
+	start := time.Now()
 	src, err := newSource()
 	if err != nil {
-		r.err = err
-		return r
+		return parallelResult{err: err}
 	}
-	hier := cache.NewHierarchy(cfg.Hierarchy)
-	c := newCore(cfg, hier)
-	if cache.TouchIdempotent(cfg.Hierarchy.L1I.Policy) {
-		hier.L1I().EnableFetchMemo()
-	}
-	if cache.TouchIdempotent(cfg.Hierarchy.L1D.Policy) {
-		hier.Cache(cache.L1).EnableFetchMemo()
-	}
-	bsrc := trace.AsBatch(src)
-
-	// Warm-state pass: the warmup head (the generator prologue, a
-	// branch-free working-set sweep that primes every cache level), then
-	// a stats reset so the settle window's fill and miss rates — the
-	// inputs to gap aging and re-warm sizing — reflect real stream
-	// behaviour rather than the sweep's 100%-fill transient, mirroring
-	// how the sampled loop seeds its estimates from its settle window.
-	warmStart := time.Now()
-	ageCaches := [4]*cache.Cache{hier.L1I(), hier.Cache(cache.L1), hier.Cache(cache.L2), hier.Cache(cache.L3)}
-	if job.warmPro > 0 {
-		if err := c.mustRun(bsrc, buf, job.warmPro, opt); err != nil {
-			r.err = err
-			return r
-		}
-	}
-	c.resetStats()
-	var fillAcc [4]uint64
-	for i, ch := range ageCaches {
-		fillAcc[i] = ch.Fills()
-	}
-	if job.warmSettle > 0 {
-		if err := c.mustRun(bsrc, buf, job.warmSettle, opt); err != nil {
-			r.err = err
-			return r
-		}
-		for i, ch := range ageCaches {
-			fillAcc[i] = ch.Fills() - fillAcc[i]
-		}
-	}
-	r.warm = time.Since(warmStart)
-
-	// Partition the gap. The re-warm must be long enough to rebuild the
-	// cache content aging is about to evict — a fixed 8Ki window (the
-	// sampled default) suffices there only because a sampling gap turns
-	// over a few percent of L2/L3; a parallel window's gap can span most
-	// of the stream and turn over whole caches, and counting on top of a
-	// drained L2 biases its miss rate far high. Sizing: per cache, the
-	// instructions needed to replace the evicted lines at the fill rate
-	// observed during the settle window; the re-warm covers the
-	// hungriest cache, floored at the sampled default and capped by the
-	// gap. The measurement is a pure function of the stream prefix, so
-	// the partition — and every result bit — stays deterministic.
-	rewarm := min64(minParallelWarmup, job.gap)
-	var age [4]int
-	if job.warmSettle > 0 && job.gap > 0 {
-		for i, ch := range ageCaches {
-			f := float64(fillAcc[i]) / float64(job.warmSettle)
-			if f <= 0 {
-				continue
-			}
-			alpha := 1.0
-			if i >= 2 {
-				mr := ch.Stats().MissRate()
-				alpha = ageCoeff * math.Pow(mr, agePow)
-			}
-			evict := alpha * f * float64(job.gap)
-			if lines := float64(ch.Lines()); evict > lines {
-				evict = lines
-			}
-			age[i] = int(evict)
-			if need := uint64(evict / f); need > rewarm {
-				rewarm = need
-			}
-		}
-		rewarm = min64(rewarm, job.gap)
-	}
-	tail := min64(minParallelWarmup*warmTailFactor, job.gap-rewarm)
-	cold := job.gap - rewarm - tail
-
-	ffStart := time.Now()
-	if job.gap > 0 && job.warmSettle > 0 {
-		// Frozen-cache aging across the whole gap, exactly the sampled
-		// loop's model: invalidate as many replacement victims as the
-		// gap would have filled (the re-warm then rebuilds them with the
-		// window's own neighbourhood). With no settle window (warmup
-		// disabled) there is no estimate and nothing frozen worth aging
-		// — the hierarchy is still cold.
-		for i, ch := range ageCaches {
-			ch.Age(age[i])
-		}
-	}
-	if cold > 0 {
-		done, err := skipChunked(bsrc, buf, cold, opt)
-		if err != nil {
-			r.err = err
-			return r
-		}
-		if done < cold {
-			r.err = fmt.Errorf("source exhausted after %d skipped instructions", done)
-			return r
-		}
-	}
-	if tail > 0 {
-		if done := trace.SkipRecordsWarm(bsrc, buf, tail, c.unit.Warm); done < tail {
-			r.err = fmt.Errorf("source exhausted after %d skipped instructions", cold+done)
-			return r
-		}
-	}
-	r.ff = time.Since(ffStart)
-
-	if rewarm > 0 {
-		rewarmStart := time.Now()
-		if err := c.mustRun(bsrc, buf, rewarm, opt); err != nil {
-			r.err = err
-			return r
-		}
-		r.warm += time.Since(rewarmStart)
-	}
-	c.resetStats()
-
-	detailStart := time.Now()
-	if err := c.mustRun(bsrc, buf, job.counted, opt); err != nil {
-		r.err = err
-		return r
-	}
-	r.detail = time.Since(detailStart)
-
-	r.snap = c.snap()
-	r.rss = c.foot.PeakRSS()
-	r.vsz = c.foot.VSZ()
-	r.seconds = time.Since(startT).Seconds()
-	return r
+	d := newDriver(cfg, opt, []trace.Source{src}, false, buf)
+	err = d.parallelWindow(job)
+	return parallelResult{counts: d.cores[0].counts(), stages: d.stages, seconds: time.Since(start).Seconds(), err: err}
 }
 
-// skipChunkLen bounds one uninterrupted skip so a cancelled context is
-// noticed within a bounded amount of fast-forward work.
-const skipChunkLen = 1 << 20
-
-// skipChunked cold-skips n records, polling opt.Context between chunks
-// (SkipRecords itself never polls; native skips can cover millions of
-// records per call).
-func skipChunked(src trace.BatchSource, buf []trace.Uop, n uint64, opt Options) (uint64, error) {
-	done := uint64(0)
-	for done < n {
-		if opt.Context != nil {
-			if err := opt.Context.Err(); err != nil {
-				return done, err
-			}
-		}
-		step := min64(n-done, skipChunkLen)
-		got := trace.SkipRecords(src, buf, step)
-		done += got
-		if got < step {
-			return done, nil
+// parallelWindow is runParallelWindow's step sequence.
+func (d *driver) parallelWindow(job parallelWindow) error {
+	// The reset after the warmup head (the generator prologue, a
+	// branch-free working-set sweep that primes every cache level) makes
+	// the settle window's fill and miss rates — the inputs to gap aging
+	// and re-warm sizing — reflect real stream behaviour rather than the
+	// sweep's 100%-fill transient.
+	if job.warmPro > 0 {
+		if err := d.simulate(job.warmPro, stageWarmup); err != nil {
+			return err
 		}
 	}
-	return done, nil
+	d.resetStats()
+	if job.warmSettle > 0 {
+		if err := d.settle(job.warmSettle, stageWarmup); err != nil {
+			return err
+		}
+	}
+
+	// The re-warm must be long enough to rebuild the cache content aging
+	// is about to evict — a fixed 8Ki window (the sampled default)
+	// suffices there only because a sampling gap turns over a few
+	// percent of L2/L3; a parallel window's gap can span most of the
+	// stream and turn over whole caches, and counting on top of a
+	// drained L2 biases its miss rate far high. Sizing: per cache, the
+	// instructions needed to replace the evicted lines at the settled
+	// fill rate; the re-warm covers the hungriest cache, floored at the
+	// sampled default and capped by the gap. The measurement is a pure
+	// function of the stream prefix, so the partition — and every result
+	// bit — stays deterministic. Aging covers the whole gap, re-warm
+	// included.
+	rewarm := min(minParallelWarmup, job.gap)
+	if d.fillInstr > 0 {
+		for i, ev := range d.evictions(job.gap) {
+			if f := float64(d.fills[i]) / float64(d.fillInstr); f > 0 {
+				rewarm = max(rewarm, uint64(ev/f))
+			}
+		}
+		rewarm = min(rewarm, job.gap)
+	}
+	if err := d.bridge(job.gap, job.gap-rewarm, minParallelWarmup*warmTailFactor); err != nil {
+		return err
+	}
+	if rewarm > 0 {
+		if err := d.simulate(rewarm, stageWarmup); err != nil {
+			return err
+		}
+	}
+	d.resetStats()
+	return d.simulate(job.counted, stageDetail)
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/pipeline"
 	"repro/internal/profile"
 	"repro/internal/stats"
@@ -303,14 +302,7 @@ func TestParallelWindowAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier := cache.NewHierarchy(cfg.Hierarchy)
-	c := newCore(cfg, hier)
-	if cache.TouchIdempotent(cfg.Hierarchy.L1I.Policy) {
-		hier.L1I().EnableFetchMemo()
-	}
-	if cache.TouchIdempotent(cfg.Hierarchy.L1D.Policy) {
-		hier.Cache(cache.L1).EnableFetchMemo()
-	}
+	c := newCore(cfg, nil)
 	bsrc := trace.AsBatch(gen)
 	buf := make([]trace.Uop, DefaultBatchSize)
 	const window = 64 << 10

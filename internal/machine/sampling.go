@@ -7,10 +7,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/branch"
 	"repro/internal/cache"
 	"repro/internal/pipeline"
-	"repro/internal/trace"
 )
 
 // Sampling configures SMARTS-style systematic sampling of a run. When
@@ -96,8 +94,8 @@ func ParseSampling(s string) (Sampling, error) {
 const warmTailFactor uint64 = 8
 
 // ageCoeff and agePow scale the gap-turnover aging of the big caches
-// (L2, L3; see runSampled) as alpha = ageCoeff * missRate^agePow of the
-// cache's observed fill rate. One gap fill displaces one victim only
+// (L2, L3; see driver.evictions) as alpha = ageCoeff * missRate^agePow
+// of the cache's observed fill rate. One gap fill displaces one victim only
 // when the victim would not have been re-touched during the gap; the
 // thrashier the cache, the larger the share of its content that is dead
 // on arrival, and the power law is the simplest shape that matched the
@@ -110,7 +108,7 @@ const (
 )
 
 // jitterSeed seeds the fixed splitmix64 stream that jitters each
-// period's window offset (see runSampled); sampled runs are
+// period's window offset (see driver.sample); sampled runs are
 // bit-reproducible because it is fixed.
 const jitterSeed uint64 = 0x9E3779B97F4A7C15
 
@@ -161,175 +159,47 @@ type SamplingStats struct {
 	IPCRelErr, L1RelErr, L2RelErr, L3RelErr, MispredictRelErr float64
 }
 
-// counterSnap is a cumulative snapshot of every statistic finish derives
-// counters from. The sampled run loop snapshots around each detailed
-// window and aggregates the diffs; the exact paths snapshot once at the
-// end.
-type counterSnap struct {
-	kinds       [trace.NumKinds]uint64
-	loadLevel   [4]uint64
-	dataLevel   [4]uint64
-	fetchMisses uint64
-	walks       uint64
-	branch      branch.Stats
-}
-
-// snap captures the core's current cumulative statistics.
-func (c *core) snap() counterSnap {
-	return counterSnap{
-		kinds:       c.kinds,
-		loadLevel:   c.loadLevel,
-		dataLevel:   c.dataLevel,
-		fetchMisses: c.hier.L1I().Stats().Misses,
-		walks:       c.tlb.Walks(),
-		branch:      c.unit.Stats(),
-	}
-}
-
-// sub returns the statistics accumulated between prev and s.
-func (s counterSnap) sub(prev counterSnap) counterSnap {
-	d := s
-	for i := range d.kinds {
-		d.kinds[i] -= prev.kinds[i]
-	}
-	for i := range d.loadLevel {
-		d.loadLevel[i] -= prev.loadLevel[i]
-		d.dataLevel[i] -= prev.dataLevel[i]
-	}
-	d.fetchMisses -= prev.fetchMisses
-	d.walks -= prev.walks
-	for i := range d.branch.Executed {
-		d.branch.Executed[i] -= prev.branch.Executed[i]
-		d.branch.Mispredicted[i] -= prev.branch.Mispredicted[i]
-	}
-	return d
-}
-
-// add accumulates w into s.
-func (s *counterSnap) add(w counterSnap) {
-	for i := range s.kinds {
-		s.kinds[i] += w.kinds[i]
-	}
-	for i := range s.loadLevel {
-		s.loadLevel[i] += w.loadLevel[i]
-		s.dataLevel[i] += w.dataLevel[i]
-	}
-	s.fetchMisses += w.fetchMisses
-	s.walks += w.walks
-	for i := range s.branch.Executed {
-		s.branch.Executed[i] += w.branch.Executed[i]
-		s.branch.Mispredicted[i] += w.branch.Mispredicted[i]
-	}
-}
-
-// instructions returns the snapshot's total instruction count.
-func (s counterSnap) instructions() uint64 {
-	n := uint64(0)
-	for _, k := range s.kinds {
-		n += k
-	}
-	return n
-}
-
-// scaled extrapolates every count by ratio (rounding to nearest), the
-// step that stretches the sampled windows back over the full stream.
-func (s counterSnap) scaled(ratio float64) counterSnap {
-	up := func(v uint64) uint64 { return uint64(float64(v)*ratio + 0.5) }
-	d := s
-	for i := range d.kinds {
-		d.kinds[i] = up(d.kinds[i])
-	}
-	for i := range d.loadLevel {
-		d.loadLevel[i] = up(d.loadLevel[i])
-		d.dataLevel[i] = up(d.dataLevel[i])
-	}
-	d.fetchMisses = up(d.fetchMisses)
-	d.walks = up(d.walks)
-	for i := range d.branch.Executed {
-		d.branch.Executed[i] = up(d.branch.Executed[i])
-		d.branch.Mispredicted[i] = up(d.branch.Mispredicted[i])
-	}
-	return d
-}
-
-// runSampled is the systematic-sampling run loop. The core arrives
+// sample is the systematic-sampling run loop. The core arrives
 // post-warmup; a settle window is then simulated in full with its
 // counters discarded (the global warmup under sampling is typically
 // just the generator prologue, a branch-free load sweep, so recency
 // and predictor state still need real stream behaviour before the
-// first counted window). Every subsequent period is skip -> warm ->
-// detail. During a skip caches and TLB are frozen — nothing ages or
-// evicts, which stays near-correct because a gap turns over only a few
-// percent of L2/L3 content — while branch state is kept functionally
-// warm (trace.SkipRecordsWarm feeding Unit.Warm): predictor state is
+// first counted window). Every subsequent period is bridge -> warm ->
+// detail. Across a bridge caches and TLB are frozen apart from the
+// estimated turnover aging removes, while branch state is kept
+// functionally warm over the gap's tail: predictor state is
 // phase-sensitive, and freezing it would bias every counted window's
 // mispredict rate upward. The warm window then re-aligns the
 // small-horizon state (L1, TLB recency), and the dominant residual
 // error is statistical, which the inter-window variance estimate
 // captures.
-func (c *core) runSampled(cfg Config, src trace.BatchSource, buf []trace.Uop, opt Options) (*Result, error) {
-	sp := opt.Sampling
-	total := opt.Instructions
-	stats := &SamplingStats{Period: sp.Period, DetailLen: sp.DetailLen, WarmupLen: sp.WarmupLen}
-
-	// A stream under two periods has no room for a settle window plus a
-	// counted window; simulate it exactly.
-	if total < 2*sp.Period {
-		simStart := time.Now()
-		if err := c.mustRun(src, buf, total, opt); err != nil {
-			return nil, err
-		}
-		recordStage(opt.Span, "simulate", time.Since(simStart))
-		stats.SampledFraction = 1
-		res, err := c.finish(cfg, opt, c.snap())
-		if err != nil {
-			return nil, err
-		}
-		res.Sampling = stats
-		return res, nil
-	}
+func (d *driver) sample() (*Result, error) {
+	sp := d.opt.Sampling
+	total := d.opt.Instructions
+	c := d.cores[0]
 
 	// The settle window needs to cover the small-horizon state (L1 and
 	// the predictor's hot entries); the big structures fill cumulatively
 	// across the whole run — detailed windows insert, skips freeze — so
 	// stretching the settle to a full period would buy accuracy nothing
 	// and cost wall-clock on large-period knobs.
-	settle := max64(2*sp.WarmupLen, 8192)
-	if settle > sp.Period {
-		settle = sp.Period
-	}
+	//
 	// Cache aging across gaps: a frozen cache keeps the lines the skipped
 	// stream would have displaced, and a cyclic reference stream re-hits
 	// them in the next counted window, biasing its miss rate low (most
 	// visibly at L2/L3 on large-footprint profiles, where a gap can turn
-	// over most of the cache). Before each gap's warm tail we therefore
-	// invalidate as many replacement victims as the gap would have filled,
-	// estimated from the fill rate observed while simulating. The settle
-	// window seeds the estimate; afterwards only detailed windows feed it
-	// — post-gap warmup windows refill the small caches at far above the
+	// over most of the cache). Each bridge therefore invalidates as many
+	// replacement victims as the gap would have filled, estimated from
+	// the fill rate observed while simulating. The settle window seeds
+	// the estimate; afterwards only detailed windows feed it — post-gap
+	// warmup windows refill the small caches at far above the
 	// steady-state rate and would inflate it.
-	ageCaches := [4]*cache.Cache{c.hier.L1I(), c.hier.Cache(cache.L1), c.hier.Cache(cache.L2), c.hier.Cache(cache.L3)}
-	var fillAcc [4]uint64
-	for i, ch := range ageCaches {
-		fillAcc[i] = ch.Fills()
-	}
-	// Stage accounting: the settle window and per-period re-warm windows
-	// accumulate into warmDur, skip work into ffDur, counted windows
-	// into detailDur. Timing happens a handful of times per period — at
-	// window boundaries, never per uop — so the kernel loop is unchanged.
-	var ffDur, warmDur, detailDur time.Duration
-	settleStart := time.Now()
-	if err := c.mustRun(src, buf, settle, opt); err != nil {
+	settle := min(max(2*sp.WarmupLen, 8192), sp.Period)
+	if err := d.settle(settle, stageWarmup); err != nil {
 		return nil, err
 	}
-	warmDur += time.Since(settleStart)
-	for i, ch := range ageCaches {
-		fillAcc[i] = ch.Fills() - fillAcc[i]
-	}
-	fillInstr := settle
 	done := settle
 	skipLen := sp.Period - sp.DetailLen - sp.WarmupLen
-	warm := c.unit.Warm
 	warmTail := sp.WarmupLen * warmTailFactor
 
 	// The warm+detail block lands at a jittered offset within each
@@ -341,8 +211,8 @@ func (c *core) runSampled(cfg Config, src trace.BatchSource, buf []trace.Uop, op
 	// matter how long the warmup is. The offset sequence is a fixed-seed
 	// splitmix64 stream, so sampled runs stay bit-reproducible.
 	jitter := jitterSeed
-	var windows []counterSnap
-	var agg counterSnap
+	var windows []Counts
+	var agg Counts
 	detailed := uint64(0)
 	carry := uint64(0)
 	for done < total {
@@ -368,104 +238,53 @@ func (c *core) runSampled(cfg Config, src trace.BatchSource, buf []trace.Uop, op
 		// sites) or too cold-tail to surface in a detailed window.
 		gap := carry + pre
 		carry = skipLen - pre
-		rem := total - done
-		if s := min64(gap, rem); s > 0 {
-			ffStart := time.Now()
-			for i, ch := range ageCaches {
-				alpha := 1.0
-				if i >= 2 {
-					mr := ch.Stats().MissRate()
-					alpha = ageCoeff * math.Pow(mr, agePow)
-				}
-				ch.Age(int(alpha * float64(fillAcc[i]) / float64(fillInstr) * float64(s)))
+		if s := min(gap, total-done); s > 0 {
+			if err := d.bridge(s, s, warmTail); err != nil {
+				return nil, err
 			}
-			skipped := uint64(0)
-			if tail := min64(warmTail, s); tail < s {
-				skipped = trace.SkipRecords(src, buf, s-tail)
-				if skipped == s-tail {
-					skipped += trace.SkipRecordsWarm(src, buf, tail, warm)
-				}
-			} else {
-				skipped = trace.SkipRecordsWarm(src, buf, s, warm)
-			}
-			if skipped < s {
-				return nil, fmt.Errorf("machine: source exhausted after %d instructions", done+skipped)
-			}
-			ffDur += time.Since(ffStart)
 			done += s
-			rem -= s
 		}
-		if w := min64(sp.WarmupLen, rem); w > 0 {
-			warmStart := time.Now()
-			if err := c.mustRun(src, buf, w, opt); err != nil {
+		if w := min(sp.WarmupLen, total-done); w > 0 {
+			if err := d.simulate(w, stageWarmup); err != nil {
 				return nil, err
 			}
-			warmDur += time.Since(warmStart)
 			done += w
-			rem -= w
 		}
-		d := min64(sp.DetailLen, rem)
-		if d > 0 {
-			detailStart := time.Now()
-			var f0 [4]uint64
-			for i, ch := range ageCaches {
-				f0[i] = ch.Fills()
-			}
-			before := c.snap()
-			if err := c.mustRun(src, buf, d, opt); err != nil {
+		if n := min(sp.DetailLen, total-done); n > 0 {
+			start := time.Now()
+			before := c.counts()
+			if err := d.settle(n, stageDetail); err != nil {
 				return nil, err
 			}
-			done += d
-			rem -= d
-			win := c.snap().sub(before)
+			win := c.counts().sub(before)
 			windows = append(windows, win)
 			agg.add(win)
-			detailed += d
-			winDur := time.Since(detailStart)
-			detailDur += winDur
-			metWindowSeconds["sampled"].ObserveDuration(winDur)
-			for i, ch := range ageCaches {
-				fillAcc[i] += ch.Fills() - f0[i]
-			}
-			fillInstr += d
+			detailed += n
+			done += n
+			metWindowSeconds["sampled"].ObserveDuration(time.Since(start))
 		}
 	}
-	recordStage(opt.Span, "fast-forward", ffDur)
-	recordStage(opt.Span, "warmup", warmDur)
-	recordStage(opt.Span, "detail", detailDur)
 	metPairWindows["sampled"].Add(uint64(len(windows)))
-	opt.Span.SetAttr("windows", len(windows))
-	if detailed == 0 {
-		// Unreachable once total >= 2*Period and DetailLen > 0, but a
-		// zero division would be silent garbage; fail loudly instead.
-		return nil, fmt.Errorf("machine: sampling produced no detailed windows")
-	}
+	d.opt.Span.SetAttr("windows", len(windows))
 
-	scaled := agg.scaled(float64(total) / float64(detailed))
-	res, err := c.finish(cfg, opt, scaled)
+	// total >= 2*Period and DetailLen > 0 guarantee a counted window.
+	// The footprint is reported as measured at the end of the run.
+	ct := agg.Scaled(float64(total) / float64(detailed))
+	ct.RSSBytes, ct.VSZBytes = c.foot.PeakRSS(), c.foot.VSZ()
+	res, err := d.finish(ct)
 	if err != nil {
 		return nil, err
 	}
-	stats.Windows = len(windows)
-	stats.SampledFraction = float64(detailed) / float64(total)
-	w := opt.Workload
-	w.ILP = res.ILP
-	estimateErrors(stats, cfg, w, windows)
-	res.Sampling = stats
-	return res, nil
-}
-
-// mustRun simulates exactly n instructions, converting a short read into
-// the same exhaustion error the exact path reports.
-func (c *core) mustRun(src trace.BatchSource, buf []trace.Uop, n uint64, opt Options) error {
-	done, err := c.runWindow(src, buf, n, opt.Context)
-	if err != nil {
-		return err
+	stats := &SamplingStats{
+		Period: sp.Period, DetailLen: sp.DetailLen, WarmupLen: sp.WarmupLen,
+		Windows:         len(windows),
+		SampledFraction: float64(detailed) / float64(total),
 	}
-	if done < n {
-		return fmt.Errorf("machine: source exhausted after %d instructions", done)
-	}
-	return nil
+	w := d.opt.Workload
+	w.ILP = res[0].ILP
+	estimateErrors(stats, d.cfg, w, windows)
+	res[0].Sampling = stats
+	return res[0], nil
 }
 
 // estimateErrors fills the per-metric relative standard errors from the
@@ -474,23 +293,21 @@ func (c *core) mustRun(src trace.BatchSource, buf []trace.Uop, n uint64, opt Opt
 // standard error is std/sqrt(k), reported relative to the mean. Windows
 // without the metric's events are excluded; a metric carried by fewer
 // than two windows reports 0 (not estimable).
-func estimateErrors(stats *SamplingStats, cfg Config, w pipeline.Workload, windows []counterSnap) {
+func estimateErrors(stats *SamplingStats, cfg Config, w pipeline.Workload, windows []Counts) {
 	var ipc, l1, l2, l3, misp []float64
 	for i := range windows {
 		win := &windows[i]
-		n := win.instructions()
-		if n > 0 {
-			ev := windowEvents(win)
+		if ev := win.events(); ev.Instructions > 0 {
 			if cyc := pipeline.Cycles(cfg.Pipeline, w, ev).Total(); cyc > 0 {
-				ipc = append(ipc, float64(n)/cyc)
+				ipc = append(ipc, float64(ev.Instructions)/cyc)
 			}
 		}
-		hitL2, hitL3, hitMem := win.loadLevel[cache.HitL2], win.loadLevel[cache.HitL3], win.loadLevel[cache.HitMemory]
+		hitL2, hitL3, hitMem := win.LoadLevel[cache.HitL2], win.LoadLevel[cache.HitL3], win.LoadLevel[cache.HitMemory]
 		l1Miss := hitL2 + hitL3 + hitMem
-		l1 = appendRate(l1, l1Miss, win.loadLevel[cache.HitL1]+l1Miss)
+		l1 = appendRate(l1, l1Miss, win.LoadLevel[cache.HitL1]+l1Miss)
 		l2 = appendRate(l2, hitL3+hitMem, l1Miss)
 		l3 = appendRate(l3, hitMem, hitL3+hitMem)
-		exec, mp := win.branch.Total()
+		exec, mp := win.Branch.Total()
 		misp = appendRate(misp, mp, exec)
 	}
 	stats.IPCRelErr = relStdErr(ipc)
@@ -498,22 +315,6 @@ func estimateErrors(stats *SamplingStats, cfg Config, w pipeline.Workload, windo
 	stats.L2RelErr = relStdErr(l2)
 	stats.L3RelErr = relStdErr(l3)
 	stats.MispredictRelErr = relStdErr(misp)
-}
-
-// windowEvents converts one window snapshot into pipeline-model inputs.
-func windowEvents(s *counterSnap) pipeline.Events {
-	return pipeline.Events{
-		Instructions: s.instructions(),
-		L2Hits:       s.dataLevel[cache.HitL2],
-		L3Hits:       s.dataLevel[cache.HitL3],
-		MemAccesses:  s.dataLevel[cache.HitMemory],
-		FetchMisses:  s.fetchMisses,
-		Walks:        s.walks,
-		Mispredicts: func() uint64 {
-			_, m := s.branch.Total()
-			return m
-		}(),
-	}
 }
 
 func appendRate(dst []float64, num, den uint64) []float64 {
@@ -545,18 +346,4 @@ func relStdErr(vals []float64) float64 {
 	}
 	std := math.Sqrt(ss / float64(k-1))
 	return std / math.Sqrt(float64(k)) / mean
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

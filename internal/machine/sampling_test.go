@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -332,5 +334,55 @@ func TestSamplingRejected(t *testing.T) {
 	bad.Sampling = Sampling{Period: 100, DetailLen: 200}
 	if _, err := Run(cfg, gen, bad); err == nil {
 		t.Error("Run accepted an invalid sampling knob")
+	}
+}
+
+// cancelOnSkip cancels its run's context the first time the kernel
+// fast-forwards it, and counts every record skipped from then on.
+type cancelOnSkip struct {
+	*synth.Generator
+	cancel  context.CancelFunc
+	skipped uint64
+}
+
+func (s *cancelOnSkip) Skip(n uint64) uint64 {
+	s.cancel()
+	got := s.Generator.Skip(n)
+	s.skipped += got
+	return got
+}
+
+func (s *cancelOnSkip) SkipWarm(n uint64, observe func(*trace.Uop)) uint64 {
+	s.cancel()
+	got := s.Generator.SkipWarm(n, observe)
+	s.skipped += got
+	return got
+}
+
+// TestSampledGapHonoursCancel: a context cancelled inside a sampling
+// gap stops the run within one skip chunk of the cancellation, however
+// long the period makes the gap.
+func TestSampledGapHonoursCancel(t *testing.T) {
+	cfg := HaswellScaled()
+	gen, err := synth.New(testModel(), cfg.Geometry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelOnSkip{Generator: gen, cancel: cancel}
+	_, err = Run(cfg, src, Options{
+		Instructions:       1 << 30,
+		WarmupFraction:     -1,
+		WarmupInstructions: gen.Prologue(),
+		Workload:           pipeline.Workload{ILP: 2, MLP: 2},
+		Context:            ctx,
+		Sampling:           Sampling{Period: 1 << 27, DetailLen: 8192, WarmupLen: 8192},
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if src.skipped == 0 || src.skipped > 2*skipChunkLen {
+		t.Fatalf("skipped %d records after the cancel, want 1..%d", src.skipped, 2*skipChunkLen)
 	}
 }

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/pipeline"
@@ -43,120 +42,39 @@ type SharedResult struct {
 // reported on the result. It models the paper's multi-threaded SPECspeed
 // runs and the rate-mode contention scenarios.
 func RunShared(cfg Config, srcs []trace.Source, opt Options) (*SharedResult, error) {
-	if err := cfg.Validate(); err != nil {
+	// Skipping one stream would still age the shared L3 through the
+	// others; per-stream systematic sampling is not meaningful here.
+	if err := checkRun(cfg, opt, "shared-L3 runs"); err != nil {
 		return nil, err
 	}
 	if len(srcs) == 0 {
 		return nil, fmt.Errorf("machine: no streams")
 	}
-	if opt.Instructions == 0 {
-		return nil, fmt.Errorf("machine: zero-length run")
-	}
-	if opt.Sampling.Enabled() {
-		// Skipping one stream would still age the shared L3 through the
-		// others; per-stream systematic sampling is not meaningful here.
-		return nil, fmt.Errorf("machine: sampling is not supported for shared-L3 runs")
-	}
-	l3 := cache.New(cfg.Hierarchy.L3)
-	n := len(srcs)
-	cores := make([]*core, n)
-	hiers := make([]*cache.Hierarchy, n)
-	bsrcs := make([]trace.BatchSource, n)
-	for i := range cores {
-		h := cache.NewShared(cfg.Hierarchy, l3)
-		c := newCore(cfg, h)
-		// A shared-L3 eviction can back-invalidate a privately cached
-		// line between any two accesses, so the hit-armed soundness
-		// argument behind the register dedups and set memos does not
-		// hold here: a deduplicated "guaranteed hit" could have been
-		// invalidated since it was armed. Run with both dedups off and
-		// the memos never enabled; the batched sweeps still carry the
-		// run.
-		c.fetchDedup, c.dataDedup = false, false
-		cores[i] = c
-		hiers[i] = h
-		bsrcs[i] = trace.AsBatch(srcs[i])
-	}
-	var backInv uint64
-	l3.OnEvict = func(addr uint64) {
-		for _, h := range hiers {
-			if h.Cache(cache.L1).Invalidate(addr) {
-				backInv++
-			}
-			if h.Cache(cache.L2).Invalidate(addr) {
-				backInv++
-			}
-			if cfg.UnifiedCodePath && h.L1I().Invalidate(addr) {
-				backInv++
-			}
-		}
-	}
-	bs := opt.BatchSize
-	if bs <= 0 {
-		bs = DefaultBatchSize
-	}
-	buf := make([]trace.Uop, bs)
-
-	// roundRobin advances every core through `total` instructions, one
-	// quantum per core per round. In the measured phase each round feeds
-	// the rate window metrics (one observation per round, never per uop).
-	roundRobin := func(total uint64, stage string, measured bool) error {
-		done := uint64(0)
-		for done < total {
-			q := min64(sharedQuantum, total-done)
-			roundStart := time.Now()
-			for ci, c := range cores {
-				got, err := c.runWindow(bsrcs[ci], buf, q, opt.Context)
-				if err != nil {
-					return err
-				}
-				if got < q {
-					return fmt.Errorf("machine: stream %d exhausted during %s after %d instructions", ci, stage, done+got)
-				}
-			}
-			if measured {
-				metWindowSeconds["rate"].Observe(time.Since(roundStart).Seconds())
-				metPairWindows["rate"].Add(uint64(n))
-			}
-			done += q
-		}
-		return nil
-	}
-
-	if warm := warmupLength(opt); warm > 0 {
-		warmStart := time.Now()
-		if err := roundRobin(warm, "warmup", false); err != nil {
-			return nil, err
-		}
-		for _, c := range cores {
-			c.resetStats()
-		}
-		backInv = 0
-		recordStage(opt.Span, "warmup", time.Since(warmStart))
-	}
-	simStart := time.Now()
-	if err := roundRobin(opt.Instructions, "measurement", true); err != nil {
+	d := newDriver(cfg, opt, srcs, true, nil)
+	if err := d.warmup(); err != nil {
 		return nil, err
 	}
-	recordStage(opt.Span, "simulate", time.Since(simStart))
-	opt.Span.SetAttr("rate_copies", n)
-
+	if err := d.simulate(opt.Instructions, stageSimulate); err != nil {
+		return nil, err
+	}
+	opt.Span.SetAttr("rate_copies", len(srcs))
+	cts := make([]Counts, len(d.cores))
+	for i, c := range d.cores {
+		cts[i] = c.counts()
+	}
+	perCore, err := d.finish(cts...)
+	if err != nil {
+		return nil, err
+	}
 	out := &SharedResult{
-		PerCore:           make([]*Result, n),
-		SharedL3Misses:    l3.Stats().Misses,
-		BackInvalidations: backInv,
+		PerCore:           perCore,
+		SharedL3Misses:    d.cores[0].hier.Cache(cache.L3).Stats().Misses,
+		BackInvalidations: d.backInv,
 	}
 	maxCycles := 0.0
 	totalInstr := uint64(0)
-	for i, c := range cores {
-		r, err := c.finish(cfg, opt, c.snap())
-		if err != nil {
-			return nil, err
-		}
-		out.PerCore[i] = r
-		if t := r.Breakdown.Total(); t > maxCycles {
-			maxCycles = t
-		}
+	for _, r := range perCore {
+		maxCycles = max(maxCycles, r.Breakdown.Total())
 		totalInstr += r.Events.Instructions
 	}
 	if maxCycles > 0 {
