@@ -22,7 +22,7 @@ bench:
 
 # Run every fuzz target over its seed corpus (no fuzzing engine time).
 fuzz-seed:
-	$(GO) test -run='^Fuzz' ./internal/cache ./internal/synth ./internal/machine ./internal/rdist ./internal/core ./internal/server
+	$(GO) test -run='^Fuzz' ./internal/cache ./internal/synth ./internal/machine ./internal/rdist ./internal/core ./internal/server ./internal/sweep
 
 # One-iteration pass over the kernel benchmarks: catches benchmarks that
 # no longer build or crash without paying for stable timings. The
@@ -92,8 +92,11 @@ race-fanout:
 # Race-check the intra-pair parallel kernel specifically: the
 # equivalence, determinism, fallback, tolerance and stats tests spawn
 # real worker pools at K in {2,3,4,8} (short stream lengths under
-# -short keep it fast).
+# -short keep it fast). The checkpoint tests share one stream's
+# checkpoint table between concurrently skipping generators, as the
+# parallel kernel's windows do.
 race-kernel:
 	$(GO) test -race -short -run='^TestParallel' -count=1 ./internal/machine
+	$(GO) test -race -short -run='^TestCheckpoint' -count=1 ./internal/synth
 
 ci: build vet test race fuzz-seed bench-smoke analytic-smoke serve-smoke metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel

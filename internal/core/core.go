@@ -11,6 +11,7 @@ import (
 	"math"
 	"runtime"
 	"sort"
+	"sync"
 
 	"repro/internal/analytic"
 	"repro/internal/machine"
@@ -234,10 +235,11 @@ func characterizePairCtx(ctx context.Context, pair profile.Pair, opt Options) (*
 		gen *synth.Generator
 		err error
 	)
+	stream := newPairStream(opt, m)
 	if opt.Fidelity != machine.FidelityAnalytic {
 		// The analytic tier builds its generator only when it has no
 		// stream profile to reuse (see runAnalytic).
-		if gen, err = synth.New(m, opt.Machine.Geometry()); err != nil {
+		if gen, err = stream.generator(); err != nil {
 			return nil, err
 		}
 		mopt.WarmupInstructions = gen.Prologue()
@@ -258,11 +260,12 @@ func characterizePairCtx(ctx context.Context, pair profile.Pair, opt Options) (*
 		// Every window needs an independently positioned copy of the
 		// stream, so the kernel gets the factory, not gen.
 		res, err = machine.RunParallel(opt.Machine, func() (trace.Source, error) {
-			return synth.New(m, opt.Machine.Geometry())
+			return stream.generator()
 		}, mopt, opt.IntraPairWorkers)
 	default:
 		res, err = machine.Run(opt.Machine, gen, mopt)
 	}
+	stream.report(mopt.Span)
 	if err != nil {
 		return nil, err
 	}
@@ -340,6 +343,78 @@ func runAnalytic(opt Options, m profile.Model, mopt machine.Options) (*machine.R
 	metAnalyticProfiles[source].Inc()
 	mopt.Span.SetAttr("analytic_profile", source)
 	return analytic.Predict(opt.Machine, mopt, v.(*analytic.StreamProfile))
+}
+
+// metCheckpoints counts the long cold skips of fast-forwarding runs by
+// source: walked (the generator stepped through the gap and offered the
+// state it reached to its stream's checkpoint table) or restored (the
+// state came from the table).
+var metCheckpoints = map[string]*obs.Counter{
+	"walked":   obs.Default().Counter("speckit_synth_checkpoints_total", "Long cold skips of sampled and windowed runs by source: walked (generator stepped through the gap) or restored (state served from the stream's checkpoint table).", "source", "walked"),
+	"restored": obs.Default().Counter("speckit_synth_checkpoints_total", "", "source", "restored"),
+}
+
+// pairStream builds one pair's generators. A run that fast-forwards — a
+// sampled run, or intra-pair windows — draws them from its stream's
+// synth.Checkpoints table, memoized in opt.Cache's side table under the
+// stream half of analytic.ProfileKey, so machine points sharing a cache
+// geometry walk each long gap of the stream once per cache. Restores are
+// bit-identical to walks, so no result or key depends on the table.
+type pairStream struct {
+	model profile.Model
+	geo   synth.Geometry
+	table *synth.Checkpoints // nil: plain generators
+
+	mu   sync.Mutex // RunParallel builds window generators concurrently
+	gens []*synth.Generator
+}
+
+func newPairStream(opt Options, m profile.Model) *pairStream {
+	s := &pairStream{model: m, geo: opt.Machine.Geometry()}
+	fastForwards := opt.Sampling.Enabled() || opt.IntraPairWorkers > 1
+	if opt.Cache == nil || opt.Fidelity == machine.FidelityAnalytic || !fastForwards {
+		return s
+	}
+	// The compute function cannot fail, so neither can Memo.
+	v, _ := opt.Cache.Memo(fmt.Sprintf("synth-checkpoints|model=%+v|geo=%+v", m, s.geo), func() (any, error) {
+		return synth.NewCheckpoints(m, s.geo), nil
+	})
+	s.table = v.(*synth.Checkpoints)
+	return s
+}
+
+// generator returns a fresh generator of the stream.
+func (s *pairStream) generator() (*synth.Generator, error) {
+	if s.table == nil {
+		return synth.New(s.model, s.geo)
+	}
+	g, err := s.table.New()
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	s.gens = append(s.gens, g)
+	s.mu.Unlock()
+	return g, nil
+}
+
+// report adds the run's checkpoint traffic to metCheckpoints and records
+// the restores as the pair span's checkpoints_restored attribute.
+func (s *pairStream) report(span *obs.Span) {
+	if s.table == nil {
+		return
+	}
+	var walked, restored uint64
+	s.mu.Lock()
+	for _, g := range s.gens {
+		w, r := g.CheckpointStats()
+		walked += w
+		restored += r
+	}
+	s.mu.Unlock()
+	metCheckpoints["walked"].Add(walked)
+	metCheckpoints["restored"].Add(restored)
+	span.SetAttr("checkpoints_restored", restored)
 }
 
 // execSeconds models the full-run execution time. A degenerate rate

@@ -343,6 +343,7 @@ func FuzzParseScenario(f *testing.F) {
 		"turbo", "exact=1", "rate=x", "warp=9", "topo=4X4E-random",
 		"analytic,sampling=262144/8192/8192", "analytic,rate=4", "sampled,topo=4P4E-random",
 		"rate=-3", "j-pair=-2", "rate=65", "sampled,j-pair=4", "fidelity=sampled,jpair=4",
+		"sampling=10/18446744073709551615/2", "sampling=18446744073709551615/18446744073709551615/1",
 	} {
 		f.Add(s)
 	}
@@ -353,6 +354,9 @@ func FuzzParseScenario(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("ParseScenario(%q) accepted %+v, which fails Validate: %v", in, s, err)
+		}
+		if sp := s.Sampling; sp.DetailLen > sp.Period || sp.WarmupLen > sp.Period-sp.DetailLen {
+			t.Fatalf("ParseScenario(%q) accepted sampling windows %+v that exceed the period", in, sp)
 		}
 		back, err := ParseScenario(s.String())
 		if err != nil {

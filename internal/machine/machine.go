@@ -303,7 +303,9 @@ func Run(cfg Config, src trace.Source, opt Options) (*Result, error) {
 		return nil, err
 	}
 	sp := opt.Sampling
-	if sp.Enabled() && opt.Instructions >= 2*sp.Period {
+	// Halving the stream rather than doubling the period: 2*Period
+	// wraps for periods of 2^63 and up.
+	if sp.Enabled() && opt.Instructions/2 >= sp.Period {
 		return d.sample()
 	}
 	if err := d.simulate(opt.Instructions, stageSimulate); err != nil {

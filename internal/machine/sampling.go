@@ -126,7 +126,8 @@ func (s Sampling) Validate() error {
 	if s.DetailLen == 0 {
 		return fmt.Errorf("machine: sampling needs a positive detail window")
 	}
-	if s.DetailLen+s.WarmupLen > s.Period {
+	// Compared without adding the windows, whose sum can wrap.
+	if s.DetailLen > s.Period || s.WarmupLen > s.Period-s.DetailLen {
 		return fmt.Errorf("machine: sampling windows (%d detail + %d warmup) exceed period %d",
 			s.DetailLen, s.WarmupLen, s.Period)
 	}

@@ -42,14 +42,15 @@ func TestParseSampling(t *testing.T) {
 		}
 	}
 	bad := []string{
-		"1024/256",        // two fields
-		"1024/256/128/64", // four fields
-		"a/b/c",           // not numbers
-		"-1/2/3",          // negative
-		"0/8192/8192",     // zero period with windows
-		"1024/0/0",        // zero detail window
-		"8192/8192/4096",  // windows exceed period
-		"fastest",         // unknown keyword
+		"1024/256",                  // two fields
+		"1024/256/128/64",           // four fields
+		"a/b/c",                     // not numbers
+		"-1/2/3",                    // negative
+		"0/8192/8192",               // zero period with windows
+		"1024/0/0",                  // zero detail window
+		"8192/8192/4096",            // windows exceed period
+		"10/18446744073709551615/2", // window sum wraps past the period
+		"fastest",                   // unknown keyword
 	}
 	for _, in := range bad {
 		if got, err := ParseSampling(in); err == nil {
@@ -70,6 +71,9 @@ func TestSamplingValidateAndString(t *testing.T) {
 	}
 	if err := (Sampling{Period: 100, DetailLen: 60, WarmupLen: 50}).Validate(); err == nil {
 		t.Error("windows exceeding the period should not validate")
+	}
+	if err := (Sampling{Period: 10, DetailLen: 2, WarmupLen: ^uint64(0)}).Validate(); err == nil {
+		t.Error("windows whose sum wraps past the period should not validate")
 	}
 	if s := (Sampling{}).String(); s != "off" {
 		t.Errorf("String() of disabled knob = %q, want off", s)
@@ -311,6 +315,20 @@ func TestSampledShortStreamExact(t *testing.T) {
 	}
 	if sampled.IPC != exact.IPC || !reflect.DeepEqual(sampled.Counters, exact.Counters) {
 		t.Error("short-stream sampled run is not bit-identical to the exact run")
+	}
+}
+
+// TestSampledHugePeriodExact: a period so large that twice it wraps
+// still marks a 1Mi-instruction stream as too short to sample, so the
+// run takes the exact fallback instead of counting zero windows.
+func TestSampledHugePeriodExact(t *testing.T) {
+	sp, err := ParseSampling("9223372036854775808/1/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := samplingRun(t, HaswellScaled(), testModel(), 1<<20, sp, false)
+	if st := res.Sampling; st == nil || st.Windows != 0 || st.SampledFraction != 1 {
+		t.Fatalf("period 2^63 should report exact fallback, got %+v", st)
 	}
 }
 

@@ -26,6 +26,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -241,6 +242,7 @@ func ParseAxis(s string) (Axis, error) {
 }
 
 func parseAxisValue(s string) (int64, error) {
+	raw := s
 	mult := int64(1)
 	lower := strings.ToLower(s)
 	for _, suf := range []struct {
@@ -260,7 +262,21 @@ func parseAxisValue(s string) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad value %q", s)
 	}
+	if v > math.MaxInt64/mult || v < math.MinInt64/mult {
+		return 0, &ValueRangeError{Value: raw}
+	}
 	return v * mult, nil
+}
+
+// ValueRangeError reports an axis value whose binary suffix scales it
+// beyond the int64 range.
+type ValueRangeError struct {
+	// Value is the value as written, suffix included.
+	Value string
+}
+
+func (e *ValueRangeError) Error() string {
+	return fmt.Sprintf("value %q overflows int64", e.Value)
 }
 
 // Expand applies the axes' cartesian product to the base configuration,

@@ -155,6 +155,14 @@ type Generator struct {
 	// observer; a field rather than a loop local so the unknown observer
 	// callee doesn't force a per-skip heap allocation.
 	warmScratch trace.Uop
+
+	// pos is the stream position: records emitted or skipped so far.
+	pos uint64
+	// ckpt, when set, is the stream's shared checkpoint table (see
+	// Checkpoints); walked and restored count the long cold skips this
+	// generator walked or served from it.
+	ckpt             *Checkpoints
+	walked, restored uint64
 }
 
 // Model sanity bounds: far beyond anything a real profile carries, tight
@@ -591,6 +599,7 @@ func (g *Generator) advancePC() {
 // generator in a trace.Limit to bound it.
 func (g *Generator) Next(u *trace.Uop) bool {
 	*u = trace.Uop{}
+	g.pos++
 	if g.prologueLeft > 0 {
 		g.prologueLeft--
 		u.PC = g.pc()
@@ -630,6 +639,7 @@ func (g *Generator) Next(u *trace.Uop) bool {
 // divisions inside the mix, reuse-band and hot-pool samplers.
 func (g *Generator) NextBatch(buf []trace.Uop) int {
 	rng := g.rng
+	g.pos += uint64(len(buf))
 	i := 0
 	// Prologue prefix: the deterministic working-set sweep.
 	for i < len(buf) && g.prologueLeft > 0 {
@@ -810,7 +820,17 @@ func (g *Generator) doCall(u *trace.Uop) {
 // branches then replay cheap L1 loads on mispredict instead of the
 // whole multiply chain. Unconsumed draws are returned to the stream
 // with an O(log n) rewind (PCG32.Advance) when the skip ends.
-func (g *Generator) Skip(n uint64) uint64 { return g.skip(n, nil) }
+//
+// A generator built from a Checkpoints table serves skips of at least
+// minCheckpointSkip records from it: one ending at a position the table
+// recorded restores that state in O(1), any other walks and records
+// where it lands.
+func (g *Generator) Skip(n uint64) uint64 {
+	if g.ckpt != nil && n >= minCheckpointSkip {
+		return g.skipCheckpointed(n)
+	}
+	return g.skip(n, nil)
+}
 
 // SkipWarm implements trace.WarmSkipper: it fast-forwards exactly like
 // Skip, and additionally reconstructs every branch record the skipped
@@ -825,6 +845,7 @@ func (g *Generator) SkipWarm(n uint64, observe func(*trace.Uop)) uint64 {
 }
 
 func (g *Generator) skip(n uint64, observe func(*trace.Uop)) uint64 {
+	g.pos += n
 	left := n
 	// Prologue prefix: a deterministic working-set sweep whose only
 	// per-record state is the sweep position and the PC walker, so it
@@ -1196,6 +1217,7 @@ func (g *Generator) warmCall(buf []uint32, idx int, u *trace.Uop) int {
 // lengths Next's cost is acceptable.
 func (g *Generator) skipNextWarm(left uint64, observe func(*trace.Uop)) {
 	u := &g.warmScratch
+	g.pos -= left // skip counted them; Next counts each again
 	for ; left > 0; left-- {
 		g.Next(u)
 		if u.Kind == trace.KindBranch {
