@@ -255,11 +255,15 @@ func (c *Client) Submit(ctx context.Context, spec server.CampaignSpec) (server.C
 // other errors — and 429s once attempts run out — are returned as-is.
 // Cancelling ctx aborts a pending wait immediately with ctx's error.
 func (c *Client) SubmitWait(ctx context.Context, spec server.CampaignSpec) (server.CampaignStatus, error) {
-	var st server.CampaignStatus
-	var err error
+	return submitWait[server.CampaignStatus](ctx, c, "/v1/campaigns", spec)
+}
+
+// submitWait posts spec to path with ?wait=1, retrying 429 queue-full
+// rejections under the client's RetryPolicy (SubmitWait's doc).
+func submitWait[S any](ctx context.Context, c *Client, path string, spec any) (S, error) {
 	for attempt := 1; ; attempt++ {
-		st = server.CampaignStatus{}
-		err = c.do(ctx, http.MethodPost, "/v1/campaigns?wait=1", spec, &st)
+		var st S
+		err := c.do(ctx, http.MethodPost, path+"?wait=1", spec, &st)
 		if err == nil || !IsQueueFull(err) || attempt >= c.retry.MaxAttempts {
 			return st, err
 		}
@@ -313,12 +317,21 @@ func (c *Client) Cancel(ctx context.Context, id string) (server.CampaignStatus, 
 // it with results. The poll interval is fixed and small; use SubmitWait
 // or Events when latency matters.
 func (c *Client) Wait(ctx context.Context, id string) (server.CampaignStatus, error) {
-	for {
+	return poll(ctx, func() (server.CampaignStatus, string, error) {
 		st, err := c.Campaign(ctx, id, true)
+		return st, st.Status, err
+	})
+}
+
+// poll calls get, which fetches a job's status and its status string,
+// every 10ms until the job is terminal.
+func poll[S any](ctx context.Context, get func() (S, string, error)) (S, error) {
+	for {
+		st, status, err := get()
 		if err != nil {
 			return st, err
 		}
-		switch st.Status {
+		switch status {
 		case server.StatusDone, server.StatusFailed, server.StatusCancelled:
 			return st, nil
 		}
@@ -456,29 +469,7 @@ func (c *Client) SubmitSweep(ctx context.Context, spec server.SweepSpec) (server
 // reaches a terminal state. 429 queue-full rejections retry under the
 // client's RetryPolicy exactly as SubmitWait's do.
 func (c *Client) SubmitSweepWait(ctx context.Context, spec server.SweepSpec) (server.SweepStatus, error) {
-	var st server.SweepStatus
-	var err error
-	for attempt := 1; ; attempt++ {
-		st = server.SweepStatus{}
-		err = c.do(ctx, http.MethodPost, "/v1/sweeps?wait=1", spec, &st)
-		if err == nil || !IsQueueFull(err) || attempt >= c.retry.MaxAttempts {
-			return st, err
-		}
-		var ae *APIError
-		delay := c.retry.BaseDelay << (attempt - 1)
-		if errors.As(err, &ae) && ae.RetryAfter > 0 {
-			delay = ae.RetryAfter
-		}
-		if delay > c.retry.MaxDelay {
-			delay = c.retry.MaxDelay
-		}
-		delay = delay/2 + time.Duration(rand.Int64N(int64(delay/2)+1))
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(delay):
-		}
-	}
+	return submitWait[server.SweepStatus](ctx, c, "/v1/sweeps", spec)
 }
 
 // Sweep fetches one sweep's status; withResult includes the grid and
@@ -510,21 +501,10 @@ func (c *Client) CancelSweep(ctx context.Context, id string) (server.SweepStatus
 // WaitSweep polls until the sweep reaches a terminal status and returns
 // it with the result.
 func (c *Client) WaitSweep(ctx context.Context, id string) (server.SweepStatus, error) {
-	for {
+	return poll(ctx, func() (server.SweepStatus, string, error) {
 		st, err := c.Sweep(ctx, id, true)
-		if err != nil {
-			return st, err
-		}
-		switch st.Status {
-		case server.StatusDone, server.StatusFailed, server.StatusCancelled:
-			return st, nil
-		}
-		select {
-		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
+		return st, st.Status, err
+	})
 }
 
 // SweepStatus decodes the event payload as a sweep status.

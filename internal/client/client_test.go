@@ -147,82 +147,122 @@ func TestFieldError(t *testing.T) {
 	}
 }
 
-// TestSubmitWaitRetries429: SubmitWait keeps retrying a queue-full
-// server under its policy, honoring the Retry-After hint, and succeeds
-// once capacity frees up.
-func TestSubmitWaitRetries429(t *testing.T) {
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) <= 2 {
-			w.Header().Set("Retry-After", "0") // no hint beyond "soon"
-			w.WriteHeader(http.StatusTooManyRequests)
-			fmt.Fprint(w, `{"error":"campaign queue is full"}`)
-			return
-		}
-		fmt.Fprintf(w, `{"id":"c000001","status":"done","pairs":1}`)
-	}))
-	defer ts.Close()
+// submitWaits are the client's two retrying submit methods, each with
+// the route it posts to and a terminal status body a server answers.
+var submitWaits = []struct {
+	name, path, done string
+	call             func(context.Context, *Client) (status string, err error)
+}{
+	{
+		name: "campaign", path: "/v1/campaigns",
+		done: `{"id":"c000001","status":"done","pairs":1}`,
+		call: func(ctx context.Context, c *Client) (string, error) {
+			st, err := c.SubmitWait(ctx, server.CampaignSpec{Suite: "cpu2017", Size: "train"})
+			return st.Status, err
+		},
+	},
+	{
+		name: "sweep", path: "/v1/sweeps",
+		done: `{"id":"s000001","status":"done","pairs":1,"points":1}`,
+		call: func(ctx context.Context, c *Client) (string, error) {
+			st, err := c.SubmitSweepWait(ctx, server.SweepSpec{Suite: "cpu2017", Size: "train"})
+			return st.Status, err
+		},
+	},
+}
 
-	c := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}))
-	st, err := c.SubmitWait(context.Background(), server.CampaignSpec{Suite: "cpu2017", Size: "train"})
-	if err != nil {
-		t.Fatalf("SubmitWait through 429s: %v", err)
-	}
-	if st.Status != server.StatusDone || calls.Load() != 3 {
-		t.Fatalf("status %s after %d calls, want done after 3", st.Status, calls.Load())
+// queueFull answers the server's 429 queue-full rejection with the given
+// Retry-After hint.
+func queueFull(w http.ResponseWriter, retryAfter string) {
+	w.Header().Set("Retry-After", retryAfter)
+	w.WriteHeader(http.StatusTooManyRequests)
+	fmt.Fprint(w, `{"error":"campaign queue is full"}`)
+}
+
+// TestSubmitWaitRetries429: SubmitWait and SubmitSweepWait keep retrying
+// a queue-full server under the policy, honoring the Retry-After hint,
+// and succeed once capacity frees up.
+func TestSubmitWaitRetries429(t *testing.T) {
+	for _, tc := range submitWaits {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int32
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path != tc.path || r.URL.Query().Get("wait") != "1" {
+					t.Errorf("request %s, want %s?wait=1", r.URL, tc.path)
+				}
+				if calls.Add(1) <= 2 {
+					queueFull(w, "0") // no hint beyond "soon"
+					return
+				}
+				fmt.Fprint(w, tc.done)
+			}))
+			defer ts.Close()
+
+			c := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 5, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}))
+			status, err := tc.call(context.Background(), c)
+			if err != nil {
+				t.Fatalf("submit through 429s: %v", err)
+			}
+			if status != server.StatusDone || calls.Load() != 3 {
+				t.Fatalf("status %s after %d calls, want done after 3", status, calls.Load())
+			}
+		})
 	}
 }
 
 // TestSubmitWaitRetriesExhausted: a persistently full queue still fails
 // once MaxAttempts is spent, with the 429 intact for the caller.
 func TestSubmitWaitRetriesExhausted(t *testing.T) {
-	var calls atomic.Int32
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.Header().Set("Retry-After", "0")
-		w.WriteHeader(http.StatusTooManyRequests)
-		fmt.Fprint(w, `{"error":"campaign queue is full"}`)
-	}))
-	defer ts.Close()
+	for _, tc := range submitWaits {
+		t.Run(tc.name, func(t *testing.T) {
+			var calls atomic.Int32
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				calls.Add(1)
+				queueFull(w, "0")
+			}))
+			defer ts.Close()
 
-	c := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}))
-	_, err := c.SubmitWait(context.Background(), server.CampaignSpec{Suite: "cpu2017", Size: "train"})
-	if !IsQueueFull(err) {
-		t.Fatalf("err = %v, want queue-full after exhausting retries", err)
-	}
-	if calls.Load() != 3 {
-		t.Fatalf("server saw %d submissions, want exactly MaxAttempts=3", calls.Load())
+			c := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}))
+			if _, err := tc.call(context.Background(), c); !IsQueueFull(err) {
+				t.Fatalf("err = %v, want queue-full after exhausting retries", err)
+			}
+			if calls.Load() != 3 {
+				t.Fatalf("server saw %d submissions, want exactly MaxAttempts=3", calls.Load())
+			}
+		})
 	}
 }
 
 // TestSubmitWaitRetryRespectsContext: cancelling the context during a
 // backoff wait aborts immediately with the context error.
 func TestSubmitWaitRetryRespectsContext(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "60") // park the client in a long wait
-		w.WriteHeader(http.StatusTooManyRequests)
-		fmt.Fprint(w, `{"error":"campaign queue is full"}`)
-	}))
-	defer ts.Close()
+	for _, tc := range submitWaits {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				queueFull(w, "60") // park the client in a long wait
+			}))
+			defer ts.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	c := New(ts.URL) // default policy would wait on the 60s hint (capped at MaxDelay)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := c.SubmitWait(ctx, server.CampaignSpec{Suite: "cpu2017", Size: "train"})
-		errc <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the first 429 land and the wait start
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) && !IsQueueFull(err) {
-			t.Fatalf("err = %v, want context.Canceled (or the last 429 if cancel raced)", err)
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Log("cancel raced the first response; acceptable but unexpected")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled SubmitWait retry did not return")
+			ctx, cancel := context.WithCancel(context.Background())
+			c := New(ts.URL) // default policy would wait on the 60s hint (capped at MaxDelay)
+			errc := make(chan error, 1)
+			go func() {
+				_, err := tc.call(ctx, c)
+				errc <- err
+			}()
+			time.Sleep(20 * time.Millisecond) // let the first 429 land and the wait start
+			cancel()
+			select {
+			case err := <-errc:
+				if !errors.Is(err, context.Canceled) && !IsQueueFull(err) {
+					t.Fatalf("err = %v, want context.Canceled (or the last 429 if cancel raced)", err)
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Log("cancel raced the first response; acceptable but unexpected")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("cancelled retry did not return")
+			}
+		})
 	}
 }

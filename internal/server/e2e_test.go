@@ -65,6 +65,22 @@ func promSeries(text, series string) float64 {
 	return 0
 }
 
+// postRaw posts body to url and returns the status code and the error
+// envelope's "field" member.
+func postRaw(t *testing.T, url, body string) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var envelope struct {
+		Field string `json:"field"`
+	}
+	json.NewDecoder(resp.Body).Decode(&envelope)
+	return resp.StatusCode, envelope.Field
+}
+
 // TestEndToEnd: submit → SSE progress → fetched result equals a direct
 // core.Characterize run, a resubmission is served entirely from the
 // cache, the run manifest is retrievable under the advertised digest,
@@ -478,22 +494,20 @@ func TestSubmitValidation(t *testing.T) {
 	_, c, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 1})
 	ctx := ctxT(t)
 	// Malformed bodies cannot be expressed through the typed client; post
-	// them raw.
-	for _, body := range []string{
-		`{"suite":"cpu2099","size":"ref"}`,
-		`{"suite":"cpu2017","size":"gigantic"}`,
-		`{"suite":"cpu2017","mini":"rate-bf16","size":"ref"}`,
-		`{"suite":`,
-		`{"unknown_field":1}`,
-		`{"suite":"cpu2017","size":"ref","workers_per_pair":-2}`,
+	// them raw. A rejection attributable to one JSON field names it in
+	// the 400's "field" member.
+	for _, tc := range []struct{ body, field string }{
+		{`{"suite":"cpu2099","size":"ref"}`, "suite"},
+		{`{"suite":"cpu2017","size":"gigantic"}`, "size"},
+		{`{"suite":"cpu2017","mini":"rate-bf16","size":"ref"}`, "mini"},
+		{`{"suite":`, ""},
+		{`{"unknown_field":1}`, ""},
+		{`{"suite":"cpu2017","size":"ref","workers_per_pair":-2}`, "workers_per_pair"},
+		{`{"suite":"cpu2017","size":"test","instructions":"many"}`, "instructions"},
 	} {
-		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("submit %q = %d, want 400", body, resp.StatusCode)
+		code, field := postRaw(t, ts.URL+"/v1/campaigns", tc.body)
+		if code != http.StatusBadRequest || field != tc.field {
+			t.Errorf("submit %q = %d field %q, want 400 field %q", tc.body, code, field, tc.field)
 		}
 	}
 	// The same rejection surfaces through the client as a typed APIError.
@@ -566,32 +580,102 @@ func TestWaitModeReturnsResults(t *testing.T) {
 	}
 }
 
-// TestManifestBeforeRun: the manifest endpoint refuses with 409 until
-// the campaign has actually run.
-func TestManifestBeforeRun(t *testing.T) {
-	release := make(chan struct{})
-	started := make(chan struct{}, 1)
-	stubCampaigns(t, func(pairs []profile.Pair, opt core.Options) ([]core.Characteristics, error) {
-		started <- struct{}{}
-		<-release
-		return make([]core.Characteristics, len(pairs)), nil
-	})
-	defer close(release)
+// jobKinds drives one client surface per job kind, for the tests of
+// the handlers campaigns and sweeps share.
+var jobKinds = []struct {
+	kind    string
+	unknown string // an ID no job of this kind has
+	// submit enqueues a small job of the kind and returns its ID;
+	// submitWait does so with ?wait=1, returning once it is terminal.
+	submit, submitWait func(context.Context, *testing.T, *client.Client) (string, error)
+	manifest           func(context.Context, *client.Client, string) error
+	events             func(*client.Client, context.Context, string, func(client.Event) error) error
+}{
+	{
+		kind: "campaign", unknown: "cunknown",
+		submit: func(ctx context.Context, t *testing.T, c *client.Client) (string, error) {
+			st, err := c.Submit(ctx, server.CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "train"})
+			return st.ID, err
+		},
+		submitWait: func(ctx context.Context, t *testing.T, c *client.Client) (string, error) {
+			st, err := c.SubmitWait(ctx, server.CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "train"})
+			return st.ID, err
+		},
+		manifest: func(ctx context.Context, c *client.Client, id string) error {
+			_, _, err := c.Manifest(ctx, id)
+			return err
+		},
+		events: (*client.Client).Events,
+	},
+	{
+		kind: "sweep", unknown: "sunknown",
+		submit: func(ctx context.Context, t *testing.T, c *client.Client) (string, error) {
+			st, err := c.SubmitSweep(ctx, screenOnlySweep(t))
+			return st.ID, err
+		},
+		submitWait: func(ctx context.Context, t *testing.T, c *client.Client) (string, error) {
+			st, err := c.SubmitSweepWait(ctx, screenOnlySweep(t))
+			return st.ID, err
+		},
+		manifest: func(ctx context.Context, c *client.Client, id string) error {
+			_, _, err := c.SweepManifest(ctx, id)
+			return err
+		},
+		events: (*client.Client).SweepEvents,
+	},
+}
 
-	_, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
-	ctx := ctxT(t)
-	st, err := c.Submit(ctx, server.CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "train"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	_, _, err = c.Manifest(ctx, st.ID)
-	var ae *client.APIError
-	if !errors.As(err, &ae) || ae.Code != http.StatusConflict {
-		t.Fatalf("manifest before run err = %v, want 409", err)
-	}
-	if _, _, err := c.Manifest(ctx, "cunknown"); !client.IsNotFound(err) {
-		t.Errorf("manifest for unknown campaign err = %v, want not-found", err)
+// screenOnlySweep is sweepSpecT without the escalation phase: the
+// analytic screen alone finishes in milliseconds.
+func screenOnlySweep(t *testing.T) server.SweepSpec {
+	spec := sweepSpecT(t)
+	spec.Escalate = "off"
+	return spec
+}
+
+// TestManifestBeforeRun: the manifest endpoint refuses with 409 until
+// the job has actually run — while a campaign is running, and while a
+// job of either kind is still queued behind it.
+func TestManifestBeforeRun(t *testing.T) {
+	for _, k := range jobKinds {
+		t.Run(k.kind, func(t *testing.T) {
+			release := make(chan struct{})
+			started := make(chan struct{}, 1)
+			stubCampaigns(t, func(pairs []profile.Pair, opt core.Options) ([]core.Characteristics, error) {
+				started <- struct{}{}
+				select {
+				case <-release:
+				case <-opt.Context.Done():
+					return nil, opt.Context.Err()
+				}
+				return make([]core.Characteristics, len(pairs)), nil
+			})
+			defer close(release)
+
+			_, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
+			ctx := ctxT(t)
+			// Occupy the single worker with a stubbed campaign, so the job
+			// under test stays queued.
+			running, err := jobKinds[0].submit(ctx, t, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-started
+			queued, err := k.submit(ctx, t, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ae *client.APIError
+			if err := jobKinds[0].manifest(ctx, c, running); !errors.As(err, &ae) || ae.Code != http.StatusConflict {
+				t.Fatalf("manifest of running campaign err = %v, want 409", err)
+			}
+			if err := k.manifest(ctx, c, queued); !errors.As(err, &ae) || ae.Code != http.StatusConflict {
+				t.Fatalf("manifest of queued %s err = %v, want 409", k.kind, err)
+			}
+			if err := k.manifest(ctx, c, k.unknown); !client.IsNotFound(err) {
+				t.Errorf("manifest for unknown %s err = %v, want not-found", k.kind, err)
+			}
+		})
 	}
 }
 
@@ -636,34 +720,32 @@ func TestWaitClientDisconnectCancels(t *testing.T) {
 	}
 }
 
-// TestEventsForFinishedCampaign: subscribing after completion yields the
-// terminal event immediately.
+// TestEventsForFinishedCampaign: subscribing after completion yields
+// the status event and then the terminal event immediately, for either
+// kind of job.
 func TestEventsForFinishedCampaign(t *testing.T) {
 	stubCampaigns(t, func(pairs []profile.Pair, opt core.Options) ([]core.Characteristics, error) {
 		return make([]core.Characteristics, len(pairs)), nil
 	})
-	_, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
-	ctx := ctxT(t)
-	st, err := c.SubmitWait(ctx, server.CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "train"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var names []string
-	if err := c.Events(ctx, st.ID, func(ev client.Event) error {
-		names = append(names, ev.Name)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	done := 0
-	for _, n := range names {
-		if n == "done" {
-			done++
-		}
-	}
-	if done != 1 {
-		t.Fatalf("events for finished campaign = %v, want one done", names)
+	for _, k := range jobKinds {
+		t.Run(k.kind, func(t *testing.T) {
+			_, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
+			ctx := ctxT(t)
+			id, err := k.submitWait(ctx, t, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			if err := k.events(c, ctx, id, func(ev client.Event) error {
+				names = append(names, ev.Name)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if len(names) != 2 || names[0] != "status" || names[1] != "done" {
+				t.Fatalf("events for finished %s = %v, want [status done]", k.kind, names)
+			}
+		})
 	}
 }
 

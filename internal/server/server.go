@@ -40,9 +40,17 @@
 //	                                 "specserved" map (queue, jobs,
 //	                                 per-tier cache stats, store stats).
 //
-// Every campaign runs under an obs.Trace; its manifest digest is
-// reported in the campaign status, so any served result is traceable to
-// exactly one recorded run.
+// Campaigns and sweeps are two kinds of one job: a single record (ID,
+// context, status and timestamps, error, cancel reason, SSE subscribers,
+// run manifest, done channel) kept in one ID-keyed table in submission
+// order, admitted by one submit path to one bounded queue and served by
+// one handler set registered per kind. A kind contributes only its spec,
+// its resolved inputs, progress and result, its wire status and its
+// execute body.
+//
+// Every job runs under an obs.Trace; its manifest digest is reported in
+// the job status, so any served result is traceable to exactly one
+// recorded run.
 //
 // Results served twice are bit-identical: campaigns run through the same
 // memoizing cache (and optional persistent store tier) as the CLI tools,
@@ -51,11 +59,11 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -248,6 +256,9 @@ func badField(field, format string, args ...any) *core.FieldError {
 	return &core.FieldError{Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
+// errNoPairs rejects a spec whose filters leave no pairs to run.
+var errNoPairs = errors.New("spec selects no application-input pairs")
+
 // resolve expands the spec into the campaign's pair list.
 func (spec *CampaignSpec) resolve() ([]profile.Pair, error) {
 	var apps []*profile.Profile
@@ -309,12 +320,12 @@ func (spec *CampaignSpec) resolve() ([]profile.Pair, error) {
 		pairs = picked
 	}
 	if len(pairs) == 0 {
-		return nil, errors.New("spec selects no application-input pairs")
+		return nil, errNoPairs
 	}
 	return pairs, nil
 }
 
-// Campaign statuses.
+// Job statuses.
 const (
 	StatusQueued    = "queued"
 	StatusRunning   = "running"
@@ -333,6 +344,15 @@ type ProgressStatus struct {
 	// non-coordinator server.
 	Remote    int   `json:"remote,omitempty"`
 	ElapsedMS int64 `json:"elapsed_ms"`
+}
+
+func progressStatus(p sched.Progress) ProgressStatus {
+	return ProgressStatus{
+		Done: p.Done, Total: p.Total,
+		CacheHits: p.CacheHits, StoreHits: p.StoreHits,
+		Remote:    p.Remote,
+		ElapsedMS: p.Elapsed.Milliseconds(),
+	}
 }
 
 // CampaignStatus is the JSON form of one campaign's state.
@@ -354,15 +374,8 @@ type CampaignStatus struct {
 	ManifestDigest string `json:"manifest_digest,omitempty"`
 }
 
-// sseEvent is one server-sent event.
-type sseEvent struct {
-	name string
-	data []byte
-}
-
-// campaign is the server-side state of one submitted job.
-type campaign struct {
-	id    string
+// campaignWork is a campaign job's kind-specific state.
+type campaignWork struct {
 	spec  CampaignSpec
 	pairs []profile.Pair
 	// scenario is the spec's validated scenario (whichever spec form
@@ -370,228 +383,107 @@ type campaign struct {
 	// (core.Scenario.Over: zero knobs inherit the base).
 	scenario core.Scenario
 
-	// ctx is cancelled by DELETE, a waiting client's disconnect, or the
-	// drain timeout; the sched engine aborts queued and in-flight pairs
-	// through it (the PR 1 cancellation path).
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu           sync.Mutex
-	status       string
-	created      time.Time
-	started      time.Time
-	finished     time.Time
-	progress     sched.Progress
-	results      []core.Characteristics
-	errMsg       string
-	cancelReason string
-	subs         map[chan sseEvent]struct{}
-	// manifest and manifestDigest hold the rendered JSONL run manifest
-	// once the campaign has run (empty for jobs cancelled before start).
-	manifest       []byte
-	manifestDigest string
-
-	// done is closed exactly once when the campaign reaches a terminal
-	// status; SSE streams and ?wait=1 submitters block on it.
-	done chan struct{}
+	progress sched.Progress
+	results  []core.Characteristics
 }
 
-func (c *campaign) snapshot(includeResults bool) CampaignStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := CampaignStatus{
-		ID: c.id, Spec: c.spec, Status: c.status, Pairs: len(c.pairs),
-		Created: c.created, Error: c.errMsg,
-		Progress: ProgressStatus{
-			Done: c.progress.Done, Total: c.progress.Total,
-			CacheHits: c.progress.CacheHits, StoreHits: c.progress.StoreHits,
-			Remote:    c.progress.Remote,
-			ElapsedMS: c.progress.Elapsed.Milliseconds(),
-		},
+func newCampaignWork(s *Server, body io.Reader) (jobWork, error) {
+	c := &campaignWork{}
+	if err := decodeSpec(body, &c.spec); err != nil {
+		return nil, err
 	}
+	var err error
+	if c.pairs, err = c.spec.resolve(); err != nil {
+		return nil, err
+	}
+	view, err := c.spec.scenarioView()
+	if err != nil {
+		return nil, err
+	}
+	if c.scenario, err = view.decode(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
+func (c *campaignWork) status(j *job, full bool) any {
+	st := CampaignStatus{
+		ID: j.id, Spec: c.spec, Status: j.status, Pairs: len(c.pairs),
+		Created: j.created, Error: j.errMsg,
+		Progress:       progressStatus(c.progress),
+		ManifestDigest: j.manifestDigest,
+	}
+	st.Started, st.Finished = j.stamps()
 	if st.Progress.Total == 0 {
 		st.Progress.Total = len(c.pairs)
 	}
-	if !c.started.IsZero() {
-		t := c.started
-		st.Started = &t
-	}
-	if !c.finished.IsZero() {
-		t := c.finished
-		st.Finished = &t
-	}
-	if includeResults && c.status == StatusDone {
+	if full && j.status == StatusDone {
 		st.Results = c.results
 	}
-	st.ManifestDigest = c.manifestDigest
 	return st
 }
 
-func (c *campaign) terminal() bool {
-	switch c.status {
-	case StatusDone, StatusFailed, StatusCancelled:
-		return true
+func (c *campaignWork) run(s *Server, j *job, tr *obs.Trace) error {
+	opt := s.options(c.spec.Instructions, c.spec.MultiplexSlots)
+	if c.spec.Machine != nil {
+		opt.Machine = *c.spec.Machine
 	}
-	return false
-}
+	opt.Scenario = c.scenario.Over(opt.Scenario)
+	opt.Context = j.ctx
+	opt.Progress = func(p sched.Progress) { j.publish(func() { c.progress = p }, progressStatus(p)) }
+	opt.Trace = tr
 
-// finish moves the campaign to a terminal status once; later calls are
-// no-ops (e.g. a DELETE racing the worker's own completion).
-func (c *campaign) finish(status string, results []core.Characteristics, errMsg string) {
-	c.mu.Lock()
-	if c.terminal() {
-		c.mu.Unlock()
-		return
+	var results []core.Characteristics
+	var err error
+	if len(s.cfg.Fleet) > 0 {
+		results, err = s.runFleet(j.ctx, j.id, c.spec, c.pairs, opt)
+	} else {
+		results, err = runCampaign(c.pairs, opt)
 	}
-	c.status = status
-	c.results = results
-	c.errMsg = errMsg
-	c.finished = time.Now()
-	close(c.done)
-	c.mu.Unlock()
-	c.cancel() // release the context regardless of how we finished
-}
 
-func (c *campaign) setRunning() {
-	c.mu.Lock()
-	c.status = StatusRunning
-	c.started = time.Now()
-	c.mu.Unlock()
-}
-
-func (c *campaign) setProgress(p sched.Progress) {
-	c.mu.Lock()
-	c.progress = p
-	c.mu.Unlock()
-	data, _ := json.Marshal(ProgressStatus{
-		Done: p.Done, Total: p.Total,
-		CacheHits: p.CacheHits, StoreHits: p.StoreHits,
-		Remote:    p.Remote,
-		ElapsedMS: p.Elapsed.Milliseconds(),
-	})
-	c.broadcast(sseEvent{name: "progress", data: data})
-}
-
-// requestCancel records why the job is being cancelled and cancels its
-// context. A queued job is finished immediately; a running one aborts
-// through the scheduler and is finished by its worker.
-func (c *campaign) requestCancel(reason string) {
-	c.mu.Lock()
-	if c.terminal() {
-		c.mu.Unlock()
-		return
+	j.mu.Lock()
+	p := c.progress
+	if err == nil {
+		c.results = results
 	}
-	if c.cancelReason == "" {
-		c.cancelReason = reason
+	j.mu.Unlock()
+	// Tally completed pairs by where they came from, per fidelity mode:
+	// /metrics never conflates estimates with exact results, the two
+	// estimate tiers with each other, or plain exact pairs with rate and
+	// topology pairs (exact simulations of a different experiment).
+	mode := "exact"
+	switch {
+	case opt.RateCopies > 1 || opt.Topology.Enabled():
+		mode = "rate"
+	case opt.Fidelity == machine.FidelityAnalytic:
+		mode = "analytic"
+	case opt.Sampling.Enabled():
+		mode = "sampled"
 	}
-	queued := c.status == StatusQueued
-	c.mu.Unlock()
-	c.cancel()
-	if queued {
-		c.finish(StatusCancelled, nil, reason)
-	}
-}
-
-func (c *campaign) subscribe() chan sseEvent {
-	ch := make(chan sseEvent, 64)
-	c.mu.Lock()
-	c.subs[ch] = struct{}{}
-	c.mu.Unlock()
-	return ch
-}
-
-func (c *campaign) unsubscribe(ch chan sseEvent) {
-	c.mu.Lock()
-	delete(c.subs, ch)
-	c.mu.Unlock()
-}
-
-// broadcast fans an event out to subscribers, dropping it for any
-// subscriber whose buffer is full — terminal state is delivered via the
-// done channel, so slow consumers only lose intermediate snapshots.
-func (c *campaign) broadcast(ev sseEvent) {
-	c.mu.Lock()
-	for ch := range c.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-	c.mu.Unlock()
-}
-
-// job is what the shared worker pool pulls off the bounded queue:
-// campaigns and sweeps ride the same queue, so QueueDepth bounds (and
-// 429 backpressure covers) the server's total admitted work.
-type job interface {
-	jobCtx() context.Context
-	// abort finishes the job as cancelled without running it (drain, or
-	// cancellation while still queued).
-	abort(reason string)
-	cancelReasonOr(fallback string) string
-	execute(s *Server)
-}
-
-func (c *campaign) jobCtx() context.Context { return c.ctx }
-func (c *campaign) abort(reason string)     { c.finish(StatusCancelled, nil, reason) }
-func (c *campaign) execute(s *Server)       { s.run(c) }
-func (c *campaign) cancelReasonOr(fallback string) string {
-	return c.reason(fallback)
+	s.served[mode].add(p.Done-p.CacheHits-p.Remote, p.CacheHits-p.StoreHits, p.StoreHits, p.Remote)
+	return err
 }
 
 // Server is the characterization service.
 type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
-	queue chan job
+	queue chan *job
 
-	mu          sync.Mutex
-	jobs        map[string]*campaign
-	order       []string // submission order, for listing
-	nextID      int
-	sweeps      map[string]*sweepJob
-	sweepOrder  []string
-	nextSweepID int
-	draining    bool
+	mu       sync.Mutex
+	jobs     map[string]*job // campaigns and sweeps, by ID
+	order    []string        // submission order, for listing
+	nextID   map[*jobKind]int
+	draining bool
 
 	wg      sync.WaitGroup
 	started time.Time
 
-	rejected        atomic.Uint64
-	pairsSimulated  atomic.Uint64
-	pairsFromCache  atomic.Uint64
-	pairsFromStore  atomic.Uint64
-	pairsFromRemote atomic.Uint64
-
-	// Sampled campaigns account their pairs separately: sampled results
-	// are estimates, so mixing them into the exact counters would make
-	// the tier split lie about how much exact simulation the server did.
-	sampledSimulated  atomic.Uint64
-	sampledFromCache  atomic.Uint64
-	sampledFromStore  atomic.Uint64
-	sampledFromRemote atomic.Uint64
-
-	// Analytic campaigns likewise: predictions, not simulations, with
-	// their own error profile.
-	analyticComputed   atomic.Uint64
-	analyticFromCache  atomic.Uint64
-	analyticFromStore  atomic.Uint64
-	analyticFromRemote atomic.Uint64
-
-	// Rate-mode and topology campaigns likewise: exact simulations of a
-	// different experiment (shared-L3 contention, placement
-	// distributions), never conflated with plain exact pairs.
-	rateSimulated  atomic.Uint64
-	rateFromCache  atomic.Uint64
-	rateFromStore  atomic.Uint64
-	rateFromRemote atomic.Uint64
-
-	// Sweep cells account separately from campaign pairs, split by
-	// phase: the screen/escalate ratio is the fidelity-escalation
-	// scoreboard, and the simulated/store split is the differential-
-	// scheduling one.
-	sweepScreenCells   cellCounters
-	sweepEscalateCells cellCounters
+	rejected atomic.Uint64
+	// served tallies pairs in finished campaigns by fidelity mode
+	// (exact, sampled, analytic, rate); cells tallies sweep cells by
+	// phase (screen, escalate), the fidelity-escalation scoreboard.
+	served, cells map[string]*tally
 
 	// fleetUp tracks each configured fleet worker's last observed health
 	// (pre-scatter probes and dispatch evictions write it); 1:1 with
@@ -608,10 +500,12 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		queue:   make(chan job, cfg.QueueDepth),
-		jobs:    make(map[string]*campaign),
-		sweeps:  make(map[string]*sweepJob),
+		queue:   make(chan *job, cfg.QueueDepth),
+		jobs:    make(map[string]*job),
+		nextID:  make(map[*jobKind]int),
 		started: time.Now(),
+		served:  newTallies(metServedPairs),
+		cells:   newTallies(metSweepCells),
 	}
 	if n := len(cfg.Fleet); n > 0 {
 		s.fleetUp = make([]atomic.Bool, n)
@@ -620,18 +514,8 @@ func New(cfg Config) *Server {
 		}
 	}
 	s.mux = http.NewServeMux()
-	s.handle("POST /v1/campaigns", "submit", s.handleSubmit)
-	s.handle("GET /v1/campaigns", "list", s.handleList)
-	s.handle("GET /v1/campaigns/{id}", "get", s.handleGet)
-	s.handle("DELETE /v1/campaigns/{id}", "delete", s.handleDelete)
-	s.handle("GET /v1/campaigns/{id}/events", "events", s.handleEvents)
-	s.handle("GET /v1/campaigns/{id}/manifest", "manifest", s.handleManifest)
-	s.handle("POST /v1/sweeps", "sweep-submit", s.handleSweepSubmit)
-	s.handle("GET /v1/sweeps", "sweep-list", s.handleSweepList)
-	s.handle("GET /v1/sweeps/{id}", "sweep-get", s.handleSweepGet)
-	s.handle("DELETE /v1/sweeps/{id}", "sweep-delete", s.handleSweepDelete)
-	s.handle("GET /v1/sweeps/{id}/events", "sweep-events", s.handleSweepEvents)
-	s.handle("GET /v1/sweeps/{id}/manifest", "sweep-manifest", s.handleSweepManifest)
+	s.routes(campaignKind)
+	s.routes(sweepKind)
 	s.handle("GET /healthz", "health", s.handleHealth)
 	s.handle("GET /metrics", "metrics", handlePrometheus)
 	s.handle("GET /metrics/expvar", "expvar", expvar.Handler().ServeHTTP)
@@ -641,6 +525,19 @@ func New(cfg Config) *Server {
 		go s.worker()
 	}
 	return s
+}
+
+// options returns the server's base options with a spec's instruction
+// window and multiplexing overrides applied.
+func (s *Server) options(instructions uint64, multiplexSlots int) core.Options {
+	opt := s.cfg.Characterize
+	if instructions > 0 {
+		opt.Instructions = instructions
+	}
+	if multiplexSlots > 0 {
+		opt.MultiplexSlots = multiplexSlots
+	}
+	return opt
 }
 
 // Handler returns the HTTP handler serving the API.
@@ -725,20 +622,7 @@ func (s *Server) Drain() {
 }
 
 func (s *Server) cancelAll(reason string) {
-	s.mu.Lock()
-	jobs := make([]*campaign, 0, len(s.jobs))
-	for _, c := range s.jobs {
-		jobs = append(jobs, c)
-	}
-	sweeps := make([]*sweepJob, 0, len(s.sweeps))
-	for _, j := range s.sweeps {
-		sweeps = append(sweeps, j)
-	}
-	s.mu.Unlock()
-	for _, c := range jobs {
-		c.requestCancel(reason)
-	}
-	for _, j := range sweeps {
+	for _, j := range s.listJobs(nil) {
 		j.requestCancel(reason)
 	}
 }
@@ -754,106 +638,18 @@ func (s *Server) isDraining() bool {
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for j := range s.queue {
-		if s.isDraining() {
-			j.abort("server draining")
-			continue
+		switch {
+		case s.isDraining():
+			j.finish(StatusCancelled, "server draining")
+		case j.ctx.Err() != nil:
+			j.finish(StatusCancelled, j.reason("cancelled before start"))
+		default:
+			s.execute(j)
 		}
-		if j.jobCtx().Err() != nil {
-			j.abort(j.cancelReasonOr("cancelled before start"))
-			continue
-		}
-		j.execute(s)
 	}
 }
 
-func (c *campaign) reason(fallback string) string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cancelReason != "" {
-		return c.cancelReason
-	}
-	return fallback
-}
-
-func (s *Server) run(c *campaign) {
-	c.setRunning()
-	opt := s.cfg.Characterize
-	if c.spec.Instructions > 0 {
-		opt.Instructions = c.spec.Instructions
-	}
-	if c.spec.MultiplexSlots > 0 {
-		opt.MultiplexSlots = c.spec.MultiplexSlots
-	}
-	if c.spec.Machine != nil {
-		opt.Machine = *c.spec.Machine
-	}
-	opt.Scenario = c.scenario.Over(opt.Scenario)
-	opt.Context = c.ctx
-	opt.Progress = c.setProgress
-	tr := obs.NewTrace()
-	opt.Trace = tr
-
-	var results []core.Characteristics
-	var err error
-	if len(s.cfg.Fleet) > 0 {
-		results, err = s.runFleet(c.ctx, c.id, c.spec, c.pairs, opt)
-	} else {
-		results, err = runCampaign(c.pairs, opt)
-	}
-
-	// Render the run manifest before flipping the terminal status, so a
-	// client that observes "done" can always fetch the manifest whose
-	// digest the status reports.
-	if manifest, merr := tr.Manifest(); merr == nil {
-		c.mu.Lock()
-		c.manifest = manifest
-		c.manifestDigest = obs.ManifestDigest(manifest)
-		c.mu.Unlock()
-	}
-
-	// Account completed pairs by where they came from before flipping
-	// the terminal status; each non-exact tier feeds its own counter
-	// quartet so /metrics never conflates estimates with exact results —
-	// or the two estimate tiers with each other.
-	c.mu.Lock()
-	p := c.progress
-	c.mu.Unlock()
-	fromStore, fromCache, fromRemote, simulated := &s.pairsFromStore, &s.pairsFromCache, &s.pairsFromRemote, &s.pairsSimulated
-	mode := "exact"
-	switch {
-	case opt.RateCopies > 1 || opt.Topology.Enabled():
-		// Rate/topology pairs are exact-tier simulations, but of a
-		// different experiment (contention, placement distributions), so
-		// their tier split reports separately from plain exact pairs.
-		fromStore, fromCache, fromRemote, simulated = &s.rateFromStore, &s.rateFromCache, &s.rateFromRemote, &s.rateSimulated
-		mode = "rate"
-	case opt.Fidelity == machine.FidelityAnalytic:
-		fromStore, fromCache, fromRemote, simulated = &s.analyticFromStore, &s.analyticFromCache, &s.analyticFromRemote, &s.analyticComputed
-		mode = "analytic"
-	case opt.Sampling.Enabled():
-		fromStore, fromCache, fromRemote, simulated = &s.sampledFromStore, &s.sampledFromCache, &s.sampledFromRemote, &s.sampledSimulated
-		mode = "sampled"
-	}
-	fromStore.Add(uint64(p.StoreHits))
-	fromCache.Add(uint64(p.CacheHits - p.StoreHits))
-	fromRemote.Add(uint64(p.Remote))
-	simulated.Add(uint64(p.Done - p.CacheHits - p.Remote))
-	metServedPairs[mode+"/store"].Add(uint64(p.StoreHits))
-	metServedPairs[mode+"/memory"].Add(uint64(p.CacheHits - p.StoreHits))
-	metServedPairs[mode+"/remote"].Add(uint64(p.Remote))
-	metServedPairs[mode+"/simulated"].Add(uint64(p.Done - p.CacheHits - p.Remote))
-
-	switch {
-	case err == nil:
-		c.finish(StatusDone, results, "")
-	case c.ctx.Err() != nil || errors.Is(err, context.Canceled):
-		c.finish(StatusCancelled, nil, c.reason("cancelled"))
-	default:
-		c.finish(StatusFailed, nil, err.Error())
-	}
-}
-
-// --- HTTP handlers ----------------------------------------------------
+// --- HTTP helpers -----------------------------------------------------
 
 // jsonAppender is a response value with a hand-written encoder
 // (CampaignStatus): writeJSON appends it directly instead of running
@@ -902,221 +698,6 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// writeSpecError renders a 400 for a spec validation failure; when the
-// error is field-tagged (core.FieldError) the envelope carries the
-// offending JSON field so typed clients can point at it.
-func writeSpecError(w http.ResponseWriter, err error) {
-	var fe *core.FieldError
-	if errors.As(err, &fe) {
-		writeJSON(w, http.StatusBadRequest, map[string]string{
-			"error": "bad campaign spec: " + fe.Msg,
-			"field": fe.Field,
-		})
-		return
-	}
-	writeError(w, http.StatusBadRequest, "bad campaign spec: %v", err)
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec CampaignSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeSpecError(w, err)
-		return
-	}
-	pairs, err := spec.resolve()
-	if err != nil {
-		writeSpecError(w, err)
-		return
-	}
-	view, err := spec.scenarioView()
-	if err != nil {
-		writeSpecError(w, err)
-		return
-	}
-	scenario, err := view.decode()
-	if err != nil {
-		writeSpecError(w, err)
-		return
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	c := &campaign{
-		spec: spec, pairs: pairs, scenario: scenario,
-		ctx: ctx, cancel: cancel,
-		status: StatusQueued, created: time.Now(),
-		subs: make(map[chan sseEvent]struct{}),
-		done: make(chan struct{}),
-	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		cancel()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	s.nextID++
-	c.id = fmt.Sprintf("c%06d", s.nextID)
-	select {
-	case s.queue <- c:
-		s.jobs[c.id] = c
-		s.order = append(s.order, c.id)
-	default:
-		s.nextID--
-		s.mu.Unlock()
-		cancel()
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
-			"campaign queue is full (%d queued); retry later", s.cfg.QueueDepth)
-		return
-	}
-	s.mu.Unlock()
-
-	if wait := r.URL.Query().Get("wait"); wait == "1" || strings.EqualFold(wait, "true") {
-		select {
-		case <-c.done:
-			writeJSON(w, http.StatusOK, c.snapshot(true))
-		case <-r.Context().Done():
-			// The client that asked to wait is gone: cancel its job
-			// through the scheduler's context path.
-			c.requestCancel("client disconnected")
-		}
-		return
-	}
-	w.Header().Set("Location", "/v1/campaigns/"+c.id)
-	writeJSON(w, http.StatusAccepted, c.snapshot(false))
-}
-
-func (s *Server) lookup(r *http.Request) (*campaign, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c, ok := s.jobs[r.PathValue("id")]
-	return c, ok
-}
-
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.lookup(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no campaign %q", r.PathValue("id"))
-		return
-	}
-	includeResults := r.URL.Query().Get("results") != "0"
-	writeJSON(w, http.StatusOK, c.snapshot(includeResults))
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	jobs := make([]*campaign, 0, len(s.order))
-	for _, id := range s.order {
-		jobs = append(jobs, s.jobs[id])
-	}
-	s.mu.Unlock()
-	out := make([]CampaignStatus, len(jobs))
-	for i, c := range jobs {
-		out[i] = c.snapshot(false)
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.lookup(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no campaign %q", r.PathValue("id"))
-		return
-	}
-	c.requestCancel("cancelled by client")
-	writeJSON(w, http.StatusAccepted, c.snapshot(false))
-}
-
-func (s *Server) handleManifest(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.lookup(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no campaign %q", r.PathValue("id"))
-		return
-	}
-	c.mu.Lock()
-	manifest, digest := c.manifest, c.manifestDigest
-	c.mu.Unlock()
-	if len(manifest) == 0 {
-		writeError(w, http.StatusConflict, "campaign %s has not run yet", c.id)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Manifest-Digest", digest)
-	w.Write(manifest)
-}
-
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	c, ok := s.lookup(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no campaign %q", r.PathValue("id"))
-		return
-	}
-	serveSSE(w, r, c.subscribe, c.unsubscribe, c.done,
-		func() []byte { return mustJSON(c.snapshot(false)) })
-}
-
-// serveSSE streams one job's event feed: an initial status event, live
-// progress events, then a final done event once the job is terminal.
-// Campaigns and sweeps share it.
-func serveSSE(w http.ResponseWriter, r *http.Request,
-	subscribe func() chan sseEvent, unsubscribe func(chan sseEvent),
-	done <-chan struct{}, snapshot func() []byte) {
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	ch := subscribe()
-	defer unsubscribe(ch)
-
-	writeSSE(w, sseEvent{name: "status", data: snapshot()})
-	flusher.Flush()
-	for {
-		select {
-		case ev := <-ch:
-			writeSSE(w, ev)
-			flusher.Flush()
-		case <-done:
-			// Flush any progress still buffered, then the terminal event.
-			for {
-				select {
-				case ev := <-ch:
-					writeSSE(w, ev)
-				default:
-					writeSSE(w, sseEvent{name: "done", data: snapshot()})
-					flusher.Flush()
-					return
-				}
-			}
-		case <-r.Context().Done():
-			// An SSE watcher leaving does not cancel the job — other
-			// watchers (or none) may still want the result.
-			return
-		}
-	}
-}
-
-func writeSSE(w http.ResponseWriter, ev sseEvent) {
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data)
-}
-
-func mustJSON(v any) []byte {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return []byte(fmt.Sprintf(`{"error":%q}`, err.Error()))
-	}
-	return data
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if s.isDraining() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
@@ -1137,22 +718,66 @@ var (
 	activeServer atomic.Pointer[Server]
 )
 
-// metServedPairs counts pairs in completed campaigns, split by fidelity
-// tier (exact vs sampled vs analytic estimates) and satisfying source — the
-// Prometheus twin of the per-server atomics behind the expvar map.
-// "remote" pairs were computed on fleet workers by a coordinator.
-var metServedPairs = func() map[string]*obs.Counter {
-	m := make(map[string]*obs.Counter)
-	help := "Pairs in completed campaigns by fidelity tier and satisfying source."
-	for _, mode := range []string{"exact", "sampled", "analytic", "rate"} {
-		for _, src := range []string{"simulated", "memory", "store", "remote"} {
-			m[mode+"/"+src] = obs.Default().Counter("speckit_served_pairs_total", help,
-				"mode", mode, "source", src)
-			help = ""
+// sources are the ways a finished pair or sweep cell was satisfied, in
+// tally order: simulated here (computed, for analytic pairs), served
+// from the memory or the store tier, or computed by a fleet worker.
+var sources = [4]string{"simulated", "memory", "store", "remote"}
+
+// tally counts finished work by source: per-server atomics behind the
+// expvar map plus their process-wide Prometheus twins.
+type tally struct {
+	n   [4]atomic.Uint64
+	met [4]*obs.Counter
+}
+
+// add counts work by source, in both the atomics and the twins.
+func (t *tally) add(simulated, memory, store, remote int) {
+	for i, n := range [4]int{simulated, memory, store, remote} {
+		t.n[i].Add(uint64(n))
+		t.met[i].Add(uint64(n))
+	}
+}
+
+// put records the tally in m under keys, given in source order.
+func (t *tally) put(m map[string]uint64, keys ...string) {
+	for i, k := range keys {
+		m[k] = t.n[i].Load()
+	}
+}
+
+// metTallies registers series{label=value, source=...} for every value
+// and source, returning each value's counters in source order.
+func metTallies(series, help, label string, values ...string) map[string][4]*obs.Counter {
+	m := make(map[string][4]*obs.Counter, len(values))
+	for _, v := range values {
+		var q [4]*obs.Counter
+		for i, src := range sources {
+			q[i] = obs.Default().Counter(series, help, label, v, "source", src)
 		}
+		m[v] = q
 	}
 	return m
-}()
+}
+
+func newTallies(met map[string][4]*obs.Counter) map[string]*tally {
+	m := make(map[string]*tally, len(met))
+	for k, q := range met {
+		m[k] = &tally{met: q}
+	}
+	return m
+}
+
+// The tallies' Prometheus twins. "remote" pairs and cells were computed
+// on fleet workers by a coordinator. A warmed-up deployment shows the
+// differential win directly: source="simulated" stays flat while
+// store/memory grow.
+var (
+	metServedPairs = metTallies("speckit_served_pairs_total",
+		"Pairs in completed campaigns by fidelity tier and satisfying source.",
+		"mode", "exact", "sampled", "analytic", "rate")
+	metSweepCells = metTallies("speckit_sweep_cells_total",
+		"Sweep cells by phase and satisfying source.", "phase", "screen", "escalate")
+)
 
 func (s *Server) publishMetrics() {
 	activeServer.Store(s)
@@ -1172,7 +797,7 @@ func (s *Server) publishMetrics() {
 			if srv == nil {
 				return 0
 			}
-			return float64(srv.countJobs(state))
+			return float64(srv.states(campaignKind)[state])
 		}, "state", state)
 		help = ""
 	}
@@ -1208,35 +833,24 @@ func (s *Server) publishMetrics() {
 	})
 }
 
-func (s *Server) countJobs(state string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, c := range s.jobs {
-		c.mu.Lock()
-		if c.status == state {
-			n++
-		}
-		c.mu.Unlock()
-	}
-	return n
-}
-
 // MetricsSnapshot returns the live metrics served under /metrics as the
 // "specserved" expvar: queue occupancy, job states, where completed
-// pairs came from (simulated vs. memory vs. store tier), and the
-// campaign cache / persistent store counters.
+// pairs and sweep cells came from (simulated vs. memory vs. store tier),
+// and the campaign cache / persistent store counters.
 func (s *Server) MetricsSnapshot() map[string]any {
 	s.mu.Lock()
-	states := map[string]int{}
-	for _, c := range s.jobs {
-		c.mu.Lock()
-		states[c.status]++
-		c.mu.Unlock()
-	}
 	queueLen := len(s.queue)
 	draining := s.draining
 	s.mu.Unlock()
+
+	pairs := map[string]uint64{}
+	s.served["exact"].put(pairs, "simulated", "from_memory", "from_store", "from_remote")
+	s.served["sampled"].put(pairs, "sampled_simulated", "sampled_from_memory", "sampled_from_store", "sampled_from_remote")
+	s.served["analytic"].put(pairs, "analytic_computed", "analytic_from_memory", "analytic_from_store", "analytic_from_remote")
+	s.served["rate"].put(pairs, "rate_simulated", "rate_from_memory", "rate_from_store", "rate_from_remote")
+	cells := map[string]uint64{}
+	s.cells["screen"].put(cells, "screen_simulated", "screen_memory", "screen_store", "screen_remote")
+	s.cells["escalate"].put(cells, "escalate_simulated", "escalate_memory", "escalate_store", "escalate_remote")
 
 	m := map[string]any{
 		"uptime_seconds": time.Since(s.started).Seconds(),
@@ -1247,30 +861,13 @@ func (s *Server) MetricsSnapshot() map[string]any {
 			"workers":  s.cfg.Workers,
 		},
 		"jobs": map[string]any{
-			"states":   states,
+			"states":   s.states(campaignKind),
 			"rejected": s.rejected.Load(),
 		},
-		"pairs": map[string]uint64{
-			"simulated":            s.pairsSimulated.Load(),
-			"from_memory":          s.pairsFromCache.Load(),
-			"from_store":           s.pairsFromStore.Load(),
-			"from_remote":          s.pairsFromRemote.Load(),
-			"sampled_simulated":    s.sampledSimulated.Load(),
-			"sampled_from_memory":  s.sampledFromCache.Load(),
-			"sampled_from_store":   s.sampledFromStore.Load(),
-			"sampled_from_remote":  s.sampledFromRemote.Load(),
-			"analytic_computed":    s.analyticComputed.Load(),
-			"analytic_from_memory": s.analyticFromCache.Load(),
-			"analytic_from_store":  s.analyticFromStore.Load(),
-			"analytic_from_remote": s.analyticFromRemote.Load(),
-			"rate_simulated":       s.rateSimulated.Load(),
-			"rate_from_memory":     s.rateFromCache.Load(),
-			"rate_from_store":      s.rateFromStore.Load(),
-			"rate_from_remote":     s.rateFromRemote.Load(),
-		},
+		"pairs":  pairs,
+		"sweeps": map[string]any{"states": s.states(sweepKind), "cells": cells},
 	}
 	m["pair_windows"] = machine.PairWindowStats()
-	m["sweeps"] = s.sweepSnapshot()
 	if n := len(s.cfg.Fleet); n > 0 {
 		workers := make([]map[string]any, n)
 		for i, w := range s.cfg.Fleet {

@@ -1,22 +1,20 @@
 // Sweep API: /v1/sweeps exposes the internal/sweep design-space
-// exploration subsystem over the same job plumbing campaigns use — the
-// shared bounded queue and worker pool, per-job cancellation, SSE
-// progress, a run manifest per sweep, and tier-split cell accounting in
-// /metrics. On a coordinator (Config.Fleet set) each grid point's
-// campaign is scattered through the same consistent-hash dispatch as
-// ordinary campaigns, with the point's machine configuration forwarded
-// in the chunk specs, so a sharded sweep produces exactly the cells —
-// and exactly the store records — a single-node sweep would.
+// exploration subsystem as the second kind of job (job.go), so a sweep
+// gets the campaigns' queue, worker pool, cancellation, SSE progress and
+// run manifest; this file holds only its spec, status and execute body,
+// with cells tallied by phase and source in /metrics. On a coordinator
+// (Config.Fleet set) each grid point's campaign is scattered through the
+// same consistent-hash dispatch as ordinary campaigns, with the point's
+// machine configuration forwarded in the chunk specs, so a sharded sweep
+// produces exactly the cells — and exactly the store records — a
+// single-node sweep would.
 package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"net/http"
+	"io"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -85,171 +83,35 @@ type SweepStatus struct {
 	ManifestDigest string `json:"manifest_digest,omitempty"`
 }
 
-// sweepJob is the server-side state of one submitted sweep.
-type sweepJob struct {
-	id     string
+// sweepWork is a sweep job's kind-specific state.
+type sweepWork struct {
 	spec   SweepSpec
 	sspec  sweep.Spec // resolved engine spec
 	points int
 
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu             sync.Mutex
-	status         string
-	created        time.Time
-	started        time.Time
-	finished       time.Time
-	progress       sweep.Progress
-	result         *sweep.Result
-	errMsg         string
-	cancelReason   string
-	subs           map[chan sseEvent]struct{}
-	manifest       []byte
-	manifestDigest string
-
-	done chan struct{}
+	progress sweep.Progress
+	result   *sweep.Result
 }
 
-// --- job interface (shared queue/worker plumbing) ---------------------
-
-func (j *sweepJob) jobCtx() context.Context { return j.ctx }
-func (j *sweepJob) abort(reason string)     { j.finish(StatusCancelled, nil, reason) }
-func (j *sweepJob) execute(s *Server)       { s.runSweep(j) }
-
-func (j *sweepJob) cancelReasonOr(fallback string) string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.cancelReason != "" {
-		return j.cancelReason
+// newSweepWork decodes a sweep spec and resolves it into the engine
+// spec, rejecting anything the sweep cannot honor with a field-tagged
+// error (the submit-time 400 path).
+func newSweepWork(s *Server, body io.Reader) (jobWork, error) {
+	w := &sweepWork{}
+	spec := &w.spec
+	if err := decodeSpec(body, spec); err != nil {
+		return nil, err
 	}
-	return fallback
-}
-
-func (j *sweepJob) snapshot(includeResult bool) SweepStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := SweepStatus{
-		ID: j.id, Spec: j.spec, Status: j.status,
-		Pairs: len(j.sspec.Pairs), Points: j.points,
-		Created: j.created, Progress: j.progress, Error: j.errMsg,
-	}
-	if st.Progress.CellsTotal == 0 {
-		st.Progress.CellsTotal = j.points * len(j.sspec.Pairs)
-	}
-	if st.Progress.PointsTotal == 0 {
-		st.Progress.PointsTotal = j.points
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.Finished = &t
-	}
-	if includeResult && j.status == StatusDone {
-		st.Result = j.result
-	}
-	st.ManifestDigest = j.manifestDigest
-	return st
-}
-
-func (j *sweepJob) terminal() bool {
-	switch j.status {
-	case StatusDone, StatusFailed, StatusCancelled:
-		return true
-	}
-	return false
-}
-
-func (j *sweepJob) finish(status string, result *sweep.Result, errMsg string) {
-	j.mu.Lock()
-	if j.terminal() {
-		j.mu.Unlock()
-		return
-	}
-	j.status = status
-	j.result = result
-	j.errMsg = errMsg
-	j.finished = time.Now()
-	close(j.done)
-	j.mu.Unlock()
-	j.cancel()
-}
-
-func (j *sweepJob) setRunning() {
-	j.mu.Lock()
-	j.status = StatusRunning
-	j.started = time.Now()
-	j.mu.Unlock()
-}
-
-func (j *sweepJob) setProgress(p sweep.Progress) {
-	j.mu.Lock()
-	j.progress = p
-	j.mu.Unlock()
-	data, _ := json.Marshal(p)
-	j.broadcast(sseEvent{name: "progress", data: data})
-}
-
-func (j *sweepJob) requestCancel(reason string) {
-	j.mu.Lock()
-	if j.terminal() {
-		j.mu.Unlock()
-		return
-	}
-	if j.cancelReason == "" {
-		j.cancelReason = reason
-	}
-	queued := j.status == StatusQueued
-	j.mu.Unlock()
-	j.cancel()
-	if queued {
-		j.finish(StatusCancelled, nil, reason)
-	}
-}
-
-func (j *sweepJob) subscribe() chan sseEvent {
-	ch := make(chan sseEvent, 64)
-	j.mu.Lock()
-	j.subs[ch] = struct{}{}
-	j.mu.Unlock()
-	return ch
-}
-
-func (j *sweepJob) unsubscribe(ch chan sseEvent) {
-	j.mu.Lock()
-	delete(j.subs, ch)
-	j.mu.Unlock()
-}
-
-func (j *sweepJob) broadcast(ev sseEvent) {
-	j.mu.Lock()
-	for ch := range j.subs {
-		select {
-		case ch <- ev:
-		default:
-		}
-	}
-	j.mu.Unlock()
-}
-
-// --- Submission -------------------------------------------------------
-
-// resolveSweep turns the wire spec into the engine spec, rejecting
-// anything the sweep cannot honor (the submit-time 400 path).
-func (s *Server) resolveSweep(spec *SweepSpec) (sweep.Spec, int, error) {
 	cspec := CampaignSpec{Suite: spec.Suite, Mini: spec.Mini, Size: spec.Size, Pairs: spec.Pairs}
 	pairs, err := cspec.resolve()
 	if err != nil {
-		return sweep.Spec{}, 0, err
+		return nil, err
 	}
 
 	screen := machine.FidelityAnalytic
 	if spec.Screen != "" {
 		if screen, err = machine.ParseFidelity(spec.Screen); err != nil {
-			return sweep.Spec{}, 0, err
+			return nil, badField("screen", "%v", err)
 		}
 	}
 	escalate, escalateOff := machine.FidelitySampled, false
@@ -259,11 +121,11 @@ func (s *Server) resolveSweep(spec *SweepSpec) (sweep.Spec, int, error) {
 		escalateOff = true
 	default:
 		if escalate, err = machine.ParseFidelity(spec.Escalate); err != nil {
-			return sweep.Spec{}, 0, err
+			return nil, badField("escalate", "%v", err)
 		}
 	}
 	if _, err := machine.ParseSampling(spec.Sampling); err != nil {
-		return sweep.Spec{}, 0, err
+		return nil, badField("sampling", "%v", err)
 	}
 
 	base := s.cfg.Characterize.Machine
@@ -277,97 +139,47 @@ func (s *Server) resolveSweep(spec *SweepSpec) (sweep.Spec, int, error) {
 	// oversized grid rejects the submission instead of failing the job.
 	points, err := sweep.Expand(base, spec.Axes)
 	if err != nil {
-		return sweep.Spec{}, 0, err
+		return nil, badField("axes", "%v", err)
 	}
 
-	sspec := sweep.Spec{
+	w.points = len(points)
+	w.sspec = sweep.Spec{
 		Base: base, Axes: spec.Axes, Pairs: pairs,
 		Screen: screen, Escalate: escalate, EscalateOff: escalateOff,
 		Metrics: spec.Metrics, SSEWeight: spec.SSEWeight,
 	}
-	if err := sspec.Validate(); err != nil {
-		return sweep.Spec{}, 0, err
+	if err := w.sspec.Validate(); err != nil {
+		return nil, err
 	}
-	return sspec, len(points), nil
+	return w, nil
 }
 
-func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec SweepSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
-		return
+func (w *sweepWork) status(j *job, full bool) any {
+	st := SweepStatus{
+		ID: j.id, Spec: w.spec, Status: j.status,
+		Pairs: len(w.sspec.Pairs), Points: w.points,
+		Created: j.created, Progress: w.progress, Error: j.errMsg,
+		ManifestDigest: j.manifestDigest,
 	}
-	sspec, points, err := s.resolveSweep(&spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad sweep spec: %v", err)
-		return
+	st.Started, st.Finished = j.stamps()
+	if st.Progress.CellsTotal == 0 {
+		st.Progress.CellsTotal = w.points * len(w.sspec.Pairs)
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	j := &sweepJob{
-		spec: spec, sspec: sspec, points: points,
-		ctx: ctx, cancel: cancel,
-		status: StatusQueued, created: time.Now(),
-		subs: make(map[chan sseEvent]struct{}),
-		done: make(chan struct{}),
+	if st.Progress.PointsTotal == 0 {
+		st.Progress.PointsTotal = w.points
 	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		cancel()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
+	if full && j.status == StatusDone {
+		st.Result = w.result
 	}
-	s.nextSweepID++
-	j.id = fmt.Sprintf("s%06d", s.nextSweepID)
-	select {
-	case s.queue <- j:
-		s.sweeps[j.id] = j
-		s.sweepOrder = append(s.sweepOrder, j.id)
-	default:
-		s.nextSweepID--
-		s.mu.Unlock()
-		cancel()
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests,
-			"campaign queue is full (%d queued); retry later", s.cfg.QueueDepth)
-		return
-	}
-	s.mu.Unlock()
-
-	if wait := r.URL.Query().Get("wait"); wait == "1" || strings.EqualFold(wait, "true") {
-		select {
-		case <-j.done:
-			writeJSON(w, http.StatusOK, j.snapshot(true))
-		case <-r.Context().Done():
-			j.requestCancel("client disconnected")
-		}
-		return
-	}
-	w.Header().Set("Location", "/v1/sweeps/"+j.id)
-	writeJSON(w, http.StatusAccepted, j.snapshot(false))
+	return st
 }
 
-// --- Execution --------------------------------------------------------
-
-func (s *Server) runSweep(j *sweepJob) {
-	j.setRunning()
-	opt := s.cfg.Characterize
-	if j.spec.Instructions > 0 {
-		opt.Instructions = j.spec.Instructions
-	}
-	if j.spec.MultiplexSlots > 0 {
-		opt.MultiplexSlots = j.spec.MultiplexSlots
-	}
-	if j.spec.Sampling != "" {
+func (w *sweepWork) run(s *Server, j *job, tr *obs.Trace) error {
+	opt := s.options(w.spec.Instructions, w.spec.MultiplexSlots)
+	if w.spec.Sampling != "" {
 		// Parse errors were rejected at submit time.
-		opt.Sampling, _ = machine.ParseSampling(j.spec.Sampling)
+		opt.Sampling, _ = machine.ParseSampling(w.spec.Sampling)
 	}
-	tr := obs.NewTrace()
 	opt.Trace = tr
 
 	// On a coordinator every grid point scatters through the fleet
@@ -376,177 +188,29 @@ func (s *Server) runSweep(j *sweepJob) {
 	var runner sweep.Runner
 	if len(s.cfg.Fleet) > 0 {
 		var n atomic.Int64
-		suite, size := j.spec.Suite, j.spec.Size
+		suite, size := w.spec.Suite, w.spec.Size
 		runner = func(ctx context.Context, pairs []profile.Pair, o core.Options) ([]core.Characteristics, error) {
 			id := fmt.Sprintf("%s/g%d", j.id, n.Add(1))
 			return s.runFleet(ctx, id, CampaignSpec{Suite: suite, Size: size}, pairs, o)
 		}
 	}
 
-	res, err := sweep.Run(j.ctx, j.sspec, sweep.Options{
+	res, err := sweep.Run(j.ctx, w.sspec, sweep.Options{
 		Base:     opt,
 		Run:      runner,
-		Progress: j.setProgress,
+		Progress: func(p sweep.Progress) { j.publish(func() { w.progress = p }, p) },
 	})
 
-	if manifest, merr := tr.Manifest(); merr == nil {
-		j.mu.Lock()
-		j.manifest = manifest
-		j.manifestDigest = obs.ManifestDigest(manifest)
-		j.mu.Unlock()
-	}
-
-	// Account cells by phase and satisfying source — from the final
-	// progress snapshot, so partially-run (failed/cancelled) sweeps
-	// still report the cells they completed.
+	// Tally cells by phase and satisfying source from the final progress
+	// snapshot, so partially-run (failed/cancelled) sweeps still report
+	// the cells they completed.
 	j.mu.Lock()
-	p := j.progress
+	p := w.progress
+	if err == nil {
+		w.result = res
+	}
 	j.mu.Unlock()
-	s.sweepScreenCells.add(p.Screen)
-	s.sweepEscalateCells.add(p.Escalate)
-	addMetSweepCells("screen", p.Screen)
-	addMetSweepCells("escalate", p.Escalate)
-
-	switch {
-	case err == nil:
-		j.finish(StatusDone, res, "")
-	case j.ctx.Err() != nil || errors.Is(err, context.Canceled):
-		j.finish(StatusCancelled, nil, j.cancelReasonOr("cancelled"))
-	default:
-		j.finish(StatusFailed, nil, err.Error())
-	}
-}
-
-// --- Read handlers ----------------------------------------------------
-
-func (s *Server) lookupSweep(r *http.Request) (*sweepJob, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.sweeps[r.PathValue("id")]
-	return j, ok
-}
-
-func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookupSweep(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
-		return
-	}
-	includeResult := r.URL.Query().Get("results") != "0"
-	writeJSON(w, http.StatusOK, j.snapshot(includeResult))
-}
-
-func (s *Server) handleSweepList(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	jobs := make([]*sweepJob, 0, len(s.sweepOrder))
-	for _, id := range s.sweepOrder {
-		jobs = append(jobs, s.sweeps[id])
-	}
-	s.mu.Unlock()
-	out := make([]SweepStatus, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.snapshot(false)
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleSweepDelete(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookupSweep(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
-		return
-	}
-	j.requestCancel("cancelled by client")
-	writeJSON(w, http.StatusAccepted, j.snapshot(false))
-}
-
-func (s *Server) handleSweepManifest(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookupSweep(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
-		return
-	}
-	j.mu.Lock()
-	manifest, digest := j.manifest, j.manifestDigest
-	j.mu.Unlock()
-	if len(manifest) == 0 {
-		writeError(w, http.StatusConflict, "sweep %s has not run yet", j.id)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Manifest-Digest", digest)
-	w.Write(manifest)
-}
-
-func (s *Server) handleSweepEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookupSweep(r)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no sweep %q", r.PathValue("id"))
-		return
-	}
-	serveSSE(w, r, j.subscribe, j.unsubscribe, j.done,
-		func() []byte { return mustJSON(j.snapshot(false)) })
-}
-
-// --- Metrics ----------------------------------------------------------
-
-// cellCounters is a sweep-cell counter quartet (per phase).
-type cellCounters struct {
-	simulated, memory, store, remote atomic.Uint64
-}
-
-func (c *cellCounters) add(n sweep.CellCounts) {
-	c.simulated.Add(uint64(n.Simulated))
-	c.memory.Add(uint64(n.Memory))
-	c.store.Add(uint64(n.Store))
-	c.remote.Add(uint64(n.Remote))
-}
-
-// metSweepCells counts sweep cells by phase (screen vs escalate) and
-// satisfying source — the Prometheus twin of the per-server quartets in
-// the expvar map. A warmed-up deployment shows the differential win
-// directly: source="simulated" stays flat while store/memory grow.
-var metSweepCells = func() map[string]*obs.Counter {
-	m := make(map[string]*obs.Counter)
-	help := "Sweep cells by phase and satisfying source."
-	for _, phase := range []string{"screen", "escalate"} {
-		for _, src := range []string{"simulated", "memory", "store", "remote"} {
-			m[phase+"/"+src] = obs.Default().Counter("speckit_sweep_cells_total", help,
-				"phase", phase, "source", src)
-			help = ""
-		}
-	}
-	return m
-}()
-
-func addMetSweepCells(phase string, n sweep.CellCounts) {
-	metSweepCells[phase+"/simulated"].Add(uint64(n.Simulated))
-	metSweepCells[phase+"/memory"].Add(uint64(n.Memory))
-	metSweepCells[phase+"/store"].Add(uint64(n.Store))
-	metSweepCells[phase+"/remote"].Add(uint64(n.Remote))
-}
-
-// sweepSnapshot is the "sweeps" block of the expvar metrics map.
-func (s *Server) sweepSnapshot() map[string]any {
-	s.mu.Lock()
-	states := map[string]int{}
-	for _, j := range s.sweeps {
-		j.mu.Lock()
-		states[j.status]++
-		j.mu.Unlock()
-	}
-	s.mu.Unlock()
-	return map[string]any{
-		"states": states,
-		"cells": map[string]uint64{
-			"screen_simulated":   s.sweepScreenCells.simulated.Load(),
-			"screen_memory":      s.sweepScreenCells.memory.Load(),
-			"screen_store":       s.sweepScreenCells.store.Load(),
-			"screen_remote":      s.sweepScreenCells.remote.Load(),
-			"escalate_simulated": s.sweepEscalateCells.simulated.Load(),
-			"escalate_memory":    s.sweepEscalateCells.memory.Load(),
-			"escalate_store":     s.sweepEscalateCells.store.Load(),
-			"escalate_remote":    s.sweepEscalateCells.remote.Load(),
-		},
-	}
+	s.cells["screen"].add(p.Screen.Simulated, p.Screen.Memory, p.Screen.Store, p.Screen.Remote)
+	s.cells["escalate"].add(p.Escalate.Simulated, p.Escalate.Memory, p.Escalate.Store, p.Escalate.Remote)
+	return err
 }

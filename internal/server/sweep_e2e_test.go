@@ -182,13 +182,14 @@ func TestSweepEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSweepSpecValidation: structurally bad sweeps are rejected with
-// 400 at submit time, before anything is queued.
+// TestSweepSpecValidation: structurally bad sweeps are rejected at
+// submit time, before anything is queued, with a typed 400 naming the
+// JSON field at fault.
 func TestSweepSpecValidation(t *testing.T) {
 	_, c, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
 	ctx := ctxT(t)
 
-	reject := func(name string, mutate func(*server.SweepSpec)) {
+	reject := func(name, want string, mutate func(*server.SweepSpec)) {
 		t.Helper()
 		spec := sweepSpecT(t)
 		mutate(&spec)
@@ -197,28 +198,32 @@ func TestSweepSpecValidation(t *testing.T) {
 		if err == nil || !errors.As(err, &ae) || ae.Code != http.StatusBadRequest {
 			t.Errorf("%s: err = %v, want 400", name, err)
 		}
+		if field, _, _ := client.FieldError(err); field != want {
+			t.Errorf("%s: field = %q, want %q (err %v)", name, field, want, err)
+		}
 	}
-	reject("bad-axis", func(s *server.SweepSpec) { s.Axes[0].Param = "l9.size" })
-	reject("dup-axis", func(s *server.SweepSpec) { s.Axes[1] = s.Axes[0] })
-	reject("bad-metric", func(s *server.SweepSpec) { s.Metrics = []string{"cpi"} })
-	reject("bad-screen", func(s *server.SweepSpec) { s.Screen = "quantum" })
-	reject("bad-escalate", func(s *server.SweepSpec) { s.Escalate = "quantum" })
-	reject("bad-pair", func(s *server.SweepSpec) { s.Pairs = []string{"no-such-pair"} })
-	reject("bad-point", func(s *server.SweepSpec) {
+	reject("bad-axis", "axes", func(s *server.SweepSpec) { s.Axes[0].Param = "l9.size" })
+	reject("dup-axis", "axes", func(s *server.SweepSpec) { s.Axes[1] = s.Axes[0] })
+	reject("bad-metric", "metrics", func(s *server.SweepSpec) { s.Metrics = []string{"cpi"} })
+	reject("bad-screen", "screen", func(s *server.SweepSpec) { s.Screen = "quantum" })
+	reject("bad-escalate", "escalate", func(s *server.SweepSpec) { s.Escalate = "quantum" })
+	reject("bad-pair", "pairs", func(s *server.SweepSpec) { s.Pairs = []string{"no-such-pair"} })
+	reject("bad-point", "axes", func(s *server.SweepSpec) {
 		s.Axes[0] = sweep.Axis{Param: "line", Values: []int64{48}}
 	})
 
-	// An invalid machine override fails JSON-decode validation (raw HTTP:
-	// the typed client cannot construct an unserializable config).
-	body := `{"suite":"cpu2017","size":"test","axes":[{"param":"l3.size","values":[1048576]}],` +
-		`"machine":{"name":"x","l1i":{},"l1d":{},"l2":{},"l3":{},"pipeline":{},"clock_hz":0}}`
-	resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("invalid machine: status %d, want 400", resp.StatusCode)
+	// An invalid machine override fails JSON-decode validation, and a
+	// value of the wrong JSON type fails decoding (raw HTTP: the typed
+	// client cannot construct either body).
+	for _, tc := range []struct{ name, body, field string }{
+		{"invalid-machine", `{"suite":"cpu2017","size":"test","axes":[{"param":"l3.size","values":[1048576]}],` +
+			`"machine":{"name":"x","l1i":{},"l1d":{},"l2":{},"l3":{},"pipeline":{},"clock_hz":0}}`, "machine"},
+		{"metrics-type", `{"suite":"cpu2017","size":"test","axes":[{"param":"l3.size","values":[1048576]}],` +
+			`"metrics":"ipc"}`, "metrics"},
+	} {
+		if code, field := postRaw(t, ts.URL+"/v1/sweeps", tc.body); code != http.StatusBadRequest || field != tc.field {
+			t.Errorf("%s: status %d field %q, want 400 field %q", tc.name, code, field, tc.field)
+		}
 	}
 }
 

@@ -112,25 +112,27 @@ func (s Spec) withDefaults() Spec {
 
 // Validate rejects specs no sweep can honor. It is called by Run after
 // defaulting; servers call it at submit time for early 4xx rejection.
+// Every rejection but an empty pair list is a *core.FieldError naming
+// the sweep-spec JSON field at fault ("sse_weight", "metrics", "axes").
 func (s Spec) Validate() error {
 	if len(s.Pairs) == 0 {
 		return fmt.Errorf("sweep: spec selects no application-input pairs")
 	}
 	if s.SSEWeight < 0 {
-		return fmt.Errorf("sweep: negative SSE weight %v", s.SSEWeight)
+		return badField("sse_weight", "sweep: negative SSE weight %v", s.SSEWeight)
 	}
 	for _, m := range s.Metrics {
 		if _, ok := metricDefs[m]; !ok {
-			return fmt.Errorf("sweep: unknown metric %q (supported: %v)", m, MetricNames())
+			return badField("metrics", "sweep: unknown metric %q (supported: %v)", m, MetricNames())
 		}
 	}
 	seen := make(map[string]bool, len(s.Axes))
 	for _, ax := range s.Axes {
 		if len(ax.Values) == 0 {
-			return fmt.Errorf("sweep: axis %q has no values", ax.Param)
+			return badField("axes", "sweep: axis %q has no values", ax.Param)
 		}
 		if seen[ax.Param] {
-			return fmt.Errorf("sweep: axis %q listed twice", ax.Param)
+			return badField("axes", "sweep: axis %q listed twice", ax.Param)
 		}
 		seen[ax.Param] = true
 		if ax.Param != RateAxis {
@@ -142,7 +144,7 @@ func (s Spec) Validate() error {
 		// cells), and the copy count is bounded.
 		for _, v := range ax.Values {
 			if v < 1 {
-				return fmt.Errorf("sweep: %s value %d: copy counts start at 1", RateAxis, v)
+				return badField("axes", "sweep: %s value %d: copy counts start at 1", RateAxis, v)
 			}
 			if err := validateRateCell(v, "screen", s.Screen); err != nil {
 				return err
@@ -159,9 +161,13 @@ func (s Spec) Validate() error {
 
 func validateRateCell(copies int64, phase string, tier machine.Fidelity) error {
 	if err := (core.Scenario{Fidelity: tier, RateCopies: int(copies)}).Validate(); err != nil {
-		return fmt.Errorf("sweep: axis %s value %d at the %s tier: %w", RateAxis, copies, phase, err)
+		return badField("axes", "sweep: axis %s value %d at the %s tier: %v", RateAxis, copies, phase, err)
 	}
 	return nil
+}
+
+func badField(field, format string, args ...any) *core.FieldError {
+	return &core.FieldError{Field: field, Msg: fmt.Sprintf(format, args...)}
 }
 
 // Point is one expanded grid point: a concrete machine configuration
