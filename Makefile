@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench fuzz-seed bench-smoke analytic-smoke serve-smoke metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel ci
+.PHONY: build vet test race bench loc fuzz-seed bench-smoke analytic-smoke serve-smoke metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel ci
 
 build:
 	$(GO) build ./...
@@ -20,9 +20,15 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
+# Count the non-test Go lines outside perfbench/ and the benchmark's
+# build and run directories: the size figure ROADMAP item 2 tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './perfbench/*' \
+		-not -path './.bench_build/*' -not -path './.bench_out/*' | xargs cat | wc -l
+
 # Run every fuzz target over its seed corpus (no fuzzing engine time).
 fuzz-seed:
-	$(GO) test -run='^Fuzz' ./internal/cache ./internal/synth ./internal/machine ./internal/rdist ./internal/core ./internal/server ./internal/sweep
+	$(GO) test -run='^Fuzz' ./internal/cache ./internal/synth ./internal/machine ./internal/rdist ./internal/core ./internal/server ./internal/sweep ./internal/store
 
 # One-iteration pass over the kernel benchmarks: catches benchmarks that
 # no longer build or crash without paying for stable timings. The

@@ -284,13 +284,6 @@ func characteristicsOf(pair profile.Pair, res *machine.Result, opt Options) *Cha
 		Pair:          pair,
 		InstrBillions: m.InstrBillions,
 		IPC:           counters.IPC(),
-		LoadPct:       counters.LoadPct(),
-		StorePct:      counters.StorePct(),
-		BranchPct:     counters.BranchPct(),
-		MispredictPct: counters.MispredictPct(),
-		L1MissPct:     counters.CacheMissPct(1),
-		L2MissPct:     counters.CacheMissPct(2),
-		L3MissPct:     counters.CacheMissPct(3),
 		RSSMiB:        m.RSSMiB,
 		VSZMiB:        m.VSZMiB,
 		Counters:      counters,
@@ -298,19 +291,57 @@ func characteristicsOf(pair profile.Pair, res *machine.Result, opt Options) *Cha
 		Calibrated:    res.Calibrated,
 		Sampling:      res.Sampling,
 	}
-	branches := float64(counters.MustValue(perf.AllBranches))
-	if branches > 0 {
-		pct := func(name string) float64 {
-			return 100 * float64(counters.MustValue(name)) / branches
-		}
-		c.CondPct = pct(perf.CondBranches)
-		c.JumpPct = pct(perf.DirectJumps)
-		c.CallPct = pct(perf.DirectCalls)
-		c.IndirectPct = pct(perf.IndirectJumps)
-		c.ReturnPct = pct(perf.Returns)
-	}
+	c.addRates(counters, 1, 1)
+	c.addBranchShares(counters, 1)
 	c.ExecSeconds = execSeconds(m.InstrBillions, c.IPC, opt.Machine.ClockHz, m.Threads)
 	return c
+}
+
+// addRates adds ct's instruction mix, misprediction rate and per-level
+// miss rates to c, each scaled by w/div: a placement mode's weight, or
+// one over a thread count. On a zero c, w = div = 1 assigns them
+// exactly.
+func (c *Characteristics) addRates(ct *perf.Counters, w, div float64) {
+	c.LoadPct += w * ct.LoadPct() / div
+	c.StorePct += w * ct.StorePct() / div
+	c.BranchPct += w * ct.BranchPct() / div
+	c.MispredictPct += w * ct.MispredictPct() / div
+	c.L1MissPct += w * ct.CacheMissPct(1) / div
+	c.L2MissPct += w * ct.CacheMissPct(2) / div
+	c.L3MissPct += w * ct.CacheMissPct(3) / div
+}
+
+// addBranchShares adds ct's branch-class shares, in percent of all
+// branches and scaled by w, to c.
+func (c *Characteristics) addBranchShares(ct *perf.Counters, w float64) {
+	branches := float64(ct.MustValue(perf.AllBranches))
+	if branches <= 0 {
+		return
+	}
+	pct := func(name string) float64 {
+		return 100 * w * float64(ct.MustValue(name)) / branches
+	}
+	c.CondPct += pct(perf.CondBranches)
+	c.JumpPct += pct(perf.DirectJumps)
+	c.CallPct += pct(perf.DirectCalls)
+	c.IndirectPct += pct(perf.IndirectJumps)
+	c.ReturnPct += pct(perf.Returns)
+}
+
+// addCPIStacks sums the cores' CPI stacks into c.Breakdown; c is
+// calibrated when any core is.
+func (c *Characteristics) addCPIStacks(cores []*machine.Result) {
+	for _, r := range cores {
+		b := &c.Breakdown
+		b.Base += r.Breakdown.Base
+		b.Mispredict += r.Breakdown.Mispredict
+		b.L2 += r.Breakdown.L2
+		b.L3 += r.Breakdown.L3
+		b.Memory += r.Breakdown.Memory
+		b.Fetch += r.Breakdown.Fetch
+		b.TLB += r.Breakdown.TLB
+		c.Calibrated = c.Calibrated || r.Calibrated
+	}
 }
 
 // metAnalyticProfiles counts the analytic tier's stream profiles by

@@ -421,35 +421,10 @@ func characterizeScenario(ctx context.Context, pair profile.Pair, opt Options) (
 		w := r.mode.Weight
 		c.IPC += w * r.ipc
 		c.ExecSeconds += w * r.execSec
-		c.LoadPct += w * r.counters.LoadPct()
-		c.StorePct += w * r.counters.StorePct()
-		c.BranchPct += w * r.counters.BranchPct()
-		c.MispredictPct += w * r.counters.MispredictPct()
-		c.L1MissPct += w * r.counters.CacheMissPct(1)
-		c.L2MissPct += w * r.counters.CacheMissPct(2)
-		c.L3MissPct += w * r.counters.CacheMissPct(3)
-		branches := float64(r.counters.MustValue(perf.AllBranches))
-		if branches > 0 {
-			pct := func(name string) float64 {
-				return 100 * w * float64(r.counters.MustValue(name)) / branches
-			}
-			c.CondPct += pct(perf.CondBranches)
-			c.JumpPct += pct(perf.DirectJumps)
-			c.CallPct += pct(perf.DirectCalls)
-			c.IndirectPct += pct(perf.IndirectJumps)
-			c.ReturnPct += pct(perf.Returns)
-		}
+		c.addRates(r.counters, w, 1)
+		c.addBranchShares(r.counters, w)
 	}
-	for _, pc := range runs[dom].res.PerCore {
-		c.Breakdown.Base += pc.Breakdown.Base
-		c.Breakdown.Mispredict += pc.Breakdown.Mispredict
-		c.Breakdown.L2 += pc.Breakdown.L2
-		c.Breakdown.L3 += pc.Breakdown.L3
-		c.Breakdown.Memory += pc.Breakdown.Memory
-		c.Breakdown.Fetch += pc.Breakdown.Fetch
-		c.Breakdown.TLB += pc.Breakdown.TLB
-		c.Calibrated = c.Calibrated || pc.Calibrated
-	}
+	c.addCPIStacks(runs[dom].res.PerCore)
 	if opt.RateCopies > 0 {
 		res := runs[dom].res
 		rate := &RateStats{

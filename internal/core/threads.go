@@ -52,35 +52,12 @@ func CharacterizeThreaded(pair profile.Pair, opt Options) (*Characteristics, err
 	n := float64(threads)
 	for _, core := range res.PerCore {
 		c.IPC += core.IPC / n
-		c.LoadPct += core.Counters.LoadPct() / n
-		c.StorePct += core.Counters.StorePct() / n
-		c.BranchPct += core.Counters.BranchPct() / n
-		c.MispredictPct += core.Counters.MispredictPct() / n
-		c.L1MissPct += core.Counters.CacheMissPct(1) / n
-		c.L2MissPct += core.Counters.CacheMissPct(2) / n
-		c.L3MissPct += core.Counters.CacheMissPct(3) / n
-		c.Breakdown.Base += core.Breakdown.Base
-		c.Breakdown.Mispredict += core.Breakdown.Mispredict
-		c.Breakdown.L2 += core.Breakdown.L2
-		c.Breakdown.L3 += core.Breakdown.L3
-		c.Breakdown.Memory += core.Breakdown.Memory
-		c.Breakdown.Fetch += core.Breakdown.Fetch
-		c.Breakdown.TLB += core.Breakdown.TLB
-		c.Calibrated = c.Calibrated || core.Calibrated
+		c.addRates(core.Counters, 1, n)
 	}
+	c.addCPIStacks(res.PerCore)
 	c.Counters = sumCounters(res)
-	branches := float64(c.Counters.MustValue(perf.AllBranches))
-	if branches > 0 {
-		pct := func(name string) float64 {
-			return 100 * float64(c.Counters.MustValue(name)) / branches
-		}
-		c.CondPct = pct(perf.CondBranches)
-		c.JumpPct = pct(perf.DirectJumps)
-		c.CallPct = pct(perf.DirectCalls)
-		c.IndirectPct = pct(perf.IndirectJumps)
-		c.ReturnPct = pct(perf.Returns)
-	}
-	c.ExecSeconds = m.InstrBillions * 1e9 / (c.IPC * opt.Machine.ClockHz * n)
+	c.addBranchShares(c.Counters, 1)
+	c.ExecSeconds = execSeconds(m.InstrBillions, c.IPC, opt.Machine.ClockHz, threads)
 	return c, nil
 }
 

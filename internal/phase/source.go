@@ -62,46 +62,23 @@ func (p *PhasedSource) Next(u *trace.Uop) bool {
 	return p.gens[p.seg].Next(u)
 }
 
-// Skip implements trace.Skipper segment-correctly: the schedule cursor
-// advances through segment boundaries exactly as n Next calls would,
-// and each segment's share of the skip is fast-forwarded on that
-// segment's own generator, so per-generator state stays aligned with
-// the stream position. The schedule repeats forever, so Skip always
-// skips the full n.
-func (p *PhasedSource) Skip(n uint64) uint64 {
-	for left := n; left > 0; {
-		if p.left == 0 {
-			p.seg = (p.seg + 1) % len(p.gens)
-			p.left = p.lens[p.seg]
-		}
-		take := p.left
-		if take > left {
-			take = left
-		}
-		p.gens[p.seg].Skip(take)
-		p.left -= take
-		left -= take
-	}
-	return n
-}
+// Skip implements trace.Skipper: SkipWarm with no observer.
+func (p *PhasedSource) Skip(n uint64) uint64 { return p.SkipWarm(n, nil) }
 
-// SkipWarm implements trace.WarmSkipper with the same segment-correct
-// cursor walk as Skip, delegating each segment's share to that
-// generator's warming skip so the observer sees every branch record the
-// skipped stretch would have emitted, across phase boundaries.
+// SkipWarm implements trace.WarmSkipper segment-correctly: the schedule
+// cursor advances through segment boundaries exactly as n Next calls
+// would, and each segment's share of the skip is fast-forwarded on that
+// segment's own generator, so per-generator state stays aligned with the
+// stream position and an observer sees every branch record the skipped
+// stretch would have emitted, across phase boundaries. The schedule
+// repeats forever, so the skip always covers the full n.
 func (p *PhasedSource) SkipWarm(n uint64, observe func(*trace.Uop)) uint64 {
-	if observe == nil {
-		return p.Skip(n)
-	}
 	for left := n; left > 0; {
 		if p.left == 0 {
 			p.seg = (p.seg + 1) % len(p.gens)
 			p.left = p.lens[p.seg]
 		}
-		take := p.left
-		if take > left {
-			take = left
-		}
+		take := min(p.left, left)
 		p.gens[p.seg].SkipWarm(take, observe)
 		p.left -= take
 		left -= take

@@ -60,15 +60,25 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 			pro := probe.Prologue()
 			// Each case walks from walkFrom and restores from restoreFrom,
 			// both skipping to end.
+			// Both skip, with Skip or (nilObserve) SkipWarm(n, nil).
 			cases := []struct {
 				label                      string
 				walkFrom, restoreFrom, end uint64
+				nilObserve                 bool
 			}{
-				{"from stream start", 0, 0, pro + 200000},
-				{"from inside the prologue", pro / 2, pro / 3, pro + 300000},
-				{"steady state", pro + 5000, pro + 70000, pro + 500000},
+				{"from stream start", 0, 0, pro + 200000, false},
+				{"from inside the prologue", pro / 2, pro / 3, pro + 300000, false},
+				{"steady state", pro + 5000, pro + 70000, pro + 500000, false},
+				{"SkipWarm with a nil observer", pro + 1000, pro + 3000, pro + 600000, true},
 			}
 			for _, c := range cases {
+				skip := func(g *Generator, n uint64) {
+					if c.nilObserve {
+						g.SkipWarm(n, nil)
+					} else {
+						g.Skip(n)
+					}
+				}
 				ref, _ := New(m, testGeometry())
 				advance(ref, c.walkFrom)
 				ref.Skip(c.end - c.walkFrom)
@@ -78,13 +88,13 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				advance(walker, c.walkFrom)
-				walker.Skip(c.end - c.walkFrom)
+				skip(walker, c.end-c.walkFrom)
 				if w, r := walker.CheckpointStats(); w != 1 || r != 0 {
 					t.Fatalf("%s: walker stats walked=%d restored=%d, want 1/0", c.label, w, r)
 				}
 				restorer, _ := table.New()
 				advance(restorer, c.restoreFrom)
-				restorer.Skip(c.end - c.restoreFrom)
+				skip(restorer, c.end-c.restoreFrom)
 				if w, r := restorer.CheckpointStats(); w != 0 || r != 1 {
 					t.Fatalf("%s: restorer stats walked=%d restored=%d, want 0/1", c.label, w, r)
 				}
@@ -109,6 +119,12 @@ func TestCheckpointBounds(t *testing.T) {
 	g.Skip(minCheckpointSkip - 1)
 	if w, r := g.CheckpointStats(); w != 0 || r != 0 || len(table.at) != 0 {
 		t.Fatalf("short skip: walked=%d restored=%d, %d checkpoints; want none", w, r, len(table.at))
+	}
+	// A warm skip must walk the gap to feed its observer, so it neither
+	// records nor restores, however long.
+	g.SkipWarm(minCheckpointSkip, func(*trace.Uop) {})
+	if w, r := g.CheckpointStats(); w != 0 || r != 0 || len(table.at) != 0 {
+		t.Fatalf("warm skip: walked=%d restored=%d, %d checkpoints; want none", w, r, len(table.at))
 	}
 	for i := 0; i < maxCheckpoints+8; i++ {
 		g.Skip(minCheckpointSkip)

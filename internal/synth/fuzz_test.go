@@ -5,12 +5,14 @@ import (
 
 	"repro/internal/profile"
 	"repro/internal/trace"
+	"repro/internal/xrand"
 )
 
 // FuzzSynthProfile drives New with arbitrary — including malformed —
 // model parameters. The contract under fuzz: New either returns an error
 // or returns a generator that produces a well-formed stream without
-// panicking, and whose per-uop and batched paths are bit-identical.
+// panicking, and whose per-uop, batched and skipping paths are
+// bit-identical.
 func FuzzSynthProfile(f *testing.F) {
 	// Seeds: a realistic integer profile, a tiny-footprint edge case, a
 	// huge-parameter case near the validation bounds, and a malformed one.
@@ -90,6 +92,55 @@ func FuzzSynthProfile(f *testing.F) {
 		for i := range single {
 			if single[i] != batched[i] {
 				t.Fatalf("uop %d: per-uop %+v != batched %+v", i, single[i], batched[i])
+			}
+		}
+
+		// The skip interpreter must land exactly where Next does and
+		// observe exactly Next's branch records. A third twin reaches a
+		// run of checkpoints alternately through Skip and SkipWarm: the
+		// middle of the prologue, then a skip across its end, then each
+		// of both sides of skipBufLen and two seed-drawn lengths, once
+		// cold and once warm, with a short Next window after each.
+		ref, _ := New(m, geo)
+		skipper, _ := New(m, geo)
+		pro := ref.Prologue()
+		r := xrand.NewPCG32(seed)
+		drawn := func() uint64 { return 1 + uint64(r.Uint32n(2*skipBufLen)) }
+		skips := []uint64{pro / 2, pro - pro/2 + drawn()}
+		for _, k := range []uint64{skipBufLen - 1, skipBufLen, skipBufLen + 1, drawn(), drawn()} {
+			skips = append(skips, k, k)
+		}
+		var v trace.Uop
+		for si, k := range skips {
+			var want, seen []trace.Uop
+			for i := uint64(0); i < k; i++ {
+				ref.Next(&u)
+				if u.Kind == trace.KindBranch {
+					want = append(want, u)
+				}
+			}
+			if si%2 == 0 {
+				skipper.Skip(k)
+			} else {
+				skipper.SkipWarm(k, func(b *trace.Uop) { seen = append(seen, *b) })
+				if len(seen) != len(want) {
+					t.Fatalf("skip %d (n=%d): observed %d branch records, want %d", si, k, len(seen), len(want))
+				}
+				for i := range want {
+					if seen[i] != want[i] {
+						t.Fatalf("skip %d (n=%d): branch record %d: observed %+v, Next %+v", si, k, i, seen[i], want[i])
+					}
+				}
+			}
+			for i := 0; i < 16; i++ {
+				ref.Next(&u)
+				skipper.Next(&v)
+				if u != v {
+					t.Fatalf("skip %d (n=%d): record %d after the skip: %+v, Next %+v", si, k, i, v, u)
+				}
+			}
+			if ref.Footprint() != skipper.Footprint() {
+				t.Fatalf("skip %d (n=%d): footprint %d, Next %d", si, k, skipper.Footprint(), ref.Footprint())
 			}
 		}
 	})

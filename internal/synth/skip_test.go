@@ -29,6 +29,16 @@ func skipTestModels(t *testing.T) map[string]profile.Model {
 	return models
 }
 
+// skipLengths is the skip-length table of the equivalence tests: tiny,
+// batch-sized and prologue-crossing lengths, plus both sides of the
+// short-skip threshold (skipBufLen) and of the checkpoint threshold
+// (minCheckpointSkip).
+func skipLengths(g *Generator) []uint64 {
+	return []uint64{1, 3, 64, 1000, g.Prologue() / 2, g.Prologue(), 4096, 50000,
+		skipBufLen - 1, skipBufLen, skipBufLen + 1,
+		minCheckpointSkip - 1, minCheckpointSkip, minCheckpointSkip + 1}
+}
+
 // TestSkipEquivalence is the skip-path correctness gate: interleaving
 // Skip calls with Next must leave the generator in exactly the state n
 // discarded Next calls would — every subsequent record bit-identical,
@@ -45,8 +55,7 @@ func TestSkipEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Mixed skip lengths: tiny, batch-sized, prologue-crossing.
-			skips := []uint64{1, 3, 64, 1000, ref.Prologue() / 2, ref.Prologue(), 4096, 50000}
+			skips := skipLengths(ref)
 			var ur, ug trace.Uop
 			for si, n := range skips {
 				if n == 0 {
@@ -93,7 +102,7 @@ func TestSkipWarmEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			skips := []uint64{1, 3, 64, 1000, ref.Prologue() / 2, ref.Prologue(), 4096, 50000}
+			skips := skipLengths(ref)
 			var ur, ug trace.Uop
 			for si, n := range skips {
 				if n == 0 {

@@ -148,12 +148,12 @@ type Generator struct {
 	fnZipf   *xrand.Zipf
 
 	// Skip draw buffer: raw RNG values interpreted by the fast-forward
-	// path (see Skip). Allocated once on first use, reused for the
+	// path (see SkipWarm). Allocated once on first use, reused for the
 	// generator's lifetime.
 	skipBuf []uint32
-	// warmScratch is the branch record SkipWarm reconstructs for its
-	// observer; a field rather than a loop local so the unknown observer
-	// callee doesn't force a per-skip heap allocation.
+	// warmScratch is the record a skip rebuilds or emits in place of the
+	// skipped ones; a field rather than a loop local so the unknown
+	// observer callee doesn't force a per-skip heap allocation.
 	warmScratch trace.Uop
 
 	// pos is the stream position: records emitted or skipped so far.
@@ -352,13 +352,13 @@ func (g *Generator) buildMemory() {
 		s4 = 0
 	}
 	if rest := maxLines - s1 - s2 - s3; s4 > rest {
-		s4 = maxi(rest, 0)
+		s4 = max(rest, 0)
 	}
 
 	base := uint64(0)
 	place := func(size int, random bool) poolRegion {
 		r := poolRegion{baseLine: base, size: size, random: random}
-		base += uint64(maxi(size, 0))
+		base += uint64(max(size, 0))
 		return r
 	}
 	g.pool1 = place(s1, true)
@@ -387,13 +387,6 @@ func sqrt(x float64) float64 {
 }
 
 func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxi(a, b int) int {
 	if a > b {
 		return a
 	}
@@ -434,44 +427,12 @@ func (g *Generator) prologueAddr(i uint64) uint64 {
 	} else {
 		i -= n
 	}
-	return line(g.pool1.baseLine, i%uint64(maxi(g.pool1.size, 1)))
+	return line(g.pool1.baseLine, i%uint64(max(g.pool1.size, 1)))
 }
 
-// memRef samples the next data address from the per-level pools.
-func (g *Generator) memRef() uint64 {
-	switch g.bandProb.Pick(g.rng.Uint32()) {
-	case 0:
-		return g.pool1.addr(g.heap, g.rng)
-	case 1:
-		if g.pool2.size > 0 {
-			return g.pool2.addr(g.heap, g.rng)
-		}
-		return g.pool1.addr(g.heap, g.rng)
-	case 2:
-		if g.pool3.size > 0 {
-			return g.pool3.addr(g.heap, g.rng)
-		}
-		return g.pool1.addr(g.heap, g.rng)
-	default:
-		if g.pool4.size > 0 {
-			a := g.pool4.addr(g.heap, g.rng)
-			if t := (a-g.heap)/lineBytes + 1; t > g.touched {
-				g.touched = t
-			}
-			return a
-		}
-		if g.pool3.size > 0 {
-			return g.pool3.addr(g.heap, g.rng)
-		}
-		return g.pool1.addr(g.heap, g.rng)
-	}
-}
-
-// memRefFast is memRef with the band and pool rejection bounds hoisted
-// into precomputed fields. It consumes the RNG identically to memRef and
-// returns the same addresses; the batch path uses it so the two kernels
-// differ only in dispatch overhead, never in behaviour.
-func (g *Generator) memRefFast(rng *xrand.PCG32) uint64 {
+// memRef samples the next data address from the per-level pools. Next
+// passes the generator's RNG, NextBatch its hoisted copy of the pointer.
+func (g *Generator) memRef(rng *xrand.PCG32) uint64 {
 	switch g.bandProb.Pick(rng.Uint32()) {
 	case 0:
 		return g.pool1.addr(g.heap, rng)
@@ -576,13 +537,6 @@ func (g *Generator) buildCode() {
 	g.curFn = 0
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // pc returns the walker's current instruction address.
 func (g *Generator) pc() uint64 {
 	return codeBase + uint64(g.curFn)*fnBytes + g.off
@@ -619,11 +573,11 @@ func (g *Generator) Next(u *trace.Uop) bool {
 	case mixLoad:
 		u.PC = g.pc()
 		u.Kind = trace.KindLoad
-		u.Addr = g.memRef()
+		u.Addr = g.memRef(g.rng)
 	case mixStore:
 		u.PC = g.pc()
 		u.Kind = trace.KindStore
-		u.Addr = g.memRef()
+		u.Addr = g.memRef(g.rng)
 	case mixBranch:
 		g.fillBranch(u)
 	}
@@ -634,9 +588,9 @@ func (g *Generator) Next(u *trace.Uop) bool {
 // NextBatch implements trace.BatchSource natively: it emits exactly the
 // record sequence repeated Next calls would (same RNG consumption, same
 // field values — the machine equivalence tests enforce this), but hoists
-// the per-uop costs of the legacy path out of the inner loop: the
-// interface dispatch, the RNG pointer reload, and the rejection-bound
-// divisions inside the mix, reuse-band and hot-pool samplers.
+// the per-uop costs of Next out of the inner loop: the interface
+// dispatch, the RNG pointer reload, the per-record zeroing and the PC
+// walker's field traffic.
 func (g *Generator) NextBatch(buf []trace.Uop) int {
 	rng := g.rng
 	g.pos += uint64(len(buf))
@@ -663,7 +617,7 @@ func (g *Generator) NextBatch(buf []trace.Uop) int {
 	// advancePC() reduce to an add and a wrap test on locals. Branch
 	// fills can redirect the walker (calls and returns change curFn,
 	// calls reset off), so the locals are written back before and
-	// reloaded after fillBranchFast.
+	// reloaded after fillBranch.
 	pcBase := codeBase + uint64(g.curFn)*fnBytes
 	off := g.off
 	for ; i < len(buf); i++ {
@@ -679,10 +633,10 @@ func (g *Generator) NextBatch(buf []trace.Uop) int {
 		u.Kind = mixKinds[m]
 		if m >= mixLoad {
 			if m != mixBranch {
-				u.Addr = g.memRefFast(rng)
+				u.Addr = g.memRef(rng)
 			} else {
 				g.off = off
-				g.fillBranchFast(u)
+				g.fillBranch(u)
 				pcBase = codeBase + uint64(g.curFn)*fnBytes
 				off = g.off
 			}
@@ -696,65 +650,73 @@ func (g *Generator) NextBatch(buf []trace.Uop) int {
 	return len(buf)
 }
 
+// fillBranch emits one branch record from RNG draws. warmBranch walks
+// the same state machine on the skip buffer's draws; the helpers below
+// are the transitions both share.
 func (g *Generator) fillBranch(u *trace.Uop) {
-	g.fillBranchClass(u, g.class.Pick(g.rng.Uint32()))
-}
-
-// fillBranchFast is fillBranch with the class draw performed by the
-// division-free sampler; the emitted uop and RNG consumption are
-// identical. The batched path uses it.
-func (g *Generator) fillBranchFast(u *trace.Uop) {
-	g.fillBranchClass(u, g.class.Pick(g.rng.Uint32()))
-}
-
-func (g *Generator) fillBranchClass(u *trace.Uop, cls int) {
 	u.Kind = trace.KindBranch
-	switch cls {
+	switch cls := g.class.Pick(g.rng.Uint32()); cls {
 	case clsCond:
 		if g.burstLeft <= 0 {
 			g.curSite = g.condZipf.Sample(g.rng)
 			g.burstLeft = 6 + g.rng.Geometric(1.0/18)
 		}
-		g.burstLeft--
-		site := &g.condSites[g.curSite]
-		taken := site.taken
-		if g.rng.Bool(site.flipProb) {
-			taken = !taken
-		}
-		u.PC = site.pc
-		u.Branch = trace.BranchConditional
-		u.Taken = taken
-		if taken {
-			u.Target = site.pc - 64 // short backward loop branch
-		}
+		g.condRecord(u, g.rng.Uint32())
 	case clsJump:
-		pc := g.jumpPCs[g.otherZipf.Sample(g.rng)]
-		u.PC = pc
-		u.Branch = trace.BranchDirectJump
-		u.Taken = true
-		u.Target = pc + 128
-	case clsCall:
-		if len(g.callStack) >= 12 {
-			// Keep the shadow stack shallower than the 16-entry RAS:
-			// real call graphs are depth-bounded too.
+		g.jumpRecord(u, g.otherZipf.Sample(g.rng))
+	case clsCall, clsReturn:
+		if g.returns(cls) {
 			g.doReturn(u)
-			return
+		} else {
+			g.call(u, g.otherZipf.Sample(g.rng), g.fnZipf.Sample(g.rng))
 		}
-		g.doCall(u)
-	case clsReturn:
-		if len(g.callStack) == 0 {
-			g.doCall(u) // nothing to return to; emit a call instead
-			return
-		}
-		g.doReturn(u)
-		return
 	case clsIndirect:
-		g.doIndirect(u)
+		site := &g.indirectSites[g.rng.Intn(len(g.indirectSites))]
+		site.record(u)
+		if len(site.targets) > 1 {
+			site.rotate(g.rng.Uint32())
+		}
 	}
 }
 
+// condRecord emits one iteration of the current conditional burst; r is
+// the outcome draw, which flips the site's bias with probability
+// flipProb (xrand.PCG32.Bool's comparison).
+func (g *Generator) condRecord(u *trace.Uop, r uint32) {
+	g.burstLeft--
+	site := &g.condSites[g.curSite]
+	taken := site.taken
+	if site.flipProb >= 1 || float64(r) < site.flipProb*(1<<32) {
+		taken = !taken
+	}
+	u.PC = site.pc
+	u.Branch = trace.BranchConditional
+	u.Taken = taken
+	if taken {
+		u.Target = site.pc - 64 // short backward loop branch
+	}
+}
+
+func (g *Generator) jumpRecord(u *trace.Uop, site int) {
+	pc := g.jumpPCs[site]
+	u.PC = pc
+	u.Branch = trace.BranchDirectJump
+	u.Taken = true
+	u.Target = pc + 128
+}
+
+// returns reports whether a call- or return-class draw pops the shadow
+// stack. A call that would pass depth 12 returns instead, keeping the
+// stack shallower than the 16-entry RAS (real call graphs are
+// depth-bounded too); a return with nothing to return to calls instead.
+func (g *Generator) returns(cls int) bool {
+	if cls == clsCall {
+		return len(g.callStack) >= 12
+	}
+	return len(g.callStack) > 0
+}
+
 func (g *Generator) doReturn(u *trace.Uop) {
-	u.Kind = trace.KindBranch
 	ret := g.callStack[len(g.callStack)-1]
 	g.callStack = g.callStack[:len(g.callStack)-1]
 	u.PC = ret + 60 // a PC inside the called function
@@ -765,30 +727,14 @@ func (g *Generator) doReturn(u *trace.Uop) {
 	g.curFn = int((ret - codeBase) / fnBytes % uint64(g.numFuncs))
 }
 
-func (g *Generator) doIndirect(u *trace.Uop) {
-	u.Kind = trace.KindBranch
-	site := &g.indirectSites[g.rng.Intn(len(g.indirectSites))]
-	u.PC = site.pc
-	u.Branch = trace.BranchIndirectJump
-	u.Taken = true
-	if len(site.targets) == 1 {
-		u.Target = site.targets[0]
-	} else {
-		u.Target = site.targets[site.next]
-		// Polymorphic sites switch targets unpredictably.
-		if g.rng.Bool(0.3) {
-			site.next = (site.next + 1) % len(site.targets)
-		}
-	}
-}
-
-func (g *Generator) doCall(u *trace.Uop) {
-	pc := g.callPCs[g.otherZipf.Sample(g.rng)]
+// call emits a call from call site site into function callee and moves
+// the walker there.
+func (g *Generator) call(u *trace.Uop, site, callee int) {
+	pc := g.callPCs[site]
 	u.PC = pc
 	u.Branch = trace.BranchDirectCall
 	u.Taken = true
 	// The callee is a Zipf-hot function: hot code stays in L1I.
-	callee := g.fnZipf.Sample(g.rng)
 	u.Target = codeBase + uint64(callee)*fnBytes
 	if len(g.callStack) >= maxCallDepth {
 		// Deep recursion: drop the oldest half, like a real stack the
@@ -800,81 +746,88 @@ func (g *Generator) doCall(u *trace.Uop) {
 	g.off = 0
 }
 
-// Skip implements trace.Skipper: it advances the generator past n
-// records without materializing them. Every piece of state evolves
-// exactly as n Next calls would evolve it — the PC walker, the RNG
-// streams (same draws in the same order, including Lemire rejection
-// retries), the pool cursors and footprint high-water mark, the
-// conditional-site burst sequence and the shadow call stack — so the
-// record emitted after Skip(n) is bit-identical to the record n
-// discarded Next calls would have exposed (the skip-equivalence tests
-// enforce this against every profile family). The stream is unbounded,
-// so Skip always skips the full n.
+func (s *indirectSite) record(u *trace.Uop) {
+	u.PC = s.pc
+	u.Branch = trace.BranchIndirectJump
+	u.Taken = true
+	u.Target = s.targets[s.next]
+}
+
+// rotate switches a polymorphic site to its next target when the draw r
+// falls under 0.3 (xrand.PCG32.Bool(0.3)): the targets change
+// unpredictably.
+func (s *indirectSite) rotate(r uint32) {
+	if float64(r) < 0.3*(1<<32) {
+		s.next = (s.next + 1) % len(s.targets)
+	}
+}
+
+// Skip implements trace.Skipper: SkipWarm with no observer.
+func (g *Generator) Skip(n uint64) uint64 { return g.SkipWarm(n, nil) }
+
+// SkipWarm implements trace.WarmSkipper: it advances the generator past
+// n records without emitting them, and reports each branch record of the
+// skipped stretch to observe when observe is non-nil. Every piece of
+// state evolves exactly as n Next calls would evolve it — the PC walker,
+// the RNG stream (same draws in the same order, including Lemire
+// rejection retries), the pool cursors and footprint high-water mark,
+// the conditional-site burst sequence and the shadow call stack — so the
+// record emitted after the skip is bit-identical to the record n
+// discarded Next calls would have exposed, and each observed branch
+// record is bit-identical to the one Next would have emitted (the
+// skip-equivalence tests enforce both against every profile family).
+// The stream is unbounded, so the skip always covers the full n.
 //
-// The saving is twofold. The record itself disappears: no address
-// formation results, no field stores, no batch-buffer traffic. And the
-// RNG is consumed through a buffer of precomputed raw draws
-// (PCG32.Fill) instead of one serial call per draw, which breaks the
-// latency chain that bounds the emitting paths — the LCG recurrence
-// runs four-wide ahead of the interpreting loop, whose data-dependent
-// branches then replay cheap L1 loads on mispredict instead of the
-// whole multiply chain. Unconsumed draws are returned to the stream
-// with an O(log n) rewind (PCG32.Advance) when the skip ends.
+// Skip and SkipWarm share one interpreter. Skips shorter than skipBufLen
+// records run through Next. Longer ones consume the RNG through a
+// buffer of precomputed raw draws (PCG32.Fill) instead of one serial
+// call per draw, which breaks the latency chain that bounds the emitting
+// paths: the LCG recurrence runs four-wide ahead of the interpreting
+// loop, whose data-dependent branches then replay cheap L1 loads on
+// mispredict instead of the whole multiply chain. Non-branch records are
+// never materialized — that is what keeps a skip far cheaper than
+// draining — while each branch record is rebuilt by warmBranch, whose
+// state transitions a cold skip needs anyway; only the observe call is
+// skipped without an observer. Unconsumed draws are returned to the
+// stream with an O(log n) rewind (PCG32.Advance) when the skip ends.
 //
-// A generator built from a Checkpoints table serves skips of at least
-// minCheckpointSkip records from it: one ending at a position the table
-// recorded restores that state in O(1), any other walks and records
-// where it lands.
-func (g *Generator) Skip(n uint64) uint64 {
-	if g.ckpt != nil && n >= minCheckpointSkip {
+// A generator built from a Checkpoints table serves cold skips (nil
+// observe) of at least minCheckpointSkip records from it: one ending at a
+// position the table recorded restores that state in O(1), any other
+// walks and records where it lands.
+func (g *Generator) SkipWarm(n uint64, observe func(*trace.Uop)) uint64 {
+	if observe == nil && g.ckpt != nil && n >= minCheckpointSkip {
 		return g.skipCheckpointed(n)
 	}
-	return g.skip(n, nil)
+	g.skip(n, observe)
+	return n
 }
 
-// SkipWarm implements trace.WarmSkipper: it fast-forwards exactly like
-// Skip, and additionally reconstructs every branch record the skipped
-// stretch contains — bit-identical to the record Next would have
-// emitted — and reports it to observe. Non-branch records are never
-// materialized, which is what keeps a warm skip far cheaper than
-// draining: the caller gets the branch stream (the state a sampled
-// simulation must keep functionally warm, since predictor state is both
-// large and phase-sensitive) at a small surcharge over a cold skip.
-func (g *Generator) SkipWarm(n uint64, observe func(*trace.Uop)) uint64 {
-	return g.skip(n, observe)
-}
-
-func (g *Generator) skip(n uint64, observe func(*trace.Uop)) uint64 {
-	g.pos += n
-	left := n
+func (g *Generator) skip(n uint64, observe func(*trace.Uop)) {
 	// Prologue prefix: a deterministic working-set sweep whose only
 	// per-record state is the sweep position and the PC walker, so it
 	// fast-forwards in O(1). No branches occur before the prologue ends,
 	// so curFn is untouched and the PC offset is pure arithmetic.
-	if g.prologueLeft > 0 {
-		p := g.prologueLeft
-		if p > left {
-			p = left
-		}
+	if p := min(g.prologueLeft, n); p > 0 {
 		g.prologueLeft -= p
 		g.prologuePos += p
 		g.off = (g.off + 4*p) % fnBytes
-		left -= p
+		g.pos += p
+		n -= p
 	}
-	if left == 0 {
-		return n
-	}
-	// Short skips don't amortize a buffer fill; run them on a
-	// stack-local RNG copy instead (or, when warming, through the
-	// emitting path — at these lengths Next's cost is acceptable).
-	if left < skipBufLen {
-		if observe == nil {
-			g.skipScalar(left)
-		} else {
-			g.skipNextWarm(left, observe)
+	u := &g.warmScratch
+	// Short skips don't amortize a buffer fill; at these lengths Next's
+	// cost is acceptable.
+	if n < skipBufLen {
+		for ; n > 0; n-- {
+			g.Next(u)
+			if observe != nil && u.Kind == trace.KindBranch {
+				observe(u)
+			}
 		}
-		return n
+		return
 	}
+	g.pos += n
 	if g.skipBuf == nil {
 		g.skipBuf = make([]uint32, skipBufLen)
 	}
@@ -912,7 +865,7 @@ func (g *Generator) skip(n uint64, observe func(*trace.Uop)) uint64 {
 	if g.pool4.size > 0 {
 		bandActs = bandActs&^(0xff<<24) | 4<<24
 	}
-	for ; left > 0; left-- {
+	for ; n > 0; n-- {
 		// One refill check per record covers every draw below except the
 		// rejection loops, which check for themselves; skipHeadroom
 		// bounds the non-rejecting per-record consumption.
@@ -923,13 +876,9 @@ func (g *Generator) skip(n uint64, observe func(*trace.Uop)) uint64 {
 		idx++
 		if m == mixBranch {
 			g.off = off
-			cls := g.class.Pick(buf[idx])
-			idx++
-			if observe == nil {
-				idx = g.skipBranchClass(cls, idx)
-			} else {
-				idx = g.warmBranchClass(cls, idx, &g.warmScratch)
-				observe(&g.warmScratch)
+			idx = g.warmBranch(idx, u)
+			if observe != nil {
+				observe(u)
 			}
 			off = g.off + 4
 			if off >= fnBytes {
@@ -968,7 +917,6 @@ func (g *Generator) skip(n uint64, observe func(*trace.Uop)) uint64 {
 	// Return the buffered draws that were never consumed: Fill advanced
 	// the RNG to the buffer's end, the stream position is idx.
 	g.rng.Advance(uint64(idx) - uint64(skipBufLen))
-	return n
 }
 
 // skipCursor advances the round-robin cursor of pool act (2-4), the
@@ -1006,8 +954,8 @@ const (
 )
 
 // logBurstRemain is Geometric(1.0/18)'s denominator, precomputed with
-// the identical expression so skipBranchClass's inverse transform is
-// bit-equal to the Geometric call in fillBranchClass.
+// the identical expression so warmBranch's inverse transform is
+// bit-equal to the Geometric call in fillBranch.
 var logBurstRemain = math.Log(1 - 1.0/18)
 
 // skipRefill slides the unconsumed tail of the skip buffer to the front
@@ -1019,145 +967,45 @@ func (g *Generator) skipRefill(idx int) int {
 	return 0
 }
 
-// skipBranchClass evolves exactly the generator state one
-// fillBranchClass call would — burst counters, shadow call stack,
-// walker redirections, polymorphic target rotation — while consuming
-// the same draws from the skip buffer instead of the RNG. Draws whose
-// values influence only the emitted record (outcome flips, jump-site
-// picks) are consumed and discarded. Returns the new buffer index.
-func (g *Generator) skipBranchClass(cls, idx int) int {
+// warmBranch is fillBranch on the skip buffer: it consumes the same draws
+// from skipBuf at idx, makes the same state transitions and fills u with
+// the same record. Returns the new buffer index.
+func (g *Generator) warmBranch(idx int, u *trace.Uop) int {
 	buf := g.skipBuf
+	*u = trace.Uop{Kind: trace.KindBranch}
+	cls := g.class.Pick(buf[idx])
+	idx++
 	switch cls {
 	case clsCond:
 		if g.burstLeft <= 0 {
 			g.curSite = g.condZipf.Pick(buf[idx])
 			// Geometric(1/18) by inverse transform on the two-draw
 			// Float64, exactly as xrand.PCG32.Geometric computes it.
-			u := float64((uint64(buf[idx+1])<<32|uint64(buf[idx+2]))>>11) / (1 << 53)
-			g.burstLeft = 6 + int(math.Log(1-u)/logBurstRemain)
-			idx += 3
-		}
-		g.burstLeft--
-		idx++ // the outcome-flip Bool; taken-ness is record-only
-	case clsJump:
-		idx++ // the site pick; jump PCs are record-only
-	case clsCall:
-		if len(g.callStack) >= 12 {
-			g.skipReturn()
-			return idx
-		}
-		return g.skipCall(buf, idx)
-	case clsReturn:
-		if len(g.callStack) == 0 {
-			return g.skipCall(buf, idx)
-		}
-		g.skipReturn()
-	case clsIndirect:
-		// Intn(len(indirectSites)) = Uint64n: two draws per attempt,
-		// top-of-range rejections resampled.
-		sites := uint64(len(g.indirectSites))
-		bound := ^uint64(0) - (^uint64(0) % sites)
-		var v uint64
-		for {
-			if idx+2 > skipBufLen {
-				idx = g.skipRefill(idx)
-			}
-			v = uint64(buf[idx])<<32 | uint64(buf[idx+1])
-			idx += 2
-			if v < bound {
-				break
-			}
-		}
-		site := &g.indirectSites[v%sites]
-		if len(site.targets) > 1 {
-			// Bool(0.3) gates the polymorphic target rotation.
-			if float64(buf[idx]) < 0.3*(1<<32) {
-				site.next = (site.next + 1) % len(site.targets)
-			}
-			idx++
-		}
-	}
-	return idx
-}
-
-// skipReturn is doReturn's state evolution (no draws).
-func (g *Generator) skipReturn() {
-	ret := g.callStack[len(g.callStack)-1]
-	g.callStack = g.callStack[:len(g.callStack)-1]
-	g.curFn = int((ret - codeBase) / fnBytes % uint64(g.numFuncs))
-}
-
-// skipCall is doCall's state evolution: two draws (call site, callee),
-// a stack push with the same deep-recursion trim, and the walker
-// redirect into the callee.
-func (g *Generator) skipCall(buf []uint32, idx int) int {
-	pc := g.callPCs[g.otherZipf.Pick(buf[idx])]
-	callee := g.fnZipf.Pick(buf[idx+1])
-	idx += 2
-	if len(g.callStack) >= maxCallDepth {
-		g.callStack = append(g.callStack[:0], g.callStack[maxCallDepth/2:]...)
-	}
-	g.callStack = append(g.callStack, pc+4)
-	g.curFn = callee
-	g.off = 0
-	return idx
-}
-
-// warmBranchClass is skipBranchClass plus record reconstruction: same
-// draws consumed, same state transitions, and u is filled with exactly
-// the branch record fillBranchClass would have emitted — the warm-skip
-// equivalence test holds it bit-identical against the emitting path.
-func (g *Generator) warmBranchClass(cls, idx int, u *trace.Uop) int {
-	buf := g.skipBuf
-	u.Kind = trace.KindBranch
-	u.Addr = 0
-	switch cls {
-	case clsCond:
-		if g.burstLeft <= 0 {
-			g.curSite = g.condZipf.Pick(buf[idx])
 			uf := float64((uint64(buf[idx+1])<<32|uint64(buf[idx+2]))>>11) / (1 << 53)
 			g.burstLeft = 6 + int(math.Log(1-uf)/logBurstRemain)
 			idx += 3
 		}
-		g.burstLeft--
-		site := &g.condSites[g.curSite]
-		taken := site.taken
-		// xrand.PCG32.Bool's comparison, on the buffered draw.
-		if site.flipProb >= 1 || float64(buf[idx]) < site.flipProb*(1<<32) {
-			taken = !taken
-		}
+		g.condRecord(u, buf[idx])
 		idx++
-		u.PC = site.pc
-		u.Branch = trace.BranchConditional
-		u.Taken = taken
-		u.Target = 0
-		if taken {
-			u.Target = site.pc - 64
-		}
 	case clsJump:
-		pc := g.jumpPCs[g.otherZipf.Pick(buf[idx])]
+		g.jumpRecord(u, g.otherZipf.Pick(buf[idx]))
 		idx++
-		u.PC = pc
-		u.Branch = trace.BranchDirectJump
-		u.Taken = true
-		u.Target = pc + 128
-	case clsCall:
-		if len(g.callStack) >= 12 {
-			g.warmReturn(u)
-			return idx
+	case clsCall, clsReturn:
+		if g.returns(cls) {
+			g.doReturn(u)
+		} else {
+			g.call(u, g.otherZipf.Pick(buf[idx]), g.fnZipf.Pick(buf[idx+1]))
+			idx += 2
 		}
-		return g.warmCall(buf, idx, u)
-	case clsReturn:
-		if len(g.callStack) == 0 {
-			return g.warmCall(buf, idx, u)
-		}
-		g.warmReturn(u)
 	case clsIndirect:
+		// Intn(len(indirectSites)) = Uint64n: two draws per attempt,
+		// top-of-range rejections resampled. The refill check keeps one
+		// more draw for the rotation below.
 		sites := uint64(len(g.indirectSites))
 		bound := ^uint64(0) - (^uint64(0) % sites)
 		var v uint64
 		for {
-			if idx+2 > skipBufLen {
+			if idx+3 > skipBufLen {
 				idx = g.skipRefill(idx)
 			}
 			v = uint64(buf[idx])<<32 | uint64(buf[idx+1])
@@ -1167,151 +1015,13 @@ func (g *Generator) warmBranchClass(cls, idx int, u *trace.Uop) int {
 			}
 		}
 		site := &g.indirectSites[v%sites]
-		u.PC = site.pc
-		u.Branch = trace.BranchIndirectJump
-		u.Taken = true
-		if len(site.targets) == 1 {
-			u.Target = site.targets[0]
-		} else {
-			u.Target = site.targets[site.next]
-			if float64(buf[idx]) < 0.3*(1<<32) {
-				site.next = (site.next + 1) % len(site.targets)
-			}
+		site.record(u)
+		if len(site.targets) > 1 {
+			site.rotate(buf[idx])
 			idx++
 		}
 	}
 	return idx
-}
-
-// warmReturn is doReturn with the record kept.
-func (g *Generator) warmReturn(u *trace.Uop) {
-	ret := g.callStack[len(g.callStack)-1]
-	g.callStack = g.callStack[:len(g.callStack)-1]
-	u.PC = ret + 60
-	u.Branch = trace.BranchReturn
-	u.Taken = true
-	u.Target = ret
-	g.curFn = int((ret - codeBase) / fnBytes % uint64(g.numFuncs))
-}
-
-// warmCall is doCall with the record kept, drawing from the skip buffer.
-func (g *Generator) warmCall(buf []uint32, idx int, u *trace.Uop) int {
-	pc := g.callPCs[g.otherZipf.Pick(buf[idx])]
-	callee := g.fnZipf.Pick(buf[idx+1])
-	idx += 2
-	u.PC = pc
-	u.Branch = trace.BranchDirectCall
-	u.Taken = true
-	u.Target = codeBase + uint64(callee)*fnBytes
-	if len(g.callStack) >= maxCallDepth {
-		g.callStack = append(g.callStack[:0], g.callStack[maxCallDepth/2:]...)
-	}
-	g.callStack = append(g.callStack, pc+4)
-	g.curFn = callee
-	g.off = 0
-	return idx
-}
-
-// skipNextWarm handles short warm skips through the emitting path: the
-// draw buffer doesn't amortize under skipBufLen records, and at these
-// lengths Next's cost is acceptable.
-func (g *Generator) skipNextWarm(left uint64, observe func(*trace.Uop)) {
-	u := &g.warmScratch
-	g.pos -= left // skip counted them; Next counts each again
-	for ; left > 0; left-- {
-		g.Next(u)
-		if u.Kind == trace.KindBranch {
-			observe(u)
-		}
-	}
-}
-
-// skipScalar fast-forwards left steady-state records on a stack-local
-// RNG copy — the short-skip path, where a buffer fill would cost more
-// than it saves. Branch records (the only kind whose fill mutates state
-// beyond the RNG and pool cursors) sync the local copy back and run the
-// full fill into a scratch record.
-func (g *Generator) skipScalar(left uint64) {
-	var scratch trace.Uop
-	off := g.off
-	mix, band := g.mix, g.bandProb
-	var p1n uint32
-	if g.pool1.size > 0 {
-		p1n = uint32(g.pool1.size)
-	}
-	lr := *g.rng
-	for ; left > 0; left-- {
-		m := mix.Pick(lr.Uint32())
-		if m >= mixLoad {
-			if m != mixBranch {
-				pool1 := false
-				switch band.Pick(lr.Uint32()) {
-				case 0:
-					pool1 = true
-				case 1:
-					if p := &g.pool2; p.size > 0 {
-						p.pos++
-						if p.pos >= p.size {
-							p.pos = 0
-						}
-					} else {
-						pool1 = true
-					}
-				case 2:
-					if p := &g.pool3; p.size > 0 {
-						p.pos++
-						if p.pos >= p.size {
-							p.pos = 0
-						}
-					} else {
-						pool1 = true
-					}
-				default:
-					if p := &g.pool4; p.size > 0 {
-						i := uint64(p.pos)
-						p.pos++
-						if p.pos >= p.size {
-							p.pos = 0
-						}
-						if t := p.baseLine + i + 1; t > g.touched {
-							g.touched = t
-						}
-					} else if p := &g.pool3; p.size > 0 {
-						p.pos++
-						if p.pos >= p.size {
-							p.pos = 0
-						}
-					} else {
-						pool1 = true
-					}
-				}
-				if pool1 && p1n != 0 {
-					x := lr.Uint32()
-					m64 := uint64(x) * uint64(p1n)
-					if l := uint32(m64); l < p1n {
-						t := -p1n % p1n
-						for l < t {
-							x = lr.Uint32()
-							m64 = uint64(x) * uint64(p1n)
-							l = uint32(m64)
-						}
-					}
-				}
-			} else {
-				g.off = off
-				*g.rng = lr
-				g.fillBranchClass(&scratch, g.class.Pick(g.rng.Uint32()))
-				lr = *g.rng
-				off = g.off
-			}
-		}
-		off += 4
-		if off >= fnBytes {
-			off = 0
-		}
-	}
-	*g.rng = lr
-	g.off = off
 }
 
 // Footprint returns the number of distinct lines the generator has

@@ -168,56 +168,56 @@ type WarmSkipper interface {
 	SkipWarm(n uint64, observe func(*Uop)) uint64
 }
 
-// SkipRecords fast-forwards src by n records: through its native Skip
-// when it implements Skipper, otherwise by draining batches into buf and
-// discarding them. Callers own buf (typically their existing per-run
-// batch buffer), so the fallback allocates nothing. It returns the
-// number of records skipped; fewer than n means exhaustion.
+// SkipRecords fast-forwards src by n records: SkipRecordsWarm with no
+// observer.
 func SkipRecords(src BatchSource, buf []Uop, n uint64) uint64 {
-	if s, ok := src.(Skipper); ok {
-		return s.Skip(n)
-	}
-	done := uint64(0)
-	for done < n {
-		want := n - done
-		if want > uint64(len(buf)) {
-			want = uint64(len(buf))
-		}
-		got := src.NextBatch(buf[:want])
-		if got == 0 {
-			break
-		}
-		done += uint64(got)
-	}
-	return done
+	return SkipRecordsWarm(src, buf, n, nil)
 }
 
-// SkipRecordsWarm is SkipRecords with branch warming: branch records in
-// the skipped stretch are reported to observe. Sources implementing
-// WarmSkipper do this natively; anything else falls back to draining
-// batches into buf and observing the branch records among them — the
-// same stream advance and the same observations, at materialization
-// cost. A nil observe degrades to SkipRecords.
+// SkipRecordsWarm fast-forwards src by n records, reporting the branch
+// records of the skipped stretch to observe when it is non-nil. Sources
+// implementing WarmSkipper (or Skipper, for a nil observe) do this
+// natively; anything else falls back to draining batches into buf and
+// observing the branch records among them — the same stream advance and
+// the same observations, at materialization cost. Callers own buf
+// (typically their existing per-run batch buffer), so the fallback
+// allocates nothing. It returns the number of records skipped; fewer
+// than n means exhaustion.
 func SkipRecordsWarm(src BatchSource, buf []Uop, n uint64, observe func(*Uop)) uint64 {
-	if observe == nil {
-		return SkipRecords(src, buf, n)
+	if done, ok := skipNative(src, n, observe); ok {
+		return done
 	}
+	return drain(src, buf, n, observe)
+}
+
+// skipNative skips n records of src through its own skip capability:
+// SkipWarm, or Skip when observe is nil. ok is false when src has
+// neither that applies.
+func skipNative(src any, n uint64, observe func(*Uop)) (done uint64, ok bool) {
 	if ws, ok := src.(WarmSkipper); ok {
-		return ws.SkipWarm(n, observe)
+		return ws.SkipWarm(n, observe), true
 	}
+	if s, ok := src.(Skipper); ok && observe == nil {
+		return s.Skip(n), true
+	}
+	return 0, false
+}
+
+// drain is the skip fallback every source without a native skip shares:
+// it pulls up to n records of src through buf, reporting the branch
+// records among them to observe when it is non-nil.
+func drain(src BatchSource, buf []Uop, n uint64, observe func(*Uop)) uint64 {
 	done := uint64(0)
 	for done < n {
-		want := n - done
-		if want > uint64(len(buf)) {
-			want = uint64(len(buf))
-		}
-		got := src.NextBatch(buf[:want])
+		got := src.NextBatch(buf[:min(n-done, uint64(len(buf)))])
 		if got == 0 {
 			break
 		}
-		for i := range buf[:got] {
-			if buf[i].Kind == KindBranch {
-				observe(&buf[i])
+		if observe != nil {
+			for i := range buf[:got] {
+				if buf[i].Kind == KindBranch {
+					observe(&buf[i])
+				}
 			}
 		}
 		done += uint64(got)
@@ -259,51 +259,20 @@ func (b *sourceBatcher) NextBatch(buf []Uop) int {
 	return n
 }
 
-// Skip implements Skipper: natively when the wrapped source can skip,
-// otherwise by draining into the adapter's reusable scratch buffer.
-func (b *sourceBatcher) Skip(n uint64) uint64 {
-	if s, ok := b.src.(Skipper); ok {
-		return s.Skip(n)
-	}
-	if b.scratch == nil {
-		b.scratch = make([]Uop, scratchLen)
-	}
-	done := uint64(0)
-	for done < n {
-		want := n - done
-		if want > scratchLen {
-			want = scratchLen
-		}
-		got := b.NextBatch(b.scratch[:want])
-		if got == 0 {
-			break
-		}
-		done += uint64(got)
-	}
-	return done
-}
+// Skip implements Skipper: SkipWarm with no observer.
+func (b *sourceBatcher) Skip(n uint64) uint64 { return b.SkipWarm(n, nil) }
 
 // SkipWarm implements WarmSkipper: natively when the wrapped source can
-// warm-skip, otherwise by draining into the adapter's reusable scratch
-// buffer and observing the branch records among the drained stretch.
+// skip, otherwise by draining into the adapter's reusable scratch buffer.
 func (b *sourceBatcher) SkipWarm(n uint64, observe func(*Uop)) uint64 {
-	if observe == nil {
-		return b.Skip(n)
-	}
-	if ws, ok := b.src.(WarmSkipper); ok {
-		return ws.SkipWarm(n, observe)
+	if done, ok := skipNative(b.src, n, observe); ok {
+		return done
 	}
 	if b.scratch == nil {
 		b.scratch = make([]Uop, scratchLen)
 	}
-	return SkipRecordsWarm(noSkipSource{b}, b.scratch, n, observe)
+	return drain(b, b.scratch, n, observe)
 }
-
-// noSkipSource hides a batcher's skip capabilities so SkipRecordsWarm's
-// drain fallback can be reused without recursing into SkipWarm.
-type noSkipSource struct{ b *sourceBatcher }
-
-func (s noSkipSource) NextBatch(buf []Uop) int { return s.b.NextBatch(buf) }
 
 // SliceSource adapts a materialized uop slice to the Source interface.
 // It is primarily useful in tests.
@@ -329,30 +298,20 @@ func (s *SliceSource) NextBatch(buf []Uop) int {
 	return n
 }
 
-// Skip implements Skipper by advancing the cursor.
-func (s *SliceSource) Skip(n uint64) uint64 {
-	rem := uint64(len(s.Uops) - s.pos)
-	if n > rem {
-		n = rem
-	}
-	s.pos += int(n)
-	return n
-}
+// Skip implements Skipper: SkipWarm with no observer.
+func (s *SliceSource) Skip(n uint64) uint64 { return s.SkipWarm(n, nil) }
 
-// SkipWarm implements WarmSkipper: the records already exist, so the
-// skipped stretch is walked in place for its branch records.
+// SkipWarm implements WarmSkipper by advancing the cursor; the records
+// already exist, so an observer is shown the skipped stretch's branch
+// records in place.
 func (s *SliceSource) SkipWarm(n uint64, observe func(*Uop)) uint64 {
-	if observe == nil {
-		return s.Skip(n)
-	}
-	rem := uint64(len(s.Uops) - s.pos)
-	if n > rem {
-		n = rem
-	}
-	skipped := s.Uops[s.pos : s.pos+int(n)]
-	for i := range skipped {
-		if skipped[i].Kind == KindBranch {
-			observe(&skipped[i])
+	n = min(n, uint64(len(s.Uops)-s.pos))
+	if observe != nil {
+		skipped := s.Uops[s.pos : s.pos+int(n)]
+		for i := range skipped {
+			if skipped[i].Kind == KindBranch {
+				observe(&skipped[i])
+			}
 		}
 	}
 	s.pos += int(n)
@@ -404,50 +363,24 @@ func (l *Limit) NextBatch(buf []Uop) int {
 	return n
 }
 
-// Skip implements Skipper, clamping to the remaining budget and using
-// the wrapped source's Skip when it has one. Without one the records are
-// drained one at a time — Limit wraps arbitrary Sources, so there is no
-// buffer to reuse and none is allocated.
-func (l *Limit) Skip(n uint64) uint64 {
-	if l.seen >= l.N {
-		return 0
-	}
-	if rem := l.N - l.seen; n > rem {
-		n = rem
-	}
-	var done uint64
-	if s, ok := l.Src.(Skipper); ok {
-		done = s.Skip(n)
-	} else {
-		var u Uop
-		for done < n && l.Src.Next(&u) {
-			done++
-		}
-	}
-	l.seen += done
-	return done
-}
+// Skip implements Skipper: SkipWarm with no observer.
+func (l *Limit) Skip(n uint64) uint64 { return l.SkipWarm(n, nil) }
 
 // SkipWarm implements WarmSkipper, clamping to the remaining budget and
-// delegating to the wrapped source's warm skip when it has one; without
-// one the records are drained one at a time and branch records observed.
+// using the wrapped source's skip when it has one. Without one the
+// records are drained one at a time, branch records observed — Limit
+// wraps arbitrary Sources, so there is no buffer to reuse and none is
+// allocated.
 func (l *Limit) SkipWarm(n uint64, observe func(*Uop)) uint64 {
-	if observe == nil {
-		return l.Skip(n)
-	}
 	if l.seen >= l.N {
 		return 0
 	}
-	if rem := l.N - l.seen; n > rem {
-		n = rem
-	}
-	var done uint64
-	if ws, ok := l.Src.(WarmSkipper); ok {
-		done = ws.SkipWarm(n, observe)
-	} else {
+	n = min(n, l.N-l.seen)
+	done, ok := skipNative(l.Src, n, observe)
+	if !ok {
 		var u Uop
 		for done < n && l.Src.Next(&u) {
-			if u.Kind == KindBranch {
+			if observe != nil && u.Kind == KindBranch {
 				observe(&u)
 			}
 			done++
