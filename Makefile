@@ -27,8 +27,13 @@ loc:
 		-not -path './.bench_build/*' -not -path './.bench_out/*' | xargs cat | wc -l
 
 # Run every fuzz target over its seed corpus (no fuzzing engine time).
+# The packages are found from their func Fuzz declarations (outside
+# perfbench/ and hidden directories), so a new target cannot be left out.
+FUZZ_PKGS = $(sort $(patsubst %/,%,$(dir $(shell grep -rl --include='*_test.go' \
+	--exclude-dir=perfbench --exclude-dir='.?*' '^func Fuzz' .))))
+
 fuzz-seed:
-	$(GO) test -run='^Fuzz' ./internal/cache ./internal/synth ./internal/machine ./internal/rdist ./internal/core ./internal/server ./internal/sweep ./internal/store
+	$(GO) test -run='^Fuzz' $(FUZZ_PKGS)
 
 # One-iteration pass over the kernel benchmarks: catches benchmarks that
 # no longer build or crash without paying for stable timings. The

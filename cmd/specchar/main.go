@@ -34,10 +34,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	speckit "repro"
 	"repro/internal/cliflags"
+	"repro/internal/profile"
 	"repro/internal/report"
 )
 
@@ -97,14 +97,14 @@ func run(ctx context.Context, cfg config) error {
 			}
 		}()
 	}
-	suite, err := pickSuite(cfg.suite)
+	apps, err := profile.ParseSuite(cfg.suite)
 	if err != nil {
 		return err
 	}
-	if suite, err = filterMini(suite, cfg.mini); err != nil {
+	if apps, err = profile.FilterMini(apps, cfg.mini); err != nil {
 		return err
 	}
-	size, err := pickSize(cfg.size)
+	size, err := profile.ParseSize(cfg.size)
 	if err != nil {
 		return err
 	}
@@ -113,7 +113,7 @@ func run(ctx context.Context, cfg config) error {
 		return err
 	}
 	opt.Instructions = cfg.n
-	chars, err := speckit.Characterize(suite, size, opt)
+	chars, err := speckit.Characterize(apps, size, opt)
 	if err != nil {
 		return err
 	}
@@ -274,45 +274,4 @@ func writeRuntimeTable(chars []speckit.Characteristics, csv bool) error {
 		return t.WriteCSV(os.Stdout)
 	}
 	return t.WriteText(os.Stdout)
-}
-
-func pickSuite(name string) (speckit.Suite, error) {
-	switch strings.ToLower(name) {
-	case "cpu2017", "cpu17":
-		return speckit.CPU2017(), nil
-	case "cpu2006", "cpu06":
-		return speckit.CPU2006(), nil
-	default:
-		return nil, fmt.Errorf("unknown suite %q", name)
-	}
-}
-
-func filterMini(s speckit.Suite, mini string) (speckit.Suite, error) {
-	switch strings.ToLower(mini) {
-	case "all", "":
-		return s, nil
-	case "rate-int":
-		return s.Mini(speckit.RateInt), nil
-	case "rate-fp":
-		return s.Mini(speckit.RateFP), nil
-	case "speed-int":
-		return s.Mini(speckit.SpeedInt), nil
-	case "speed-fp":
-		return s.Mini(speckit.SpeedFP), nil
-	default:
-		return nil, fmt.Errorf("unknown mini-suite %q", mini)
-	}
-}
-
-func pickSize(name string) (speckit.InputSize, error) {
-	switch strings.ToLower(name) {
-	case "test":
-		return speckit.Test, nil
-	case "train":
-		return speckit.Train, nil
-	case "ref":
-		return speckit.Ref, nil
-	default:
-		return speckit.Ref, fmt.Errorf("unknown input size %q", name)
-	}
 }

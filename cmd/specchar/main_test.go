@@ -13,47 +13,6 @@ import (
 	"repro/internal/cliflags"
 )
 
-func TestPickSuite(t *testing.T) {
-	for _, name := range []string{"cpu2017", "CPU17", "cpu2006", "cpu06"} {
-		if _, err := pickSuite(name); err != nil {
-			t.Errorf("pickSuite(%q): %v", name, err)
-		}
-	}
-	if _, err := pickSuite("spec95"); err == nil {
-		t.Error("unknown suite accepted")
-	}
-}
-
-func TestFilterMini(t *testing.T) {
-	suite, _ := pickSuite("cpu2017")
-	counts := map[string]int{
-		"all": 43, "rate-int": 10, "rate-fp": 13, "speed-int": 10, "speed-fp": 10,
-	}
-	for mini, want := range counts {
-		got, err := filterMini(suite, mini)
-		if err != nil {
-			t.Fatalf("filterMini(%q): %v", mini, err)
-		}
-		if len(got) != want {
-			t.Errorf("filterMini(%q) = %d apps, want %d", mini, len(got), want)
-		}
-	}
-	if _, err := filterMini(suite, "rate-complex"); err == nil {
-		t.Error("unknown mini accepted")
-	}
-}
-
-func TestPickSize(t *testing.T) {
-	for _, name := range []string{"test", "train", "ref", "REF"} {
-		if _, err := pickSize(name); err != nil {
-			t.Errorf("pickSize(%q): %v", name, err)
-		}
-	}
-	if _, err := pickSize("huge"); err == nil {
-		t.Error("unknown size accepted")
-	}
-}
-
 // TestRunSmoke drives the tool end to end on a small mini-suite.
 func TestRunSmoke(t *testing.T) {
 	ctx := context.Background()

@@ -21,8 +21,13 @@
 // over /v1/sweeps and the progress meter follows the server's SSE
 // stream.
 //
-// The -scenario flag's sampling knob sets the sampled tier's window
-// geometry, locally and in server mode.
+// Both modes describe the sweep as one server.SweepSpec and resolve it
+// the same way (server.SweepSpec.Resolve), so they sweep the same cells.
+//
+// -scenario takes only the sampling knob (sampling=default|P/D/W, or
+// the "sampled" token): it sets the sampled tier's window geometry. The
+// tiers are -screen and -escalate, and copy counts are swept with
+// -axis rate.copies, so the other scenario knobs are rejected.
 //
 // Axis values accept KiB/MiB/GiB suffixes; known parameters are listed
 // by -axis help. Cells simulated vs served from cache are reported on
@@ -53,7 +58,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/cliflags"
 	"repro/internal/machine"
-	"repro/internal/profile"
 	"repro/internal/report"
 	"repro/internal/server"
 	"repro/internal/sweep"
@@ -96,22 +100,7 @@ func main() {
 }
 
 func run(ctx context.Context, cfg config) error {
-	if len(cfg.axes) == 0 {
-		return fmt.Errorf("no -axis given; known parameters: %s", axisParamList())
-	}
-	var metrics []string
-	if cfg.metrics != "" {
-		for _, m := range strings.Split(cfg.metrics, ",") {
-			metrics = append(metrics, strings.TrimSpace(m))
-		}
-	}
-	var res *sweep.Result
-	var err error
-	if cfg.addr != "" {
-		res, err = runServer(ctx, cfg, metrics)
-	} else {
-		res, err = runLocal(ctx, cfg, metrics)
-	}
+	res, err := sweepResult(ctx, cfg)
 	if err != nil {
 		return err
 	}
@@ -126,41 +115,69 @@ func run(ctx context.Context, cfg config) error {
 	return nil
 }
 
-// runLocal sweeps in-process on top of the shared campaign flags
-// (cache-dir store tier, the scenario's sampling knob for the sampled
-// tier, -j).
-func runLocal(ctx context.Context, cfg config, metrics []string) (*sweep.Result, error) {
-	pairs, err := resolvePairs(cfg.suite, cfg.mini, cfg.size)
+// sweepResult builds the sweep spec the flags describe and runs it:
+// submitted to -addr, or resolved and swept in-process.
+func sweepResult(ctx context.Context, cfg config) (*sweep.Result, error) {
+	spec, err := cfg.sweepSpec()
 	if err != nil {
 		return nil, err
 	}
-	spec := sweep.Spec{
-		Axes:      []sweep.Axis(cfg.axes),
-		Pairs:     pairs,
-		Metrics:   metrics,
-		SSEWeight: cfg.sseWeight,
+	if cfg.addr != "" {
+		return runServer(ctx, cfg, spec)
 	}
-	if spec.Screen, err = machine.ParseFidelity(cfg.screen); err != nil {
-		return nil, err
+	return runLocal(ctx, cfg, spec)
+}
+
+// sweepSpec is the one description of the sweep both modes run. Of the
+// -scenario knobs only sampling applies; the others are rejected here,
+// before the modes split.
+func (cfg config) sweepSpec() (server.SweepSpec, error) {
+	if len(cfg.axes) == 0 {
+		return server.SweepSpec{}, fmt.Errorf("no -axis given; known parameters: %s", axisParamList())
 	}
-	switch strings.ToLower(cfg.escalate) {
-	case "off", "none":
-		spec.EscalateOff = true
-	default:
-		if spec.Escalate, err = machine.ParseFidelity(cfg.escalate); err != nil {
-			return nil, err
+	sc, err := speckit.ParseScenario(cfg.Scenario)
+	if err != nil {
+		return server.SweepSpec{}, err
+	}
+	if sc.Fidelity == speckit.FidelityAnalytic || sc.IntraPairWorkers > 1 || sc.RateCopies > 1 || sc.Topology.Enabled() {
+		return server.SweepSpec{}, fmt.Errorf("-scenario %q: a sweep takes only the sampling knob; "+
+			"set tiers with -screen and -escalate, and sweep copy counts with -axis %s=1,2,4",
+			cfg.Scenario, sweep.RateAxis)
+	}
+	var metrics []string
+	if cfg.metrics != "" {
+		for _, m := range strings.Split(cfg.metrics, ",") {
+			metrics = append(metrics, strings.TrimSpace(m))
 		}
 	}
-	opt, err := cfg.Campaign.Options(ctx)
+	return server.SweepSpec{
+		Suite: cfg.suite, Mini: cfg.mini, Size: cfg.size,
+		Instructions: cfg.n,
+		Axes:         []sweep.Axis(cfg.axes),
+		Screen:       cfg.screen,
+		Escalate:     cfg.escalate,
+		Sampling:     sc.Sampling.String(),
+		Metrics:      metrics,
+		SSEWeight:    cfg.sseWeight,
+	}, nil
+}
+
+// runLocal resolves the spec on top of the shared campaign flags
+// (cache-dir store tier, -j, -trace) and sweeps in-process.
+func runLocal(ctx context.Context, cfg config, spec server.SweepSpec) (*sweep.Result, error) {
+	base, err := cfg.Campaign.Options(ctx)
 	if err != nil {
 		return nil, err
 	}
-	opt.Instructions = cfg.n
+	sspec, opt, err := spec.Resolve(base)
+	if err != nil {
+		return nil, err
+	}
 	sweepOpt := sweep.Options{Base: opt}
 	if cfg.Progress {
 		sweepOpt.Progress = progressMeter()
 	}
-	res, err := sweep.Run(ctx, spec, sweepOpt)
+	res, err := sweep.Run(ctx, sspec, sweepOpt)
 	if err != nil {
 		return nil, err
 	}
@@ -169,25 +186,10 @@ func runLocal(ctx context.Context, cfg config, metrics []string) (*sweep.Result,
 
 // runServer submits the sweep over /v1/sweeps; with -progress it
 // follows the SSE stream, otherwise it waits server-side.
-func runServer(ctx context.Context, cfg config, metrics []string) (*sweep.Result, error) {
-	// Options never runs in server mode, so parse the scenario here
-	// for the sampled tier's knob.
-	scenario, err := speckit.ParseScenario(cfg.Scenario)
-	if err != nil {
-		return nil, err
-	}
+func runServer(ctx context.Context, cfg config, spec server.SweepSpec) (*sweep.Result, error) {
 	cl := client.New(cfg.addr)
-	spec := server.SweepSpec{
-		Suite: cfg.suite, Mini: cfg.mini, Size: cfg.size,
-		Instructions: cfg.n,
-		Axes:         []sweep.Axis(cfg.axes),
-		Screen:       cfg.screen,
-		Escalate:     cfg.escalate,
-		Sampling:     scenario.Sampling.String(),
-		Metrics:      metrics,
-		SSEWeight:    cfg.sseWeight,
-	}
 	var st server.SweepStatus
+	var err error
 	if cfg.Progress {
 		if st, err = cl.SubmitSweep(ctx, spec); err != nil {
 			return nil, err
@@ -324,54 +326,6 @@ func formatBytes(b int64) string {
 	default:
 		return strconv.FormatInt(b, 10)
 	}
-}
-
-func resolvePairs(suite, mini, size string) ([]profile.Pair, error) {
-	var apps []*profile.Profile
-	switch strings.ToLower(suite) {
-	case "cpu2017", "cpu17":
-		apps = profile.CPU2017()
-	case "cpu2006", "cpu06":
-		apps = profile.CPU2006()
-	default:
-		return nil, fmt.Errorf("unknown suite %q", suite)
-	}
-	var filter profile.Suite
-	switch strings.ToLower(mini) {
-	case "all", "":
-	case "rate-int":
-		filter = profile.RateInt
-	case "rate-fp":
-		filter = profile.RateFP
-	case "speed-int":
-		filter = profile.SpeedInt
-	case "speed-fp":
-		filter = profile.SpeedFP
-	default:
-		return nil, fmt.Errorf("unknown mini-suite %q", mini)
-	}
-	var in profile.InputSize
-	switch strings.ToLower(size) {
-	case "test":
-		in = profile.Test
-	case "train":
-		in = profile.Train
-	case "ref":
-		in = profile.Ref
-	default:
-		return nil, fmt.Errorf("unknown input size %q", size)
-	}
-	var pairs []profile.Pair
-	for _, app := range apps {
-		if filter != 0 && app.Suite != filter {
-			continue
-		}
-		pairs = append(pairs, app.Expand(in)...)
-	}
-	if len(pairs) == 0 {
-		return nil, fmt.Errorf("no workload pairs match %s/%s/%s", suite, mini, size)
-	}
-	return pairs, nil
 }
 
 // axisParamList names every -axis parameter: the machine axes plus the

@@ -20,10 +20,10 @@ import (
 	"math"
 	"os"
 	"sort"
-	"strings"
 
 	speckit "repro"
 	"repro/internal/cliflags"
+	"repro/internal/profile"
 	"repro/internal/report"
 )
 
@@ -61,27 +61,14 @@ type deviation struct {
 }
 
 func run(ctx context.Context, cfg config) error {
-	var suite speckit.Suite
-	switch strings.ToLower(cfg.suite) {
-	case "cpu2017", "cpu17":
-		suite = speckit.CPU2017()
-	case "cpu2006", "cpu06":
-		suite = speckit.CPU2006()
-	default:
-		return fmt.Errorf("unknown suite %q", cfg.suite)
+	suite, err := profile.ParseSuite(cfg.suite)
+	if err != nil {
+		return err
 	}
-	var size speckit.InputSize
-	switch strings.ToLower(cfg.size) {
-	case "test":
-		size = speckit.Test
-	case "train":
-		size = speckit.Train
-	case "ref":
-		size = speckit.Ref
-	default:
-		return fmt.Errorf("unknown size %q", cfg.size)
+	size, err := profile.ParseSize(cfg.size)
+	if err != nil {
+		return err
 	}
-
 	opt, err := cfg.Campaign.Options(ctx)
 	if err != nil {
 		return err

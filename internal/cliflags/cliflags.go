@@ -5,11 +5,11 @@
 // (fidelity tier, sampling, intra-pair workers, rate copies, topology),
 // the -batch kernel knob, and the observability pair -trace (JSONL run
 // manifest) and -slow-pair (per-pair latency warnings). Each tool
-// embeds a Campaign, registers the flags, builds its campaign options
-// from it, and calls Finish once the campaign completes.
+// embeds a Campaign, registers the flags, fills a speckit.Options from
+// it, and calls Finish once the campaign completes.
 //
-// The package is deliberately built on the public speckit API — the
-// tools exercise the same consolidated surface library users get.
+// The package is deliberately built on the public speckit API: the
+// tools fill the same Options struct library users do.
 package cliflags
 
 import (
@@ -53,9 +53,8 @@ type Campaign struct {
 	SlowPair time.Duration
 
 	// State captured by Options for Finish.
-	cache    *speckit.Cache
-	trace    *speckit.Trace
-	scenario speckit.Scenario
+	cache *speckit.Cache
+	trace *speckit.Trace
 }
 
 // Register installs the shared flags on fs (flag.CommandLine in the
@@ -79,35 +78,28 @@ func (c *Campaign) Options(ctx context.Context) (speckit.Options, error) {
 	if err != nil {
 		return speckit.Options{}, err
 	}
-	c.scenario = scenario
 	c.cache = speckit.NewCache()
-	opts := []speckit.Option{
-		speckit.WithContext(ctx),
-		speckit.WithCache(c.cache),
-		speckit.WithScenario(scenario),
-		speckit.WithBatchSize(c.Batch),
-		speckit.WithParallelism(c.Parallelism),
+	opt := speckit.Options{
+		Context:     ctx,
+		Cache:       c.cache,
+		Scenario:    scenario,
+		BatchSize:   c.Batch,
+		Parallelism: c.Parallelism,
 	}
 	if c.Progress {
-		opts = append(opts, speckit.WithProgress(speckit.ProgressPrinter(os.Stderr)))
+		opt.Progress = speckit.ProgressPrinter(os.Stderr)
 	}
 	if c.CacheDir != "" {
-		st, err := speckit.OpenStore(c.CacheDir)
-		if err != nil {
+		if opt.Store, err = speckit.OpenStore(c.CacheDir); err != nil {
 			return speckit.Options{}, err
 		}
-		opts = append(opts, speckit.WithStore(st))
 	}
 	if c.TraceFile != "" || c.SlowPair > 0 {
 		c.trace = speckit.NewTrace()
-		opts = append(opts, speckit.WithTrace(c.trace))
+		opt.Trace = c.trace
 	}
-	return speckit.NewOptions(opts...), nil
+	return opt, nil
 }
-
-// ScenarioKnob returns the scenario parsed by Options (zero before
-// then).
-func (c *Campaign) ScenarioKnob() speckit.Scenario { return c.scenario }
 
 // Finish completes the shared end-of-run reporting: the tiered
 // cache-stats line under -progress, slow-pair warnings, and the JSONL

@@ -58,8 +58,8 @@ func TestOptionsFidelity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opt.Fidelity != speckit.FidelityAnalytic || c.ScenarioKnob().Fidelity != speckit.FidelityAnalytic {
-		t.Errorf("fidelity = %v (tier %v), want analytic", opt.Fidelity, c.ScenarioKnob().Fidelity)
+	if opt.Fidelity != speckit.FidelityAnalytic {
+		t.Errorf("fidelity = %v, want analytic", opt.Fidelity)
 	}
 
 	if _, err := (&Campaign{Scenario: "turbo"}).Options(context.Background()); err == nil {
@@ -112,8 +112,8 @@ func TestParseScenario(t *testing.T) {
 			t.Errorf("-scenario %q: %v", tc.in, err)
 			continue
 		}
-		if got := c.ScenarioKnob(); got != tc.want || opt.Scenario != tc.want {
-			t.Errorf("-scenario %q = %+v (options %+v), want %+v", tc.in, got, opt.Scenario, tc.want)
+		if opt.Scenario != tc.want {
+			t.Errorf("-scenario %q = %+v, want %+v", tc.in, opt.Scenario, tc.want)
 			continue
 		}
 		// The canonical string round-trips through the parser.

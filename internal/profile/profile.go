@@ -18,6 +18,7 @@ package profile
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Suite identifies one of the four CPU2017 mini-suites (or the two CPU2006
@@ -418,4 +419,61 @@ func FilterSuite(pairs []Pair, s Suite) []Pair {
 		}
 	}
 	return out
+}
+
+// The parsers below read the workload names every entry point accepts
+// (the CLIs' -suite, -mini and -size flags and the campaign and sweep
+// specs of specserved): names match in any case, and an empty name
+// selects the default.
+
+// ParseSuite returns the models of the named suite: "cpu2017" (or
+// "cpu17", the default) or "cpu2006" (or "cpu06").
+func ParseSuite(name string) ([]*Profile, error) {
+	switch strings.ToLower(name) {
+	case "cpu2017", "cpu17", "":
+		return CPU2017(), nil
+	case "cpu2006", "cpu06":
+		return CPU2006(), nil
+	}
+	return nil, fmt.Errorf("unknown suite %q", name)
+}
+
+// miniSuites maps the CPU2017 mini-suite names to their identifiers.
+var miniSuites = map[string]Suite{
+	"rate-int": RateInt, "rate-fp": RateFP, "speed-int": SpeedInt, "speed-fp": SpeedFP,
+}
+
+// FilterMini keeps the apps of the named mini-suite: "all" (the
+// default) keeps every app, "rate-int", "rate-fp", "speed-int" and
+// "speed-fp" keep one CPU2017 mini-suite, in order.
+func FilterMini(apps []*Profile, name string) ([]*Profile, error) {
+	lower := strings.ToLower(name)
+	if lower == "all" || lower == "" {
+		return apps, nil
+	}
+	want, ok := miniSuites[lower]
+	if !ok {
+		return nil, fmt.Errorf("unknown mini-suite %q", name)
+	}
+	var kept []*Profile
+	for _, app := range apps {
+		if app.Suite == want {
+			kept = append(kept, app)
+		}
+	}
+	return kept, nil
+}
+
+// ParseSize parses an input size name: "test", "train" or "ref" (the
+// default).
+func ParseSize(name string) (InputSize, error) {
+	if name == "" {
+		return Ref, nil
+	}
+	for s := Test; s < numInputSizes; s++ {
+		if strings.EqualFold(name, s.String()) {
+			return s, nil
+		}
+	}
+	return Ref, fmt.Errorf("unknown input size %q", name)
 }

@@ -383,3 +383,51 @@ func TestSuiteString(t *testing.T) {
 		}
 	}
 }
+
+// TestParseNames: the suite, mini-suite and size parsers accept every
+// spelling the CLIs and specserved take (any case, empty = default) and
+// reject unknown names.
+func TestParseNames(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		apps int
+	}{
+		{"cpu2017", 43}, {"CPU17", 43}, {"", 43}, {"cpu2006", 29}, {"cpu06", 29},
+	} {
+		apps, err := ParseSuite(tc.name)
+		if err != nil || len(apps) != tc.apps {
+			t.Errorf("ParseSuite(%q) = %d apps, %v; want %d", tc.name, len(apps), err, tc.apps)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		apps int
+	}{
+		{"all", 43}, {"", 43}, {"rate-int", 10}, {"rate-fp", 13}, {"speed-int", 10}, {"speed-fp", 10},
+	} {
+		apps, err := FilterMini(CPU2017(), tc.name)
+		if err != nil || len(apps) != tc.apps {
+			t.Errorf("FilterMini(%q) = %d apps, %v; want %d", tc.name, len(apps), err, tc.apps)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		size InputSize
+	}{
+		{"test", Test}, {"train", Train}, {"ref", Ref}, {"REF", Ref}, {"", Ref},
+	} {
+		size, err := ParseSize(tc.name)
+		if err != nil || size != tc.size {
+			t.Errorf("ParseSize(%q) = %v, %v; want %v", tc.name, size, err, tc.size)
+		}
+	}
+	if _, err := ParseSuite("spec95"); err == nil {
+		t.Error("unknown suite accepted")
+	}
+	if _, err := FilterMini(CPU2017(), "rate-complex"); err == nil {
+		t.Error("unknown mini-suite accepted")
+	}
+	if _, err := ParseSize("huge"); err == nil {
+		t.Error("unknown input size accepted")
+	}
+}

@@ -66,7 +66,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -127,13 +126,13 @@ func (c Config) withDefaults() Config {
 
 // CampaignSpec is the client's description of one campaign.
 type CampaignSpec struct {
-	// Suite is "cpu2017" or "cpu2006".
+	// Suite ("cpu2017" or "cpu2006"), Mini ("all", "rate-int",
+	// "rate-fp", "speed-int" or "speed-fp") and Size ("test", "train" or
+	// "ref") select the workloads as profile.ParseSuite, FilterMini and
+	// ParseSize read them: any case, and empty means cpu2017, all, ref.
 	Suite string `json:"suite"`
-	// Mini filters to one mini-suite: "all" (or empty), "rate-int",
-	// "rate-fp", "speed-int", "speed-fp".
-	Mini string `json:"mini,omitempty"`
-	// Size is the input size: "test", "train" or "ref".
-	Size string `json:"size"`
+	Mini  string `json:"mini,omitempty"`
+	Size  string `json:"size"`
 	// Instructions overrides the server's per-pair instruction window
 	// when positive.
 	Instructions uint64 `json:"instructions,omitempty"`
@@ -261,42 +260,16 @@ var errNoPairs = errors.New("spec selects no application-input pairs")
 
 // resolve expands the spec into the campaign's pair list.
 func (spec *CampaignSpec) resolve() ([]profile.Pair, error) {
-	var apps []*profile.Profile
-	switch strings.ToLower(spec.Suite) {
-	case "cpu2017", "cpu17", "":
-		apps = profile.CPU2017()
-	case "cpu2006", "cpu06":
-		apps = profile.CPU2006()
-	default:
-		return nil, badField("suite", "unknown suite %q", spec.Suite)
+	apps, err := profile.ParseSuite(spec.Suite)
+	if err != nil {
+		return nil, badField("suite", "%v", err)
 	}
-	switch strings.ToLower(spec.Mini) {
-	case "all", "":
-	case "rate-int", "rate-fp", "speed-int", "speed-fp":
-		want := map[string]profile.Suite{
-			"rate-int": profile.RateInt, "rate-fp": profile.RateFP,
-			"speed-int": profile.SpeedInt, "speed-fp": profile.SpeedFP,
-		}[strings.ToLower(spec.Mini)]
-		var kept []*profile.Profile
-		for _, app := range apps {
-			if app.Suite == want {
-				kept = append(kept, app)
-			}
-		}
-		apps = kept
-	default:
-		return nil, badField("mini", "unknown mini-suite %q", spec.Mini)
+	if apps, err = profile.FilterMini(apps, spec.Mini); err != nil {
+		return nil, badField("mini", "%v", err)
 	}
-	var size profile.InputSize
-	switch strings.ToLower(spec.Size) {
-	case "test":
-		size = profile.Test
-	case "train":
-		size = profile.Train
-	case "ref", "":
-		size = profile.Ref
-	default:
-		return nil, badField("size", "unknown input size %q", spec.Size)
+	size, err := profile.ParseSize(spec.Size)
+	if err != nil {
+		return nil, badField("size", "%v", err)
 	}
 	pairs := profile.ExpandSuite(apps, size)
 	if len(pairs) > 0 && len(spec.Pairs) > 0 {
@@ -424,7 +397,7 @@ func (c *campaignWork) status(j *job, full bool) any {
 }
 
 func (c *campaignWork) run(s *Server, j *job, tr *obs.Trace) error {
-	opt := s.options(c.spec.Instructions, c.spec.MultiplexSlots)
+	opt := withOverrides(s.cfg.Characterize, c.spec.Instructions, c.spec.MultiplexSlots)
 	if c.spec.Machine != nil {
 		opt.Machine = *c.spec.Machine
 	}
@@ -527,10 +500,9 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// options returns the server's base options with a spec's instruction
-// window and multiplexing overrides applied.
-func (s *Server) options(instructions uint64, multiplexSlots int) core.Options {
-	opt := s.cfg.Characterize
+// withOverrides returns base options with a spec's instruction window
+// and multiplexing overrides applied.
+func withOverrides(opt core.Options, instructions uint64, multiplexSlots int) core.Options {
 	if instructions > 0 {
 		opt.Instructions = instructions
 	}

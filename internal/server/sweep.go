@@ -83,73 +83,88 @@ type SweepStatus struct {
 	ManifestDigest string `json:"manifest_digest,omitempty"`
 }
 
+// Resolve turns the spec into the engine spec and the campaign options
+// every grid point inherits, on top of base: the pairs, the screen and
+// escalate tiers (default analytic and sampled; escalate "off" or
+// "none" disables escalation), the sampling knob, the instruction and
+// multiplex overrides and the base machine (default base.Machine, then
+// the characterization machine). The grid is expanded and validated
+// once, so anything the sweep cannot honor is rejected here with a
+// field-tagged error. specserved calls it at submit time; specsweep
+// calls it to sweep in-process from the same spec it would submit.
+func (spec *SweepSpec) Resolve(base core.Options) (sweep.Spec, core.Options, error) {
+	cspec := CampaignSpec{Suite: spec.Suite, Mini: spec.Mini, Size: spec.Size, Pairs: spec.Pairs}
+	pairs, err := cspec.resolve()
+	if err != nil {
+		return sweep.Spec{}, core.Options{}, err
+	}
+	sspec := sweep.Spec{
+		Base: base.Machine, Axes: spec.Axes, Pairs: pairs,
+		Screen: machine.FidelityAnalytic, Escalate: machine.FidelitySampled,
+		Metrics: spec.Metrics, SSEWeight: spec.SSEWeight,
+	}
+	if spec.Screen != "" {
+		if sspec.Screen, err = machine.ParseFidelity(spec.Screen); err != nil {
+			return sweep.Spec{}, core.Options{}, badField("screen", "%v", err)
+		}
+	}
+	switch strings.ToLower(spec.Escalate) {
+	case "":
+	case "off", "none":
+		sspec.EscalateOff = true
+	default:
+		if sspec.Escalate, err = machine.ParseFidelity(spec.Escalate); err != nil {
+			return sweep.Spec{}, core.Options{}, badField("escalate", "%v", err)
+		}
+	}
+	opt := withOverrides(base, spec.Instructions, spec.MultiplexSlots)
+	if spec.Sampling != "" {
+		if opt.Sampling, err = machine.ParseSampling(spec.Sampling); err != nil {
+			return sweep.Spec{}, core.Options{}, badField("sampling", "%v", err)
+		}
+	}
+	if spec.Machine != nil {
+		sspec.Base = *spec.Machine
+	}
+	if sspec.Base.ClockHz == 0 {
+		sspec.Base = machine.HaswellScaled()
+	}
+	// Expand once now: a bad axis parameter, an invalid grid point or an
+	// oversized grid rejects the spec instead of failing the run.
+	if _, err := sweep.Expand(sspec.Base, spec.Axes); err != nil {
+		return sweep.Spec{}, core.Options{}, badField("axes", "%v", err)
+	}
+	if err := sspec.Validate(); err != nil {
+		return sweep.Spec{}, core.Options{}, err
+	}
+	return sspec, opt, nil
+}
+
 // sweepWork is a sweep job's kind-specific state.
 type sweepWork struct {
 	spec   SweepSpec
-	sspec  sweep.Spec // resolved engine spec
+	sspec  sweep.Spec   // resolved engine spec
+	opt    core.Options // resolved base options for every grid point
 	points int
 
 	progress sweep.Progress
 	result   *sweep.Result
 }
 
-// newSweepWork decodes a sweep spec and resolves it into the engine
-// spec, rejecting anything the sweep cannot honor with a field-tagged
-// error (the submit-time 400 path).
+// newSweepWork decodes a sweep spec and resolves it, rejecting anything
+// the sweep cannot honor with a field-tagged error (the submit-time 400
+// path).
 func newSweepWork(s *Server, body io.Reader) (jobWork, error) {
-	w := &sweepWork{}
-	spec := &w.spec
-	if err := decodeSpec(body, spec); err != nil {
+	w := &sweepWork{points: 1}
+	if err := decodeSpec(body, &w.spec); err != nil {
 		return nil, err
 	}
-	cspec := CampaignSpec{Suite: spec.Suite, Mini: spec.Mini, Size: spec.Size, Pairs: spec.Pairs}
-	pairs, err := cspec.resolve()
-	if err != nil {
+	var err error
+	if w.sspec, w.opt, err = w.spec.Resolve(s.cfg.Characterize); err != nil {
 		return nil, err
 	}
-
-	screen := machine.FidelityAnalytic
-	if spec.Screen != "" {
-		if screen, err = machine.ParseFidelity(spec.Screen); err != nil {
-			return nil, badField("screen", "%v", err)
-		}
-	}
-	escalate, escalateOff := machine.FidelitySampled, false
-	switch strings.ToLower(spec.Escalate) {
-	case "":
-	case "off", "none":
-		escalateOff = true
-	default:
-		if escalate, err = machine.ParseFidelity(spec.Escalate); err != nil {
-			return nil, badField("escalate", "%v", err)
-		}
-	}
-	if _, err := machine.ParseSampling(spec.Sampling); err != nil {
-		return nil, badField("sampling", "%v", err)
-	}
-
-	base := s.cfg.Characterize.Machine
-	if spec.Machine != nil {
-		base = *spec.Machine
-	}
-	if base.ClockHz == 0 {
-		base = machine.HaswellScaled()
-	}
-	// Expand once now: a bad axis parameter, an invalid grid point or an
-	// oversized grid rejects the submission instead of failing the job.
-	points, err := sweep.Expand(base, spec.Axes)
-	if err != nil {
-		return nil, badField("axes", "%v", err)
-	}
-
-	w.points = len(points)
-	w.sspec = sweep.Spec{
-		Base: base, Axes: spec.Axes, Pairs: pairs,
-		Screen: screen, Escalate: escalate, EscalateOff: escalateOff,
-		Metrics: spec.Metrics, SSEWeight: spec.SSEWeight,
-	}
-	if err := w.sspec.Validate(); err != nil {
-		return nil, err
+	for _, ax := range w.sspec.Axes {
+		w.points *= len(ax.Values)
 	}
 	return w, nil
 }
@@ -175,11 +190,7 @@ func (w *sweepWork) status(j *job, full bool) any {
 }
 
 func (w *sweepWork) run(s *Server, j *job, tr *obs.Trace) error {
-	opt := s.options(w.spec.Instructions, w.spec.MultiplexSlots)
-	if w.spec.Sampling != "" {
-		// Parse errors were rejected at submit time.
-		opt.Sampling, _ = machine.ParseSampling(w.spec.Sampling)
-	}
+	opt := w.opt
 	opt.Trace = tr
 
 	// On a coordinator every grid point scatters through the fleet

@@ -85,11 +85,10 @@ func (s Suite) Names() []string {
 	return names
 }
 
-// Options configure a characterization campaign. Filling the struct
-// directly is the legacy surface and remains supported; new code should
-// prefer composing Option values (WithInstructions, WithCache, ...) via
-// NewOptions or Suite.Characterize, which stay source-compatible as
-// knobs are added.
+// Options configure a characterization campaign: fill the fields a
+// campaign needs and leave the rest zero. The same struct is what
+// Characterize, server.Config.Characterize and the cmd tools' shared
+// flags (internal/cliflags) take.
 type Options = core.Options
 
 // Cache memoizes characterization results across campaigns. Keys are
@@ -175,7 +174,7 @@ func ParseFidelity(s string) (Fidelity, error) { return machine.ParseFidelity(s)
 // count and machine topology — into one typed value with a canonical
 // string form. Options embeds it, so Options.Sampling, RateCopies and
 // the other knobs are its fields. Build one directly or with
-// ParseScenario, then attach it with WithScenario.
+// ParseScenario, then set Options.Scenario.
 type Scenario = core.Scenario
 
 // ParseScenario parses the -scenario flag syntax shared by the cmd
