@@ -11,7 +11,54 @@ import (
 
 	speckit "repro"
 	"repro/internal/cliflags"
+	"repro/internal/profile"
 )
+
+// TestPickSuite: every -suite spelling specchar accepts resolves, and an
+// unknown suite is rejected.
+func TestPickSuite(t *testing.T) {
+	for _, name := range []string{"cpu2017", "CPU17", "cpu2006", "cpu06"} {
+		if _, err := profile.ParseSuite(name); err != nil {
+			t.Errorf("ParseSuite(%q): %v", name, err)
+		}
+	}
+	if _, err := profile.ParseSuite("spec95"); err == nil {
+		t.Error("unknown suite accepted")
+	}
+}
+
+// TestFilterMini: each -mini value selects the paper's mini-suite size.
+func TestFilterMini(t *testing.T) {
+	suite, _ := profile.ParseSuite("cpu2017")
+	counts := map[string]int{
+		"all": 43, "rate-int": 10, "rate-fp": 13, "speed-int": 10, "speed-fp": 10,
+	}
+	for mini, want := range counts {
+		got, err := profile.FilterMini(suite, mini)
+		if err != nil {
+			t.Fatalf("FilterMini(%q): %v", mini, err)
+		}
+		if len(got) != want {
+			t.Errorf("FilterMini(%q) = %d apps, want %d", mini, len(got), want)
+		}
+	}
+	if _, err := profile.FilterMini(suite, "rate-complex"); err == nil {
+		t.Error("unknown mini accepted")
+	}
+}
+
+// TestPickSize: every -size spelling specchar accepts resolves, and an
+// unknown size is rejected.
+func TestPickSize(t *testing.T) {
+	for _, name := range []string{"test", "train", "ref", "REF"} {
+		if _, err := profile.ParseSize(name); err != nil {
+			t.Errorf("ParseSize(%q): %v", name, err)
+		}
+	}
+	if _, err := profile.ParseSize("huge"); err == nil {
+		t.Error("unknown size accepted")
+	}
+}
 
 // TestRunSmoke drives the tool end to end on a small mini-suite.
 func TestRunSmoke(t *testing.T) {
