@@ -87,9 +87,9 @@ sweep-smoke:
 	$(GO) test -run='^TestSweepSmoke$$' -count=1 ./cmd/specserved
 
 # Run an N=4 rate-mode campaign against the built specserved binary,
-# restart it on the same store, and assert both the flat and structured
-# scenario spellings are served with zero pairs simulated, byte-identical
-# to a direct library run on the shared-L3 kernel.
+# byte-identical to a direct library run on the shared-L3 kernel, then
+# restart it on the same store and assert the campaign is served with
+# zero pairs simulated.
 rate-smoke:
 	$(GO) test -run='^TestRateSmoke$$' -count=1 ./cmd/specserved
 

@@ -26,8 +26,9 @@
 // and the report counts grid cells (simulated vs served) instead of
 // pairs. The -min-pairs-per-sec floor then gates cells per second.
 //
-// -sampling is forwarded as each job's "sampling" field, in the syntax
-// of the campaign tools' -scenario sampling= knob.
+// -sampling takes the campaign tools' -scenario sampling= knob syntax.
+// A campaign carries it as its scenario ("sampling=<v>"), a sweep as
+// its "sampling" field.
 //
 // The report is one JSON object on stdout: p50/p99/mean latency
 // (interpolated from the obs histogram), jobs/s and pairs/s (or
@@ -209,7 +210,10 @@ func runCampaigns(ctx context.Context, cl *client.Client, cfg config, rep *repor
 	elapsed := fanOut(cfg.campaigns, cfg.concurrency, func(i int) {
 		spec := server.CampaignSpec{
 			Suite: cfg.suite, Mini: cfg.mini, Size: cfg.size,
-			Instructions: cfg.n, Sampling: cfg.sampling,
+			Instructions: cfg.n,
+		}
+		if cfg.sampling != "" {
+			spec.Scenario = "sampling=" + cfg.sampling
 		}
 		if cfg.unique {
 			spec.Instructions = cfg.n + uint64(i)

@@ -16,12 +16,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strings"
-	"syscall"
 
 	speckit "repro"
+	"repro/internal/cliflags"
 	"repro/internal/report"
 )
 
@@ -42,7 +41,7 @@ func main() {
 	flag.IntVar(&cfg.batch, "batch", 0, "simulation kernel batch size in uops (0 = default; results are batch-size independent)")
 	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "persistent result-store directory: pair results are saved as checksummed content-addressed records, and repeated runs with the same models, machine and options are re-used bit-identically instead of re-simulated (empty = in-memory cache only)")
 	flag.Parse()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cliflags.SignalContext()
 	defer stop()
 	if err := run(ctx, cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "specreport:", err)

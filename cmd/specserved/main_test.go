@@ -205,10 +205,9 @@ func TestServeSmoke(t *testing.T) {
 // TestRateSmoke is the `make rate-smoke` gate: build the real binary,
 // run an N=4 rate-mode campaign over HTTP, assert parity with the
 // library's shared-L3 kernel, then restart on the same cache dir and
-// assert both the flat spec and the equivalent structured scenario spec
-// are served from the persistent store — zero pairs simulated, bytes
-// identical — with the rate-tier counters split out on the expvar
-// mirror.
+// assert the campaign is served from the persistent store — zero pairs
+// simulated, bytes identical — with the rate-tier counters split out on
+// the expvar mirror.
 func TestRateSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the specserved binary")
@@ -225,7 +224,7 @@ func TestRateSmoke(t *testing.T) {
 	const copies = 4
 	spec := map[string]any{
 		"suite": "cpu2017", "mini": "rate-int", "size": "test",
-		"instructions": instructions, "rate_copies": copies,
+		"instructions": instructions, "scenario": fmt.Sprintf("rate=%d", copies),
 	}
 
 	// First server lifetime: every rate pair simulates on the
@@ -255,9 +254,8 @@ func TestRateSmoke(t *testing.T) {
 		t.Error("served rate results are not bit-identical to a direct library run")
 	}
 
-	// Second lifetime on the same cache dir: the flat spec and the
-	// structured scenario spelling of the same campaign are both served
-	// from the store, byte-identically, with zero simulation.
+	// Second lifetime on the same cache dir: the campaign is served from
+	// the store, byte-identically, with zero simulation.
 	base2, cmd2 := specserved(t, bin, "-cache-dir", cacheDir, "-workers", "1")
 	second := submitWait(t, base2, spec)
 	if second.Status != "done" {
@@ -269,17 +267,6 @@ func TestRateSmoke(t *testing.T) {
 	}
 	if !bytes.Equal(first.Results, second.Results) {
 		t.Error("restarted server returned different bytes for the same rate campaign")
-	}
-	structured := submitWait(t, base2, map[string]any{
-		"suite": "cpu2017", "mini": "rate-int", "size": "test",
-		"instructions": instructions,
-		"scenario":     map[string]any{"rate_copies": copies},
-	})
-	if structured.Status != "done" {
-		t.Fatalf("structured scenario campaign = %s (%s)", structured.Status, structured.Error)
-	}
-	if !bytes.Equal(first.Results, structured.Results) {
-		t.Error("structured scenario spec keyed a different result than the flat spec")
 	}
 
 	// The expvar mirror splits the rate tier out: everything was served
@@ -301,8 +288,8 @@ func TestRateSmoke(t *testing.T) {
 		t.Errorf("restarted server simulated %d pairs, want 0", sim)
 	}
 	served := metrics.Specserved.Pairs["rate_from_store"] + metrics.Specserved.Pairs["rate_from_memory"]
-	if served != uint64(second.Pairs+structured.Pairs) {
-		t.Errorf("rate tier served %d pairs, want %d", served, second.Pairs+structured.Pairs)
+	if served != uint64(second.Pairs) {
+		t.Errorf("rate tier served %d pairs, want %d", served, second.Pairs)
 	}
 	sigtermAndWait(t, cmd2)
 }

@@ -95,9 +95,9 @@ type APIError struct {
 	// Message is the server's error string (or the raw body when the
 	// response was not the JSON envelope).
 	Message string
-	// Field names the campaign-spec JSON field a 400 validation error
-	// is about (e.g. "rate_copies", "topology"); empty when the server
-	// did not attribute the error to one field.
+	// Field names the spec field or scenario knob a 400 validation
+	// error is about (e.g. "size", "rate_copies", "topology"); empty
+	// when the server did not attribute the error to one field.
 	Field string
 	// RetryAfter is the parsed Retry-After hint on 429 responses; zero
 	// when absent.

@@ -190,8 +190,7 @@ func Characterize(pairs []profile.Pair, opt Options) ([]Characteristics, error) 
 		SetAttr("pairs", len(pairs)).
 		SetAttr("machine", opt.Machine.Name).
 		SetAttr("instructions", opt.Instructions).
-		SetAttr("sampling", opt.Sampling.String()).
-		SetAttr("fidelity", opt.Fidelity.String())
+		SetAttr("scenario", opt.Scenario.String())
 	defer span.Finish()
 	return sched.Run(opt.Context, tasks, sched.Options{
 		Workers:  opt.Parallelism,

@@ -21,9 +21,10 @@ const MaxRateCopies = 64
 // the fidelity tier, the sampling knob, intra-pair parallelism, the
 // rate-mode copy count and the machine topology — into one typed value
 // with a canonical string form. Options embeds it, so it is the one
-// stored copy of those knobs: CLIs parse one -scenario flag with
-// ParseScenario, the server decodes one spec object, and every path
-// checks it with Validate and canonicalizes it with normalize.
+// stored copy of those knobs. The string form is the one text spelling:
+// CLIs' -scenario flag and the campaign spec's "scenario" field are
+// both read by ParseScenario, and every path checks the value with
+// Validate and canonicalizes it with normalize.
 type Scenario struct {
 	// Fidelity selects the simulation tier: FidelityExact (the zero
 	// value) simulates every uop, FidelitySampled is shorthand for the
@@ -155,10 +156,10 @@ func (s Scenario) normalize() Scenario {
 }
 
 // FieldError is a scenario that no tier can honor, tied to the knob at
-// fault. Field is the knob's campaign-spec JSON name ("fidelity",
-// "sampling", "workers_per_pair", "rate_copies", "topology"), so the
-// server can return it as the 400's "field" and the CLI gives the same
-// message for the same mistake.
+// fault. Field names the knob ("fidelity", "sampling",
+// "workers_per_pair", "rate_copies", "topology", or "scenario" for a
+// token that names no knob), so the server can return it as the 400's
+// "field" and the CLI gives the same message for the same mistake.
 type FieldError struct {
 	Field string
 	Msg   string
@@ -201,45 +202,61 @@ func (s Scenario) Validate() error {
 	return nil
 }
 
-// ParseScenario parses the -scenario flag syntax shared by the cmd
-// tools: comma-separated tokens, each either a bare fidelity tier
+// ParseScenario parses the one text spelling of a scenario, shared by
+// the cmd tools' -scenario flag and the campaign spec's "scenario"
+// field: comma-separated tokens, each either a bare fidelity tier
 // ("exact", "sampled", "analytic") or a key=value knob
 // ("fidelity=sampled", "sampling=262144/8192/8192", "j-pair=8",
 // "rate=4", "topo=4P4E-random"). The empty string is the default
-// (exact, single-copy, homogeneous) scenario. The result is validated
-// but not normalized; the canonical String() of any accepted scenario
-// parses back to the same normalized value.
+// (exact, single-copy, homogeneous) scenario, and a knob may be given
+// once. The result is validated but not normalized; the canonical
+// String() of any accepted scenario parses back to the same normalized
+// value. Every rejection is a *FieldError naming the knob at fault, or
+// "scenario" for a token that names no knob.
 func ParseScenario(s string) (Scenario, error) {
 	var sc Scenario
+	seen := map[string]bool{}
 	for _, tok := range strings.Split(s, ",") {
 		tok = strings.TrimSpace(tok)
 		if tok == "" {
 			continue
 		}
 		key, val, _ := strings.Cut(tok, "=")
+		var field string
 		var err error
 		switch strings.ToLower(key) {
 		case "exact", "sampled", "analytic":
+			field = "fidelity"
 			if val != "" {
-				return Scenario{}, fmt.Errorf("scenario: tier token %q takes no value", tok)
+				err = fmt.Errorf("tier token takes no value")
+			} else {
+				sc.Fidelity, err = machine.ParseFidelity(key)
 			}
-			sc.Fidelity, err = machine.ParseFidelity(key)
 		case "fidelity":
+			field = "fidelity"
 			sc.Fidelity, err = machine.ParseFidelity(val)
 		case "sampling":
+			field = "sampling"
 			sc.Sampling, err = machine.ParseSampling(val)
 		case "j-pair", "jpair":
+			field = "workers_per_pair"
 			sc.IntraPairWorkers, err = strconv.Atoi(val)
 		case "rate":
+			field = "rate_copies"
 			sc.RateCopies, err = strconv.Atoi(val)
 		case "topo", "topology":
+			field = "topology"
 			sc.Topology, err = machine.ParseTopology(val)
 		default:
-			return Scenario{}, fmt.Errorf("scenario: unknown knob %q (want a fidelity tier, sampling=, j-pair=, rate= or topo=)", key)
+			return Scenario{}, &FieldError{"scenario", fmt.Sprintf("scenario: unknown knob %q (want a fidelity tier, sampling=, j-pair=, rate= or topo=)", key)}
+		}
+		if err == nil && seen[field] {
+			err = fmt.Errorf("%s given twice", field)
 		}
 		if err != nil {
-			return Scenario{}, fmt.Errorf("scenario: %q: %v", tok, err)
+			return Scenario{}, &FieldError{field, fmt.Sprintf("scenario: %q: %v", tok, err)}
 		}
+		seen[field] = true
 	}
 	return sc, sc.Validate()
 }

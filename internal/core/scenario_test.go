@@ -303,6 +303,35 @@ func TestScenarioValidateFields(t *testing.T) {
 	}
 }
 
+// TestParseScenarioFields: every ParseScenario rejection is a FieldError
+// naming the knob at fault — the field a 400 reports for the same
+// string — including a knob given twice, in any of its spellings.
+func TestParseScenarioFields(t *testing.T) {
+	for _, tc := range []struct{ in, field string }{
+		{"turbo", "scenario"},
+		{"warp=9", "scenario"},
+		{"exact=1", "fidelity"},
+		{"fidelity=turbo", "fidelity"},
+		{"sampling=not-a-knob", "sampling"},
+		{"j-pair=x", "workers_per_pair"},
+		{"rate=x", "rate_copies"},
+		{"rate=65", "rate_copies"},
+		{"topo=4X4E-random", "topology"},
+		{"rate=4,analytic", "fidelity"},
+		{"rate=2,rate=4", "rate_copies"},
+		{"sampled,analytic", "fidelity"},
+		{"exact,fidelity=analytic", "fidelity"},
+		{"j-pair=2,jpair=4", "workers_per_pair"},
+		{"sampling=default,sampling=off", "sampling"},
+		{"topo=1P1E-random,topology=1P1E-random", "topology"},
+	} {
+		var fe *FieldError
+		if _, err := ParseScenario(tc.in); !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("ParseScenario(%q) = %v, want a %q FieldError", tc.in, err, tc.field)
+		}
+	}
+}
+
 // TestScenarioOver: a campaign scenario layered over a base replaces the
 // knobs it sets, inherits the ones it leaves at zero, and drops base
 // knobs that cannot compose with an explicit analytic tier or
@@ -332,10 +361,12 @@ func TestScenarioOver(t *testing.T) {
 	}
 }
 
-// FuzzParseScenario: the -scenario parser never panics, every scenario
-// it accepts passes Validate, and the canonical String() of an accepted
-// scenario parses back to the same normalized value. The seeds are the
-// accepted and rejected spellings of the -scenario flag tests.
+// FuzzParseScenario: the scenario parser never panics, every rejection
+// is a *FieldError naming a field, every scenario it accepts passes
+// Validate, and the canonical String() of an accepted scenario parses
+// back to the same normalized value. The seeds are the accepted and
+// rejected spellings of the -scenario flag tests, plus knobs given
+// twice.
 func FuzzParseScenario(f *testing.F) {
 	for _, s := range []string{
 		"", "exact", "sampled", "analytic", "sampling=131072/4096/4096",
@@ -344,12 +375,18 @@ func FuzzParseScenario(f *testing.F) {
 		"analytic,sampling=262144/8192/8192", "analytic,rate=4", "sampled,topo=4P4E-random",
 		"rate=-3", "j-pair=-2", "rate=65", "sampled,j-pair=4", "fidelity=sampled,jpair=4",
 		"sampling=10/18446744073709551615/2", "sampling=18446744073709551615/18446744073709551615/1",
+		"rate=2,rate=4", "sampled,analytic", "exact,fidelity=analytic", "j-pair=2,jpair=4",
+		"topo=1P1E-random,topology=2P2E-random", "sampling=default,sampling=off",
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
 		s, err := ParseScenario(in)
 		if err != nil {
+			var fe *FieldError
+			if !errors.As(err, &fe) || fe.Field == "" {
+				t.Fatalf("ParseScenario(%q) error %v is not a *FieldError with a field", in, err)
+			}
 			return
 		}
 		if err := s.Validate(); err != nil {

@@ -61,8 +61,10 @@ func TestCharacterizeTraceManifest(t *testing.T) {
 	if campaign.Attrs["pairs"] != float64(len(pairs)) {
 		t.Fatalf("campaign pairs attr = %v", campaign.Attrs["pairs"])
 	}
-	if campaign.Attrs["sampling"] != opt.Sampling.String() {
-		t.Fatalf("campaign sampling attr = %v", campaign.Attrs["sampling"])
+	// The campaign records its whole normalized scenario in the one
+	// text spelling, not a subset of the knobs.
+	if want := "sampling=131072/4096/4096"; campaign.Attrs["scenario"] != want {
+		t.Fatalf("campaign scenario attr = %v, want %q", campaign.Attrs["scenario"], want)
 	}
 
 	pairSpans := map[string]obs.ManifestSpan{}

@@ -97,7 +97,7 @@ func TestStatusCodecMatchesEncoder(t *testing.T) {
 	started, finished := created.Add(time.Millisecond), created.Add(2*time.Second)
 	cfg := machine.HaswellScaled()
 	spec := CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "ref", Instructions: 30000,
-		Machine: &cfg, Scenario: &ScenarioSpec{Fidelity: "exact", RateCopies: 2},
+		Machine: &cfg, Scenario: "exact,rate=2",
 		Pairs: []string{"505.mcf_r", "a<b>&c"}}
 	byApp := paperResults(t)
 	if len(byApp) < 60 {

@@ -291,17 +291,11 @@ func (s *Server) runFleet(ctx context.Context, id string, base CampaignSpec, pai
 			Instructions:   opt.Instructions,
 			MultiplexSlots: opt.MultiplexSlots,
 			Machine:        &chunkMachine,
-			// The scenario travels in its normalized form (sampling
-			// knob explicit, counts 0 or >1, the canonical topology
-			// string) so worker-side keys — and therefore store
-			// records — match the coordinator's bit for bit.
-			Scenario: &ScenarioSpec{
-				Fidelity:       opt.Fidelity.String(),
-				Sampling:       opt.Sampling.String(),
-				WorkersPerPair: opt.IntraPairWorkers,
-				RateCopies:     opt.RateCopies,
-				Topology:       opt.Topology.String(),
-			},
+			// The scenario travels in its canonical string, which parses
+			// back to the same normalized scenario (FuzzParseScenario),
+			// so worker-side keys — and therefore store records — match
+			// the coordinator's bit for bit.
+			Scenario: opt.Scenario.String(),
 		}
 		name := fmt.Sprintf("%s/chunk%d", id, t)
 		tasks[t] = sched.RemoteTask[[]core.Characteristics]{

@@ -232,7 +232,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPairWindowMetrics: a campaign with workers_per_pair counts its
+// TestPairWindowMetrics: a campaign with a j-pair scenario counts its
 // concurrently simulated sub-windows under the parallel source in both
 // /metrics (speckit_pair_windows_total and the per-window latency
 // histogram) and the expvar snapshot's pair_windows block.
@@ -250,7 +250,7 @@ func TestPairWindowMetrics(t *testing.T) {
 	// kernel's minimum window: every pair really simulates 2 windows.
 	spec := server.CampaignSpec{
 		Suite: "cpu2017", Mini: "rate-int", Size: "test",
-		Instructions: 120000, WorkersPerPair: 2,
+		Instructions: 120000, Scenario: "j-pair=2",
 	}
 	st, err := c.SubmitWait(ctx, spec)
 	if err != nil {
@@ -502,7 +502,7 @@ func TestSubmitValidation(t *testing.T) {
 		{`{"suite":"cpu2017","mini":"rate-bf16","size":"ref"}`, "mini"},
 		{`{"suite":`, ""},
 		{`{"unknown_field":1}`, ""},
-		{`{"suite":"cpu2017","size":"ref","workers_per_pair":-2}`, "workers_per_pair"},
+		{`{"suite":"cpu2017","size":"ref","scenario":"j-pair=-2"}`, "workers_per_pair"},
 		{`{"suite":"cpu2017","size":"test","instructions":"many"}`, "instructions"},
 	} {
 		code, field := postRaw(t, ts.URL+"/v1/campaigns", tc.body)
@@ -769,7 +769,7 @@ func TestSamplingCampaigns(t *testing.T) {
 	ctx := ctxT(t)
 
 	// Invalid knob: rejected before the campaign is admitted.
-	_, err := c.Submit(ctx, server.CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "train", Sampling: "not-a-knob"})
+	_, err := c.Submit(ctx, server.CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "train", Scenario: "sampling=not-a-knob"})
 	var ae *client.APIError
 	if !errors.As(err, &ae) || ae.Code != http.StatusBadRequest {
 		t.Fatalf("bad sampling spec err = %v, want 400", err)
@@ -777,9 +777,9 @@ func TestSamplingCampaigns(t *testing.T) {
 
 	exact := server.CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "train"}
 	sampled := exact
-	sampled.Sampling = "default"
+	sampled.Scenario = "sampling=default"
 	custom := exact
-	custom.Sampling = "262144/8192/8192"
+	custom.Scenario = "sampling=262144/8192/8192"
 	var pairsPer int
 	for _, spec := range []server.CampaignSpec{exact, sampled, custom} {
 		st, err := c.SubmitWait(ctx, spec)
@@ -815,10 +815,10 @@ func TestSamplingCampaigns(t *testing.T) {
 	}
 }
 
-// TestFidelityCampaigns: the spec's fidelity field reaches the campaign
-// options, invalid tiers and the analytic+sampling combination are
-// rejected at submit time, and analytic pairs land in their own metrics
-// quartet.
+// TestFidelityCampaigns: the scenario's fidelity tier reaches the
+// campaign options, invalid tiers and the analytic+sampling combination
+// are rejected at submit time naming the field at fault, and analytic
+// pairs land in their own metrics quartet.
 func TestFidelityCampaigns(t *testing.T) {
 	var mu sync.Mutex
 	type seenOpt struct {
@@ -837,30 +837,40 @@ func TestFidelityCampaigns(t *testing.T) {
 	})
 	// The server's base options carry a sampling default, which an
 	// explicit analytic request must override.
-	s, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8,
+	s, c, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8,
 		Characterize: core.Options{Scenario: core.Scenario{Sampling: machine.DefaultSampling()}}})
 	ctx := ctxT(t)
 
 	base := server.CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "train"}
-	bad := base
-	bad.Fidelity = "turbo"
-	var ae *client.APIError
-	if _, err := c.Submit(ctx, bad); !errors.As(err, &ae) || ae.Code != http.StatusBadRequest {
-		t.Fatalf("bad fidelity spec err = %v, want 400", err)
+	for _, tc := range []struct{ scenario, field string }{
+		{"fidelity=turbo", "fidelity"},
+		{"analytic,sampling=default", "fidelity"},
+		{"sampled,analytic", "fidelity"},
+		{"exact,fidelity=analytic", "fidelity"},
+		{"sampling=default,sampling=off", "sampling"},
+	} {
+		spec := base
+		spec.Scenario = tc.scenario
+		_, err := c.Submit(ctx, spec)
+		var ae *client.APIError
+		if !errors.As(err, &ae) || ae.Code != http.StatusBadRequest {
+			t.Fatalf("scenario %q: err = %v, want 400", tc.scenario, err)
+		}
+		if field, _, ok := client.FieldError(err); !ok || field != tc.field {
+			t.Errorf("scenario %q: error field = %q (ok=%v), want %q", tc.scenario, field, ok, tc.field)
+		}
 	}
-	conflicted := base
-	conflicted.Fidelity = "analytic"
-	conflicted.Sampling = "default"
-	if _, err := c.Submit(ctx, conflicted); !errors.As(err, &ae) || ae.Code != http.StatusBadRequest {
-		t.Fatalf("analytic+sampling spec err = %v, want 400", err)
+	// A knob outside the scenario string is an unknown field: a loud
+	// 400, not a silently exact campaign.
+	if code, _ := postRaw(t, ts.URL+"/v1/campaigns",
+		`{"suite":"cpu2017","mini":"rate-int","size":"train","fidelity":"analytic"}`); code != http.StatusBadRequest {
+		t.Errorf("flat fidelity field: status %d, want 400", code)
 	}
 
-	analytic := base
-	analytic.Fidelity = "analytic"
-	exact := base
-	exact.Fidelity = "exact"
 	var pairsPer int
-	for _, spec := range []server.CampaignSpec{analytic, exact, base} {
+	for _, scenario := range []string{"analytic", "exact", ""} {
+		spec := base
+		spec.Scenario = scenario
 		st, err := c.SubmitWait(ctx, spec)
 		if err != nil {
 			t.Fatalf("submit %+v: %v", spec, err)
@@ -877,7 +887,7 @@ func TestFidelityCampaigns(t *testing.T) {
 		// Explicit exact keeps the base knob (core normalizes it to the
 		// sampled tier).
 		{machine.FidelityExact, machine.DefaultSampling()},
-		// No fidelity field inherits the base options untouched.
+		// No scenario inherits the base options untouched.
 		{machine.FidelityExact, machine.DefaultSampling()},
 	}
 	if len(got) != len(want) {
@@ -901,10 +911,10 @@ func TestFidelityCampaigns(t *testing.T) {
 	}
 }
 
-// TestScenarioCampaigns: the structured scenario object and the flat
-// spec fields resolve to the same campaign options, mixing both is a
-// typed 400 naming the conflicting field, and rate-mode pairs land in
-// their own metrics quartet.
+// TestScenarioCampaigns: every spelling of one scenario string resolves
+// to the same campaign options, a rejected scenario is a typed 400
+// naming the knob at fault, the retired flat knob fields are unknown
+// fields, and rate-mode pairs land in their own metrics quartet.
 func TestScenarioCampaigns(t *testing.T) {
 	var mu sync.Mutex
 	type seenOpt struct {
@@ -921,56 +931,55 @@ func TestScenarioCampaigns(t *testing.T) {
 		}
 		return make([]core.Characteristics, len(pairs)), nil
 	})
-	s, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8})
+	s, c, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8})
 	ctx := ctxT(t)
 
 	base := server.CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "train"}
 
 	// Validation errors carry the offending field through the typed
 	// client error.
-	badCases := []struct {
-		mut   func(*server.CampaignSpec)
-		field string
-	}{
-		{func(s *server.CampaignSpec) { s.Topology = "4X4E-random" }, "topology"},
-		{func(s *server.CampaignSpec) { s.RateCopies = -2 }, "rate_copies"},
+	for _, tc := range []struct{ scenario, field string }{
+		{"topo=4X4E-random", "topology"},
+		{"rate=-2", "rate_copies"},
 		// Every copy owns a generator and a private hierarchy, so an
 		// unbounded count could exhaust the server's memory.
-		{func(s *server.CampaignSpec) {
-			s.Scenario = &server.ScenarioSpec{RateCopies: core.MaxRateCopies + 1}
-		}, "rate_copies"},
-		{func(s *server.CampaignSpec) { s.RateCopies = 4; s.Fidelity = "analytic" }, "fidelity"},
-		{func(s *server.CampaignSpec) { s.RateCopies = 4; s.Sampling = "default" }, "sampling"},
-		{func(s *server.CampaignSpec) { // flat field conflicting with the scenario object
-			s.Scenario = &server.ScenarioSpec{RateCopies: 4}
-			s.RateCopies = 8
-		}, "rate_copies"},
-		{func(s *server.CampaignSpec) {
-			s.Scenario = &server.ScenarioSpec{Fidelity: "sampled"}
-			s.Sampling = "default"
-		}, "sampling"},
-	}
-	for _, tc := range badCases {
+		{"rate=" + strconv.Itoa(core.MaxRateCopies+1), "rate_copies"},
+		{"rate=x", "rate_copies"},
+		{"rate=4,analytic", "fidelity"},
+		{"rate=4,sampling=default", "sampling"},
+		{"rate=2,rate=4", "rate_copies"},
+		{"topo=1P1E-random,topology=2P2E-random", "topology"},
+		{"j-pair=-2", "workers_per_pair"},
+		{"warp=9", "scenario"},
+	} {
 		spec := base
-		tc.mut(&spec)
+		spec.Scenario = tc.scenario
 		_, err := c.Submit(ctx, spec)
 		var ae *client.APIError
 		if !errors.As(err, &ae) || ae.Code != http.StatusBadRequest {
-			t.Fatalf("spec %+v: err = %v, want 400", spec, err)
+			t.Fatalf("scenario %q: err = %v, want 400", tc.scenario, err)
 		}
 		if field, _, ok := client.FieldError(err); !ok || field != tc.field {
-			t.Errorf("spec %+v: error field = %q (ok=%v), want %q", spec, field, ok, tc.field)
+			t.Errorf("scenario %q: error field = %q (ok=%v), want %q", tc.scenario, field, ok, tc.field)
+		}
+	}
+	// Knob fields outside the scenario string, and a scenario object,
+	// are rejected loudly rather than ignored.
+	for _, body := range []string{
+		`{"suite":"cpu2017","mini":"rate-int","size":"train","rate_copies":4}`,
+		`{"suite":"cpu2017","mini":"rate-int","size":"train","scenario":{"rate_copies":4}}`,
+	} {
+		if code, _ := postRaw(t, ts.URL+"/v1/campaigns", body); code != http.StatusBadRequest {
+			t.Errorf("submit %s: status %d, want 400", body, code)
 		}
 	}
 
-	// Flat fields and the scenario object express the same campaign.
-	flat := base
-	flat.RateCopies = 4
-	flat.Topology = "4P4E-random"
-	structured := base
-	structured.Scenario = &server.ScenarioSpec{RateCopies: 4, Topology: "4P4E-random"}
+	// Spellings of one scenario express the same campaign.
+	spellings := []string{"rate=4,topo=4P4E-random", " Exact , topology=4P4E-random , Rate=4 "}
 	var pairsPer int
-	for _, spec := range []server.CampaignSpec{flat, structured} {
+	for _, scenario := range spellings {
+		spec := base
+		spec.Scenario = scenario
 		st, err := c.SubmitWait(ctx, spec)
 		if err != nil {
 			t.Fatalf("submit %+v: %v", spec, err)
@@ -982,8 +991,8 @@ func TestScenarioCampaigns(t *testing.T) {
 	got := append([]seenOpt(nil), seen...)
 	mu.Unlock()
 	want := seenOpt{rate: 4, topo: "4P4E-random"}
-	if len(got) != 2 {
-		t.Fatalf("ran %d campaigns, want 2", len(got))
+	if len(got) != len(spellings) {
+		t.Fatalf("ran %d campaigns, want %d", len(got), len(spellings))
 	}
 	for i, g := range got {
 		if g != want {

@@ -192,31 +192,36 @@ func TestFleetShardedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFleetAnalyticBitIdentical: an analytic-tier campaign scattered
-// over the fleet is bit-identical to a single-node analytic run. The
-// workers' base options carry neither the fidelity nor the analytic
-// window, so a match proves the coordinator forwards the tier in every
-// chunk spec rather than relying on fleet-wide flag agreement.
-func TestFleetAnalyticBitIdentical(t *testing.T) {
-	const instructions = 20000
+// fleetScenarioBitIdentical scatters a campaign carrying the scenario
+// string over three workers and checks it against a single-node run of
+// the typed scenario it spells: bit-identical results, the same store
+// record keys (every non-default scenario carries its own key suffix, so
+// matching key sets prove the scenario survived the scatter), the pairs
+// tallied as remote in the scenario's metrics mode (simKey and
+// remoteKey are that mode's local and remote counters), and a
+// resubmission served from the coordinator's own tiers. The workers'
+// base options carry no scenario knob and a different window, so a
+// match proves the coordinator forwards the scenario in every chunk
+// spec rather than relying on fleet-wide flag agreement.
+func fleetScenarioBitIdentical(t *testing.T, instructions uint64, scenario string, sc core.Scenario, simKey, remoteKey string) {
+	t.Helper()
 	spec := server.CampaignSpec{
 		Suite: "cpu2017", Mini: "rate-int", Size: "test",
-		Instructions: instructions, Fidelity: "analytic",
+		Instructions: instructions, Scenario: scenario,
 	}
-
 	workers, _ := startWorkers(t, 3, core.Options{Instructions: 11111, Parallelism: 2})
 	coord, c, coordStore := newCoordinator(t, workers, 2, core.Options{Instructions: 77777, Parallelism: 2})
 	ctx := ctxT(t)
 
 	st, err := c.SubmitWait(ctx, spec)
 	if err != nil {
-		t.Fatalf("sharded analytic campaign: %v", err)
+		t.Fatalf("sharded %q campaign: %v", scenario, err)
 	}
 	if st.Status != server.StatusDone {
 		t.Fatalf("status %s: %s", st.Status, st.Error)
 	}
 
-	// Single-node baseline with the same tier and window.
+	// Single-node baseline with the same scenario and window.
 	pairs, err := server.ResolveSpec(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +232,7 @@ func TestFleetAnalyticBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := core.Characterize(pairs, core.Options{
-		Instructions: instructions, Scenario: core.Scenario{Fidelity: machine.FidelityAnalytic},
+		Instructions: instructions, Scenario: sc,
 		Cache: sched.NewCache(), Store: baseSt,
 	})
 	if err != nil {
@@ -237,14 +242,12 @@ func TestFleetAnalyticBitIdentical(t *testing.T) {
 		t.Fatalf("sharded campaign returned %d results, single-node %d", len(st.Results), len(want))
 	}
 	if !bytes.Equal(asJSON(t, st.Results), asJSON(t, want)) {
-		t.Error("sharded analytic results differ from the single-node run")
+		t.Errorf("sharded %q results differ from the single-node run", scenario)
 	}
 	if st.Progress.Remote != len(want) {
 		t.Errorf("progress = %+v, want all %d pairs done remotely", st.Progress, len(want))
 	}
 
-	// Store records carry the analytic key suffix on both sides, so key
-	// sets matching proves the tier survived the scatter.
 	wantKeys := storeKeys(t, baseDir)
 	gotKeys := storeKeys(t, coordStore)
 	if len(gotKeys) != len(wantKeys) {
@@ -257,11 +260,11 @@ func TestFleetAnalyticBitIdentical(t *testing.T) {
 	}
 
 	pairsBySource := coord.MetricsSnapshot()["pairs"].(map[string]uint64)
-	if got := pairsBySource["analytic_from_remote"]; got != uint64(len(want)) {
-		t.Errorf("analytic_from_remote = %d, want %d", got, len(want))
+	if got := pairsBySource[remoteKey]; got != uint64(len(want)) {
+		t.Errorf("%s = %d, want %d", remoteKey, got, len(want))
 	}
-	if got := pairsBySource["analytic_computed"]; got != 0 {
-		t.Errorf("analytic_computed = %d, want 0 on a coordinator", got)
+	if got := pairsBySource[simKey]; got != 0 {
+		t.Errorf("%s = %d, want 0 on a coordinator", simKey, got)
 	}
 
 	// A resubmission never goes back to the fleet and stays identical.
@@ -273,83 +276,53 @@ func TestFleetAnalyticBitIdentical(t *testing.T) {
 		t.Errorf("resubmission progress = %+v, want %d local cache hits and 0 remote", st2.Progress, len(want))
 	}
 	if !bytes.Equal(asJSON(t, st2.Results), asJSON(t, want)) {
-		t.Error("locally re-served analytic results differ from the single-node run")
+		t.Errorf("locally re-served %q results differ from the single-node run", scenario)
 	}
 }
 
-// TestFleetParallelBitIdentical: a campaign carrying workers_per_pair
+// TestFleetAnalyticBitIdentical: an analytic-tier campaign scattered
+// over the fleet is bit-identical to a single-node analytic run.
+func TestFleetAnalyticBitIdentical(t *testing.T) {
+	fleetScenarioBitIdentical(t, 20000, "analytic", core.Scenario{Fidelity: machine.FidelityAnalytic},
+		"analytic_computed", "analytic_from_remote")
+}
+
+// TestFleetParallelBitIdentical: a campaign carrying a j-pair knob
 // scattered over the fleet is bit-identical to a single-node run at the
-// same knob. The stream is long enough that the knob really windows
-// (not the short-stream fallback), so a match proves both that the
-// coordinator forwards the knob in every chunk spec — the workers' base
-// options don't carry it, and an unforwarded knob would produce
-// sequential results under different store keys — and that the stitched
-// estimate is reproducible across process boundaries.
+// same knob. The stream is long enough that the geometric split keeps
+// both windows above the kernel's minimum window (not the short-stream
+// fallback), so a match also proves the stitched estimate is
+// reproducible across process boundaries.
 func TestFleetParallelBitIdentical(t *testing.T) {
-	// Long enough that the geometric split keeps both windows above the
-	// kernel's minimum window — genuinely parallel, not the fallback.
-	const instructions = 120000
-	spec := server.CampaignSpec{
-		Suite: "cpu2017", Mini: "rate-int", Size: "test",
-		Instructions: instructions, WorkersPerPair: 2,
-	}
+	fleetScenarioBitIdentical(t, 120000, "j-pair=2", core.Scenario{IntraPairWorkers: 2},
+		"simulated", "from_remote")
+}
 
-	workers, _ := startWorkers(t, 3, core.Options{Instructions: 11111, Parallelism: 2})
-	_, c, coordStore := newCoordinator(t, workers, 2, core.Options{Instructions: 77777, Parallelism: 2})
-	ctx := ctxT(t)
-
-	st, err := c.SubmitWait(ctx, spec)
-	if err != nil {
-		t.Fatalf("sharded parallel campaign: %v", err)
-	}
-	if st.Status != server.StatusDone {
-		t.Fatalf("status %s: %s", st.Status, st.Error)
-	}
-
-	// Single-node baseline with the same knob and window.
-	pairs, err := server.ResolveSpec(spec)
+// TestFleetScenarioBitIdentical: the sampled tier at an explicit
+// non-default knob, rate mode and a heterogeneous topology each survive
+// the scatter through the scenario string the coordinator forwards.
+// The sampled window spans several sampling periods, so the explicit
+// knob really shapes the results.
+func TestFleetScenarioBitIdentical(t *testing.T) {
+	topo, err := machine.ParseTopology("1P1E-random")
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseDir := t.TempDir()
-	baseSt, err := store.Open(baseDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.Characterize(pairs, core.Options{
-		Instructions: instructions, Scenario: core.Scenario{IntraPairWorkers: 2},
-		Cache: sched.NewCache(), Store: baseSt,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(asJSON(t, st.Results), asJSON(t, want)) {
-		t.Error("sharded parallel results differ from the single-node run")
-	}
-
-	// Store records carry the pairwindows key suffix on both sides, so
-	// key sets matching proves the knob survived the scatter.
-	wantKeys := storeKeys(t, baseDir)
-	gotKeys := storeKeys(t, coordStore)
-	if len(gotKeys) != len(wantKeys) {
-		t.Fatalf("coordinator store holds %d records, single-node %d", len(gotKeys), len(wantKeys))
-	}
-	for k := range wantKeys {
-		if !gotKeys[k] {
-			t.Errorf("store record %s missing from the coordinator store", k)
-		}
-	}
-
-	// A resubmission is served from the coordinator's own tiers.
-	st2, err := c.SubmitWait(ctx, spec)
-	if err != nil {
-		t.Fatalf("resubmission: %v", err)
-	}
-	if st2.Progress.CacheHits != len(want) || st2.Progress.Remote != 0 {
-		t.Errorf("resubmission progress = %+v, want %d local cache hits and 0 remote", st2.Progress, len(want))
-	}
-	if !bytes.Equal(asJSON(t, st2.Results), asJSON(t, want)) {
-		t.Error("locally re-served parallel results differ from the single-node run")
+	for _, tc := range []struct {
+		name, scenario    string
+		instructions      uint64
+		sc                core.Scenario
+		simKey, remoteKey string
+	}{
+		{"sampled", "sampling=131072/4096/4096", 600000,
+			core.Scenario{Sampling: machine.Sampling{Period: 131072, DetailLen: 4096, WarmupLen: 4096}},
+			"sampled_simulated", "sampled_from_remote"},
+		{"rate", "rate=2", 20000, core.Scenario{RateCopies: 2}, "rate_simulated", "rate_from_remote"},
+		{"topology", "topo=1P1E-random", 20000, core.Scenario{Topology: topo}, "rate_simulated", "rate_from_remote"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fleetScenarioBitIdentical(t, tc.instructions, tc.scenario, tc.sc, tc.simKey, tc.remoteKey)
+		})
 	}
 }
 

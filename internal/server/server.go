@@ -94,7 +94,7 @@ type Config struct {
 	// Characterize is the base options every campaign starts from —
 	// machine, instruction window, parallelism, cache and persistent
 	// store. Per-request spec fields override Instructions,
-	// MultiplexSlots and Sampling.
+	// MultiplexSlots, the machine and the scenario knobs they set.
 	Characterize core.Options
 	// Fleet, when non-empty, turns this server into a coordinator:
 	// instead of simulating locally, each campaign's pairs are scattered
@@ -139,8 +139,15 @@ type CampaignSpec struct {
 	// MultiplexSlots overrides the server's counter-multiplexing
 	// emulation when positive.
 	MultiplexSlots int `json:"multiplex_slots,omitempty"`
-	// Sampling is the flat spelling of Scenario.Sampling.
-	Sampling string `json:"sampling,omitempty"`
+	// Scenario is the measurement scenario in its one text spelling,
+	// the -scenario flag syntax core.ParseScenario reads, e.g. "analytic",
+	// "sampling=131072/4096/4096" or "rate=4,topo=4P4E-random". Knobs it
+	// leaves unset inherit the server's base options
+	// (core.Scenario.Over); empty means the base scenario. Every non-exact
+	// tier and every contention scenario is keyed separately in every
+	// cache tier, and its pairs are reported under their own sampled_*,
+	// analytic_* or rate_* counters in /metrics.
+	Scenario string `json:"scenario,omitempty"`
 	// Machine, when non-nil, overrides the server's base machine
 	// configuration for this campaign (the declarative JSON form;
 	// decoding validates it). This is how sweep coordinators forward a
@@ -148,103 +155,12 @@ type CampaignSpec struct {
 	// is fingerprint-stable, so worker-side content keys match the
 	// coordinator's exactly.
 	Machine *machine.Config `json:"machine,omitempty"`
-	// Fidelity, WorkersPerPair, RateCopies and Topology are the flat
-	// spellings of the equally named Scenario fields.
-	Fidelity       string `json:"fidelity,omitempty"`
-	WorkersPerPair int    `json:"workers_per_pair,omitempty"`
-	RateCopies     int    `json:"rate_copies,omitempty"`
-	Topology       string `json:"topology,omitempty"`
-	// Scenario, when non-nil, is the structured form of the measurement
-	// scenario. It replaces the flat sampling, fidelity,
-	// workers_per_pair, rate_copies and topology fields, which must then
-	// stay unset — a spec naming a knob in both forms is rejected with a
-	// field-tagged 400. Flat-only specs keep working unchanged: they
-	// decode into the same core.Scenario.
-	Scenario *ScenarioSpec `json:"scenario,omitempty"`
 	// Pairs, when non-empty, filters the expanded suite to exactly the
 	// named pairs (profile.Pair.Name, e.g. "502.gcc_r-in3"), in the
 	// order given. Unknown or duplicate names reject the spec. This is
 	// how the coordinator scatters a campaign: each worker receives the
 	// same suite/size spec narrowed to its chunk of pairs.
 	Pairs []string `json:"pairs,omitempty"`
-}
-
-// ScenarioSpec is the wire form of a campaign's measurement scenario
-// (core.Scenario, whose field docs give the semantics): which tier
-// simulates the pairs and under what contention/topology model. Knobs
-// left empty or at their default (exact, off, 0) inherit the server's
-// base options (core.Scenario.Over). Every non-exact tier and every
-// contention scenario is keyed separately in every cache tier, and its
-// pairs are reported under their own sampled_*, analytic_* or rate_*
-// counters in /metrics.
-type ScenarioSpec struct {
-	// Fidelity is the tier: "exact", "sampled" (shorthand for the
-	// default sampling knob) or "analytic".
-	Fidelity string `json:"fidelity,omitempty"`
-	// Sampling is the sampling knob: "off", "default", or
-	// "PERIOD/DETAIL/WARMUP" instruction counts.
-	Sampling string `json:"sampling,omitempty"`
-	// WorkersPerPair splits each pair into that many concurrently
-	// simulated windows (intra-pair parallelism, exact tier only).
-	WorkersPerPair int `json:"workers_per_pair,omitempty"`
-	// RateCopies runs that many co-running copies on a shared L3
-	// (rate mode, exact tier only, at most core.MaxRateCopies).
-	RateCopies int `json:"rate_copies,omitempty"`
-	// Topology is a P/E-core topology with its placement policy, e.g.
-	// "4P4E-random" (machine.ParseTopology syntax; exact tier only).
-	Topology string `json:"topology,omitempty"`
-}
-
-// scenarioView returns the spec's scenario knobs in structured form
-// regardless of which form carried them, rejecting specs that use both
-// forms for any knob.
-func (spec *CampaignSpec) scenarioView() (ScenarioSpec, error) {
-	if spec.Scenario == nil {
-		return ScenarioSpec{
-			Fidelity:       spec.Fidelity,
-			Sampling:       spec.Sampling,
-			WorkersPerPair: spec.WorkersPerPair,
-			RateCopies:     spec.RateCopies,
-			Topology:       spec.Topology,
-		}, nil
-	}
-	conflict := ""
-	switch {
-	case spec.Sampling != "":
-		conflict = "sampling"
-	case spec.Fidelity != "":
-		conflict = "fidelity"
-	case spec.WorkersPerPair != 0:
-		conflict = "workers_per_pair"
-	case spec.RateCopies != 0:
-		conflict = "rate_copies"
-	case spec.Topology != "":
-		conflict = "topology"
-	}
-	if conflict != "" {
-		return ScenarioSpec{}, badField(conflict,
-			"%q conflicts with the scenario object; set scenario.%s instead", conflict, conflict)
-	}
-	return *spec.Scenario, nil
-}
-
-// decode parses the wire scenario into the typed value and checks it
-// with core.Scenario.Validate, so the server enforces exactly the rules
-// the library and the CLIs do; every error names its JSON field.
-func (v ScenarioSpec) decode() (core.Scenario, error) {
-	var sc core.Scenario
-	var err error
-	if sc.Sampling, err = machine.ParseSampling(v.Sampling); err != nil {
-		return sc, badField("sampling", "%v", err)
-	}
-	if sc.Fidelity, err = machine.ParseFidelity(v.Fidelity); err != nil {
-		return sc, badField("fidelity", "%v", err)
-	}
-	if sc.Topology, err = machine.ParseTopology(v.Topology); err != nil {
-		return sc, badField("topology", "%v", err)
-	}
-	sc.IntraPairWorkers, sc.RateCopies = v.WorkersPerPair, v.RateCopies
-	return sc, sc.Validate()
 }
 
 // badField ties a campaign-spec validation failure to the JSON field
@@ -351,9 +267,9 @@ type CampaignStatus struct {
 type campaignWork struct {
 	spec  CampaignSpec
 	pairs []profile.Pair
-	// scenario is the spec's validated scenario (whichever spec form
-	// carried it), layered over the server's base options at run time
-	// (core.Scenario.Over: zero knobs inherit the base).
+	// scenario is the spec's parsed and validated scenario, layered
+	// over the server's base options at run time (core.Scenario.Over:
+	// zero knobs inherit the base).
 	scenario core.Scenario
 
 	progress sched.Progress
@@ -369,11 +285,7 @@ func newCampaignWork(s *Server, body io.Reader) (jobWork, error) {
 	if c.pairs, err = c.spec.resolve(); err != nil {
 		return nil, err
 	}
-	view, err := c.spec.scenarioView()
-	if err != nil {
-		return nil, err
-	}
-	if c.scenario, err = view.decode(); err != nil {
+	if c.scenario, err = core.ParseScenario(c.spec.Scenario); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -42,10 +42,11 @@ func FuzzSubmitSpec(f *testing.F) {
 	for _, body := range []string{
 		// Valid campaigns and sweeps, as the e2e tests submit them.
 		`{"suite":"cpu2017","mini":"rate-int","size":"test","instructions":12000}`,
-		`{"suite":"cpu2017","mini":"rate-int","size":"test","scenario":{"rate_copies":4}}`,
-		`{"suite":"cpu2017","mini":"rate-int","size":"test","rate_copies":2,"topology":"1P1E-random"}`,
-		`{"suite":"cpu2017","mini":"rate-fp","size":"test","fidelity":"analytic"}`,
-		`{"suite":"cpu2017","size":"test","pairs":["502.gcc_r-in3","505.mcf_r-in1"],"sampling":"default"}`,
+		`{"suite":"cpu2017","mini":"rate-int","size":"test","scenario":"rate=4"}`,
+		`{"suite":"cpu2017","mini":"rate-int","size":"test","scenario":"rate=2,topo=1P1E-random"}`,
+		`{"suite":"cpu2017","mini":"rate-fp","size":"test","scenario":"analytic"}`,
+		`{"suite":"cpu2017","size":"test","pairs":["502.gcc_r-in3","505.mcf_r-in1"],"scenario":"sampling=default"}`,
+		`{"suite":"cpu2017","mini":"rate-int","size":"test","instructions":600000,"scenario":"sampling=131072/4096/4096"}`,
 		`{"suite":"cpu2017","mini":"rate-int","size":"test","instructions":20000,` +
 			`"axes":[{"param":"l3.size","values":[1048576,2097152]},{"param":"l2.size","values":[131072,262144]}]}`,
 		`{"suite":"cpu2017","mini":"rate-int","size":"test","axes":[{"param":"rate.copies","values":[1,2,4]}],` +
@@ -56,7 +57,12 @@ func FuzzSubmitSpec(f *testing.F) {
 		`{"suite":"cpu2017","mini":"rate-bf16","size":"ref"}`,
 		`{"suite":`,
 		`{"unknown_field":1}`,
-		`{"suite":"cpu2017","size":"ref","workers_per_pair":-2}`,
+		`{"suite":"cpu2017","size":"ref","scenario":"j-pair=-2"}`,
+		`{"suite":"cpu2017","size":"test","scenario":"rate=2,rate=4"}`,
+		`{"suite":"cpu2017","size":"test","scenario":"warp=9"}`,
+		// Knob fields outside the scenario string, and a scenario object.
+		`{"suite":"cpu2017","size":"test","rate_copies":4,"fidelity":"analytic"}`,
+		`{"suite":"cpu2017","size":"test","scenario":{"rate_copies":4}}`,
 		`{"suite":"cpu2017","size":"test","instructions":"many"}`,
 		`{"suite":"cpu2017","size":"test","axes":[{"param":"l3.size","values":[1048576]}],"metrics":"ipc"}`,
 		`{"suite":"cpu2017","size":"test","axes":[{"param":"l9.size","values":[1]}],"screen":"quantum"}`,

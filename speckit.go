@@ -146,12 +146,6 @@ type SamplingStats = machine.SamplingStats
 // machine.DefaultSampling for the tuning rationale).
 func DefaultSampling() Sampling { return machine.DefaultSampling() }
 
-// ParseSampling parses the sampling= knob of the -scenario syntax:
-// "off" or "" disables sampling, "on" or "default" selects
-// DefaultSampling, and "PERIOD/DETAIL/WARMUP" (instruction counts, e.g.
-// "32768/4096/8192") sets the knob explicitly.
-func ParseSampling(s string) (Sampling, error) { return machine.ParseSampling(s) }
-
 // Fidelity selects the simulation tier for Options.Fidelity: exact
 // simulation of every uop, SMARTS-style sampled simulation, or analytic
 // miss-curve prediction from a reuse-distance profile (the fastest
@@ -165,10 +159,6 @@ const (
 	FidelityAnalytic = machine.FidelityAnalytic
 )
 
-// ParseFidelity parses a tier token of the -scenario syntax: "exact"
-// (or ""), "sampled", or "analytic".
-func ParseFidelity(s string) (Fidelity, error) { return machine.ParseFidelity(s) }
-
 // Scenario bundles every knob that changes what a campaign measures —
 // fidelity tier, sampling knob, intra-pair parallelism, rate-mode copy
 // count and machine topology — into one typed value with a canonical
@@ -178,9 +168,10 @@ func ParseFidelity(s string) (Fidelity, error) { return machine.ParseFidelity(s)
 type Scenario = core.Scenario
 
 // ParseScenario parses the -scenario flag syntax shared by the cmd
-// tools: comma-separated tokens such as "sampled,j-pair=8" or
-// "rate=4,topo=4P4E-random". Scenarios no tier can honor are rejected
-// with the same message specserved gives for them.
+// tools and the campaign spec's "scenario" field: comma-separated
+// tokens such as "sampled,j-pair=8" or "rate=4,topo=4P4E-random". It is
+// the one public scenario parser: a rejected scenario gets the message
+// specserved gives for it.
 func ParseScenario(s string) (Scenario, error) { return core.ParseScenario(s) }
 
 // Topology describes a heterogeneous machine for Options.Topology /
@@ -200,15 +191,6 @@ const (
 	PlaceBest    = machine.PlaceBest
 	PlaceWorst   = machine.PlaceWorst
 )
-
-// ParseTopology parses the topo= knob syntax of the -scenario flag:
-// "" (or "off") disables topology modelling, otherwise "4P4E-random"
-// style (class sizes plus a placement policy).
-func ParseTopology(s string) (Topology, error) { return machine.ParseTopology(s) }
-
-// ParsePlacement parses a placement policy name: "pinned-p" (or "" or
-// "pinned"), "pinned-e", "random", "best", "worst".
-func ParsePlacement(s string) (Placement, error) { return machine.ParsePlacement(s) }
 
 // RateStats is the shared-L3 contention accounting of a rate-mode run
 // (Characteristics.Rate, present when Options.RateCopies > 1).
