@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench loc fuzz-seed bench-smoke analytic-smoke serve-smoke metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel ci
+.PHONY: build vet test race bench loc fuzz-seed bench-smoke analytic-smoke serve-smoke serve-soak metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel ci
 
 build:
 	$(GO) build ./...
@@ -64,6 +64,13 @@ analytic-smoke:
 serve-smoke:
 	$(GO) test -run='^TestServeSmoke$$|^TestServeSmokeDrainsInFlight$$' -count=1 ./cmd/specserved
 
+# Serve a few thousand ?wait=1 campaigns from an in-process specserved
+# over a pre-populated store and bound the live heap each finished
+# campaign keeps (it holds shared result records, not decoded copies);
+# every job's GET afterwards must be byte-identical to its ?wait=1 reply.
+serve-soak:
+	$(GO) test -run='^TestServeSoakBoundedRetention$$' -count=1 ./internal/server
+
 # Scrape the binary's /metrics during a live campaign and assert the
 # Prometheus text exposition carries the tier-split pair counters, the
 # stage/request histograms and the server gauges.
@@ -110,4 +117,4 @@ race-kernel:
 	$(GO) test -race -short -run='^TestParallel' -count=1 ./internal/machine
 	$(GO) test -race -short -run='^TestCheckpoint' -count=1 ./internal/synth
 
-ci: build vet test race fuzz-seed bench-smoke analytic-smoke serve-smoke metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel
+ci: build vet test race fuzz-seed bench-smoke analytic-smoke serve-smoke serve-soak metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel

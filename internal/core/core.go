@@ -156,9 +156,50 @@ func (c *Characteristics) MemPct() float64 { return c.LoadPct + c.StorePct }
 // previously simulated (pair, machine, options) combinations are served
 // from the cache bit-identically instead of being re-simulated.
 func Characterize(pairs []profile.Pair, opt Options) ([]Characteristics, error) {
+	results, _, err := characterize(pairs, opt)
+	return results, err
+}
+
+// CharacterizeRecords characterizes pairs as Characterize does and
+// returns each pair's result as its encoded record
+// (CharacteristicsCodec, the JSON Characteristics.WriteJSON writes), in
+// pair order. The records are those opt.Cache's memory tier holds
+// (sched.Cache.Record), taken under the keys the campaign derived, so
+// every campaign naming a pair shares one slice; callers must not modify
+// them. A nil opt.Cache gets a campaign-local one.
+func CharacterizeRecords(pairs []profile.Pair, opt Options) ([][]byte, error) {
+	if opt.Cache == nil {
+		opt.Cache = sched.NewCache()
+	}
+	_, keys, err := characterize(pairs, opt)
+	if err != nil {
+		return nil, err
+	}
+	return Records(opt.Cache, keys)
+}
+
+// Records returns the records cache holds under keys, in order: what
+// CharacterizeRecords returns, for a caller that filled the cache itself
+// under the keys CampaignKeys derived (specserved's coordinator writes
+// gathered results through its cache).
+func Records(cache *sched.Cache, keys []string) ([][]byte, error) {
+	recs := make([][]byte, len(keys))
+	for i, k := range keys {
+		rec, err := cache.Record(k, CharacteristicsCodec{})
+		if err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		recs[i] = rec
+	}
+	return recs, nil
+}
+
+// characterize runs the campaign and returns its results with each
+// pair's result-cache key (nil without a cache).
+func characterize(pairs []profile.Pair, opt Options) ([]Characteristics, []string, error) {
 	opt = opt.withDefaults()
 	if err := opt.Scenario.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	if opt.Store != nil {
 		if opt.Cache == nil {
@@ -166,16 +207,16 @@ func Characterize(pairs []profile.Pair, opt Options) ([]Characteristics, error) 
 		}
 		opt.Cache.SetBackend(opt.Store, CharacteristicsCodec{})
 	}
-	prefix := ""
+	var keys []string
 	if opt.Cache != nil {
-		prefix = campaignKeyPrefix(&opt)
+		keys = campaignKeys(pairs, &opt)
 	}
 	tasks := make([]sched.Task[Characteristics], len(pairs))
 	for i := range pairs {
 		pair := pairs[i]
 		t := sched.Task[Characteristics]{Name: pair.Name()}
-		if opt.Cache != nil {
-			t.Key = pairKey(prefix, &pair)
+		if keys != nil {
+			t.Key = keys[i]
 		}
 		t.Run = func(ctx context.Context) (Characteristics, error) {
 			c, err := runPair(ctx, pair, opt)
@@ -192,12 +233,13 @@ func Characterize(pairs []profile.Pair, opt Options) ([]Characteristics, error) 
 		SetAttr("instructions", opt.Instructions).
 		SetAttr("scenario", opt.Scenario.String())
 	defer span.Finish()
-	return sched.Run(opt.Context, tasks, sched.Options{
+	results, err := sched.Run(opt.Context, tasks, sched.Options{
 		Workers:  opt.Parallelism,
 		Cache:    opt.Cache,
 		Progress: opt.Progress,
 		Span:     span,
 	})
+	return results, keys, err
 }
 
 // runPair is the campaign's per-pair entry point; tests swap it to

@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"io"
+	"strconv"
 
 	"repro/internal/machine"
 	"repro/internal/profile"
@@ -74,7 +74,13 @@ func campaignKeyPrefix(opt *Options) string {
 // run would.
 func CampaignKeys(pairs []profile.Pair, opt Options) []string {
 	opt = opt.withDefaults()
-	prefix := campaignKeyPrefix(&opt)
+	return campaignKeys(pairs, &opt)
+}
+
+// campaignKeys is CampaignKeys on options that already carry their
+// defaults.
+func campaignKeys(pairs []profile.Pair, opt *Options) []string {
+	prefix := campaignKeyPrefix(opt)
 	keys := make([]string, len(pairs))
 	for i := range pairs {
 		keys[i] = pairKey(prefix, &pairs[i])
@@ -85,14 +91,61 @@ func CampaignKeys(pairs []profile.Pair, opt Options) []string {
 // pairKey hashes the campaign prefix together with the pair identity and
 // every model parameter the simulation consumes.
 func pairKey(prefix string, pair *profile.Pair) string {
-	h := sha256.New()
-	io.WriteString(h, prefix)
+	b := make([]byte, 0, len(prefix)+256)
+	b = append(b, prefix...)
+	sum := sha256.Sum256(appendPairKey(b, pair))
+	return hex.EncodeToString(sum[:])
+}
+
+// appendPairKey appends the pair part of a content key — the pair
+// identity and every model parameter the simulation consumes — to dst.
+// The bytes are the ones
+//
+//	fmt.Sprintf("|%s|%d|%s|%v|%v|%v|%v|%v|%v|%v|%v|%v|%v|%v|%v|%v|%v|%d|%d|%d",
+//		app, size, input, InstrBillions, TargetIPC, LoadPct, StorePct,
+//		BranchPct, Mix, MispredictPct, L1MissPct, L2MissPct, L3MissPct,
+//		RSSMiB, VSZMiB, MLP, CodeKiB, BranchSites, Threads, Seed)
+//
+// spells, written without fmt: every key ever stored was hashed from
+// that spelling, so it must not change.
+func appendPairKey(dst []byte, pair *profile.Pair) []byte {
 	m := &pair.Model
-	fmt.Fprintf(h, "|%s|%d|%s|", pair.App.Name, pair.Size, pair.Input)
-	fmt.Fprintf(h, "%v|%v|%v|%v|%v|%v|%v|%v|%v|%v|%v|%v|%v|%v|%d|%d|%d",
-		m.InstrBillions, m.TargetIPC, m.LoadPct, m.StorePct, m.BranchPct,
-		m.Mix, m.MispredictPct, m.L1MissPct, m.L2MissPct, m.L3MissPct,
-		m.RSSMiB, m.VSZMiB, m.MLP, m.CodeKiB, m.BranchSites, m.Threads,
-		m.Seed)
-	return hex.EncodeToString(h.Sum(nil))
+	dst = append(dst, '|')
+	dst = append(dst, pair.App.Name...)
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(pair.Size), 10)
+	dst = append(dst, '|')
+	dst = append(dst, pair.Input...)
+	dst = append(dst, '|')
+	for _, f := range [...]float64{m.InstrBillions, m.TargetIPC, m.LoadPct, m.StorePct, m.BranchPct} {
+		dst = appendFloatV(dst, f)
+		dst = append(dst, '|')
+	}
+	// %v of a struct: its fields' %v spellings, space-separated in
+	// braces.
+	mix := &m.Mix
+	dst = append(dst, '{')
+	for i, f := range [...]float64{mix.Cond, mix.Jump, mix.Call, mix.IndirectJump, mix.Return} {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = appendFloatV(dst, f)
+	}
+	dst = append(dst, "}|"...)
+	for _, f := range [...]float64{m.MispredictPct, m.L1MissPct, m.L2MissPct, m.L3MissPct,
+		m.RSSMiB, m.VSZMiB, m.MLP, m.CodeKiB} {
+		dst = appendFloatV(dst, f)
+		dst = append(dst, '|')
+	}
+	dst = strconv.AppendInt(dst, int64(m.BranchSites), 10)
+	dst = append(dst, '|')
+	dst = strconv.AppendInt(dst, int64(m.Threads), 10)
+	dst = append(dst, '|')
+	return strconv.AppendUint(dst, m.Seed, 10)
+}
+
+// appendFloatV appends f as fmt's %v verb spells a float64: strconv's
+// shortest 'g' form ("+Inf", "-Inf" and "NaN" included).
+func appendFloatV(dst []byte, f float64) []byte {
+	return strconv.AppendFloat(dst, f, 'g', -1, 64)
 }

@@ -213,7 +213,9 @@ func (t *Trace) WriteManifest(w io.Writer) error {
 	return nil
 }
 
-// Manifest renders the trace to a byte slice.
+// Manifest renders the trace to a byte slice of exactly the
+// manifest's length, so a caller that keeps it (a server keeps every
+// finished job's) holds none of the render buffer's growth slack.
 func (t *Trace) Manifest() ([]byte, error) {
 	if t == nil {
 		return nil, nil
@@ -222,7 +224,9 @@ func (t *Trace) Manifest() ([]byte, error) {
 	if err := t.WriteManifest(&buf); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	out := make([]byte, buf.Len())
+	copy(out, buf.Bytes())
+	return out, nil
 }
 
 // Digest returns the sha256 hex digest of the rendered manifest — the

@@ -151,6 +151,10 @@ func TestManifestDigestStable(t *testing.T) {
 	if ManifestDigest(b) != d1 {
 		t.Fatal("ManifestDigest(bytes) != Trace.Digest()")
 	}
+	// A kept manifest holds no render-buffer slack.
+	if cap(b) != len(b) {
+		t.Fatalf("manifest is %d bytes in a %d-byte slice", len(b), cap(b))
+	}
 }
 
 func TestReadManifestErrors(t *testing.T) {

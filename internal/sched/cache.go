@@ -1,6 +1,9 @@
 package sched
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+)
 
 // Backend is a persistent second cache tier keyed by the same content
 // keys as the in-memory Cache. Implementations store opaque encoded
@@ -13,11 +16,14 @@ import "sync"
 // write that does not land simply costs a future recomputation.
 type Backend interface {
 	// Load returns the record stored under key, if present and intact.
+	// The cache keeps the returned slice as the entry's record (see
+	// Cache.Record), so Load must hand over bytes nothing else modifies.
 	Load(key string) (data []byte, ok bool)
 	// Store persists data under key. Records are immutable: two writes
 	// under one key must carry bit-identical payloads (keys are content
 	// hashes of everything that determines the result), so overwrites
-	// and concurrent writers are harmless.
+	// and concurrent writers are harmless. The cache keeps data as the
+	// entry's record, so Store must not modify it.
 	Store(key string, data []byte)
 }
 
@@ -47,6 +53,15 @@ const (
 // all-sizes sweeps, bench loops): a task whose content key is present is
 // not re-run, and the stored value is returned bit-identical.
 //
+// A memory-tier entry is a value and, beside it, the value's encoded
+// record once one exists: the bytes a backend hit loaded and decoded,
+// the bytes a write-through Put encoded, or — on an entry that reached
+// the cache with neither, as every entry of a cache with no backend
+// does — the encoding Record makes on its first request. No entry is
+// encoded twice, and every caller of Record shares the one slice, so a
+// server can hold finished results as slices of these records instead
+// of decoded copies and splice them into its responses.
+//
 // The memory tier grows without bound; campaigns are finite (194 pairs
 // in the paper's full sweep) and entries are a few kilobytes (a pair's
 // Characteristics with its counter snapshot encodes to about 2.3 KB),
@@ -60,7 +75,7 @@ const (
 // lifetime — one campaign, one sweep, one server — is the caller's.
 type Cache struct {
 	mu        sync.Mutex
-	entries   map[string]any
+	entries   map[string]entry
 	hits      uint64 // memory-tier hits
 	storeHits uint64 // backend-tier hits
 	misses    uint64
@@ -69,9 +84,16 @@ type Cache struct {
 	memo      map[string]any
 }
 
+// entry is one memory-tier result: the value, and its encoded record
+// once one exists (nil until then).
+type entry struct {
+	v   any
+	rec []byte
+}
+
 // NewCache returns an empty cache with no persistent tier.
 func NewCache() *Cache {
-	return &Cache{entries: make(map[string]any), memo: make(map[string]any)}
+	return &Cache{entries: make(map[string]entry), memo: make(map[string]any)}
 }
 
 // Memo returns the side-table value stored under key, calling compute
@@ -143,14 +165,15 @@ func (c *Cache) Get(key string) (any, bool) {
 
 // GetTier returns the entry stored under key together with the tier
 // that satisfied the lookup (TierMiss when absent). A backend hit is
-// decoded through the codec and promoted into the memory tier; a record
-// that fails to decode counts as a miss.
+// decoded through the codec and promoted into the memory tier together
+// with the record it was decoded from; a record that fails to decode
+// counts as a miss.
 func (c *Cache) GetTier(key string) (any, Tier) {
 	c.mu.Lock()
-	if v, ok := c.entries[key]; ok {
+	if e, ok := c.entries[key]; ok {
 		c.hits++
 		c.mu.Unlock()
-		return v, TierMemory
+		return e.v, TierMemory
 	}
 	backend, codec := c.backend, c.codec
 	c.mu.Unlock()
@@ -162,7 +185,7 @@ func (c *Cache) GetTier(key string) (any, Tier) {
 		if data, ok := backend.Load(key); ok {
 			if v, err := codec.Decode(data); err == nil {
 				c.mu.Lock()
-				c.entries[key] = v
+				c.entries[key] = entry{v: v, rec: data}
 				c.storeHits++
 				c.mu.Unlock()
 				return v, TierStore
@@ -178,17 +201,46 @@ func (c *Cache) GetTier(key string) (any, Tier) {
 // Put stores v under key in the memory tier, overwriting any previous
 // entry, and writes it through to the persistent backend when one is
 // attached (best-effort: an encode or store failure only costs a future
-// recomputation).
+// recomputation). The record the write-through encoded stays in the
+// memory tier beside v.
 func (c *Cache) Put(key string, v any) {
 	c.mu.Lock()
-	c.entries[key] = v
 	backend, codec := c.backend, c.codec
 	c.mu.Unlock()
+	var rec []byte
 	if backend != nil && codec != nil {
 		if data, err := codec.Encode(v); err == nil {
 			backend.Store(key, data)
+			rec = data
 		}
 	}
+	c.mu.Lock()
+	c.entries[key] = entry{v: v, rec: rec}
+	c.mu.Unlock()
+}
+
+// Record returns the encoded record of the memory-tier entry under key:
+// the bytes the entry reached the cache with, or, for an entry that has
+// none, codec's encoding of its value, made on this first request (under
+// the lock, so it is made once) and kept. Callers share the returned
+// slice and must not modify it. Record fails when the memory tier holds
+// no entry under key or the encoding fails; it counts no lookup.
+func (c *Cache) Record(key string, codec Codec) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok {
+		return nil, fmt.Errorf("sched: no cache entry under key %s", key)
+	}
+	if e.rec == nil {
+		rec, err := codec.Encode(e.v)
+		if err != nil {
+			return nil, err
+		}
+		e.rec = rec
+		c.entries[key] = e
+	}
+	return e.rec, nil
 }
 
 // HasBackend reports whether a persistent second tier is attached.

@@ -254,3 +254,79 @@ func TestMemoConcurrent(t *testing.T) {
 		t.Errorf("Len = %d, want the 8 result entries only", c.Len())
 	}
 }
+
+// countingCodec is intCodec counting its Encode calls.
+type countingCodec struct {
+	intCodec
+	mu      sync.Mutex
+	encodes int
+}
+
+func (c *countingCodec) Encode(v any) ([]byte, error) {
+	c.mu.Lock()
+	c.encodes++
+	c.mu.Unlock()
+	return c.intCodec.Encode(v)
+}
+
+// TestRecordKeepsEncodedBytes: an entry's record is the bytes it reached
+// the memory tier with — a backend hit's loaded record, a write-through
+// Put's encoding — or, on a cache with no backend, one encoding made on
+// the first request, however many goroutines ask at once. No entry is
+// encoded twice and every caller shares the one slice.
+func TestRecordKeepsEncodedBytes(t *testing.T) {
+	same := func(a, b []byte) bool { return len(a) > 0 && &a[0] == &b[0] && len(a) == len(b) }
+
+	b := newMemBackend()
+	loaded := []byte("41")
+	b.m["hit"] = loaded
+	codec := &countingCodec{}
+	c := NewCache()
+	c.SetBackend(b, codec)
+	if _, tier := c.GetTier("hit"); tier != TierStore {
+		t.Fatalf("lookup tier %v, want store", tier)
+	}
+	if rec, err := c.Record("hit", codec); err != nil || !same(rec, loaded) {
+		t.Fatalf("store hit record = %q, %v; want the loaded bytes", rec, err)
+	}
+	c.Put("put", 7)
+	rec, err := c.Record("put", codec)
+	if err != nil || string(rec) != "7" {
+		t.Fatalf("write-through record = %q, %v", rec, err)
+	}
+	if again, _ := c.Record("put", codec); !same(again, rec) {
+		t.Fatal("two requests got different slices")
+	}
+	if codec.encodes != 1 {
+		t.Fatalf("%d encodes with a backend, want 1 (the write-through)", codec.encodes)
+	}
+
+	codec = &countingCodec{}
+	c = NewCache()
+	c.Put("k", 9)
+	recs := make([][]byte, 8)
+	var wg sync.WaitGroup
+	for i := range recs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rec, err := c.Record("k", codec)
+			if err != nil {
+				t.Error(err)
+			}
+			recs[i] = rec
+		}(i)
+	}
+	wg.Wait()
+	if codec.encodes != 1 {
+		t.Fatalf("%d encodes without a backend, want 1", codec.encodes)
+	}
+	for _, rec := range recs {
+		if !same(rec, recs[0]) || string(rec) != "9" {
+			t.Fatalf("records %q do not share one encoding of 9", recs)
+		}
+	}
+	if _, err := c.Record("absent", codec); err == nil {
+		t.Fatal("Record of an absent key succeeded")
+	}
+}

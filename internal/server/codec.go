@@ -19,6 +19,28 @@ import (
 // would, on a non-finite float in a result or a time outside years
 // 0-9999.
 func (st CampaignStatus) AppendJSON(dst []byte) ([]byte, error) {
+	return st.appendJSON(dst, nil)
+}
+
+// recordStatus is a done campaign's full status as the server renders
+// it: the results travel as the cache's encoded records (records, with
+// Results left empty), which AppendJSON splices into "results" verbatim.
+// A record is the JSON core.Characteristics.WriteJSON writes for its
+// value, so the bytes are those CampaignStatus.AppendJSON writes for the
+// decoded results.
+type recordStatus struct {
+	CampaignStatus
+	records [][]byte
+}
+
+// AppendJSON appends the status's JSON with its records spliced in.
+func (st recordStatus) AppendJSON(dst []byte) ([]byte, error) {
+	return st.CampaignStatus.appendJSON(dst, st.records)
+}
+
+// appendJSON is AppendJSON writing "results" from records when there
+// are any, from st.Results otherwise.
+func (st *CampaignStatus) appendJSON(dst []byte, records [][]byte) ([]byte, error) {
 	w := jsonx.Writer{B: dst}
 	w.Raw(`{"id":`)
 	rawString(&w, st.ID)
@@ -64,7 +86,19 @@ func (st CampaignStatus) AppendJSON(dst []byte) ([]byte, error) {
 		w.Raw(`,"error":`)
 		rawString(&w, st.Error)
 	}
-	if len(st.Results) > 0 {
+	switch {
+	case len(records) > 0:
+		w.Raw(`,"results":[`)
+		for i, rec := range records {
+			if i > 0 {
+				w.Raw(",")
+			}
+			if w.Err == nil {
+				w.B = append(w.B, rec...)
+			}
+		}
+		w.Raw("]")
+	case len(st.Results) > 0:
 		w.Raw(`,"results":[`)
 		for i := range st.Results {
 			if i > 0 {

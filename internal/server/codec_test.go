@@ -81,7 +81,8 @@ func paperResults(t testing.TB) map[string][]core.Characteristics {
 // by hand, results spliced in by the record codec — equal what the
 // json.Encoder (SetEscapeHTML(false)) wrote for CampaignStatus before,
 // with and without results, error and digest, for every built-in
-// profile; and UnmarshalJSON reads them back to the same value.
+// profile, whether the results are values or the records a done job
+// keeps; and UnmarshalJSON reads them back to the same value.
 func TestStatusCodecMatchesEncoder(t *testing.T) {
 	statusT, refT := reflect.TypeOf(CampaignStatus{}), reflect.TypeOf(refStatus{})
 	if statusT.NumField() != refT.NumField() {
@@ -125,6 +126,21 @@ func TestStatusCodecMatchesEncoder(t *testing.T) {
 			}
 			if rec.Code != http.StatusOK || rec.Header().Get("Content-Length") == "" {
 				t.Fatalf("%s/%s: code %d, Content-Length %q", app, st.ID, rec.Code, rec.Header().Get("Content-Length"))
+			}
+			if len(st.Results) > 0 {
+				spliced := recordStatus{CampaignStatus: st, records: make([][]byte, len(st.Results))}
+				spliced.Results = nil
+				for i, c := range st.Results {
+					var err error
+					if spliced.records[i], err = (core.CharacteristicsCodec{}).Encode(c); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rec := httptest.NewRecorder()
+				writeJSON(rec, http.StatusOK, spliced)
+				if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+					t.Fatalf("%s/%s: served bytes spliced from records differ from json.Encoder:\n got %s\nwant %s", app, st.ID, got, want)
+				}
 			}
 			var back CampaignStatus
 			if err := back.UnmarshalJSON(want); err != nil {

@@ -166,12 +166,14 @@ func (s *Server) probeFleet(ctx context.Context) []int {
 
 // runFleet is the coordinator's campaign engine: serve what the local
 // tiers hold, scatter the rest across the fleet by consistent hash of
-// each pair's content key, gather and write through. opt carries the
-// merged per-campaign options (the caller applied the spec overrides);
-// base provides the suite/size identity the chunk specs inherit. The id
-// namespaces chunk names and trace spans — campaigns pass their job id,
-// sweeps a per-grid-point sub-id.
-func (s *Server) runFleet(ctx context.Context, id string, base CampaignSpec, pairs []profile.Pair, opt core.Options) ([]core.Characteristics, error) {
+// each pair's content key, gather and write through. It returns the
+// results with each pair's content key, under which opt.Cache (never
+// nil on a server: New installs one) now holds every result and its
+// record. opt carries the merged per-campaign options (the caller
+// applied the spec overrides); base provides the suite/size identity
+// the chunk specs inherit. The id namespaces chunk names and trace
+// spans — campaigns pass their job id, sweeps a per-grid-point sub-id.
+func (s *Server) runFleet(ctx context.Context, id string, base CampaignSpec, pairs []profile.Pair, opt core.Options) ([]core.Characteristics, []string, error) {
 	// Normalize so the machine, instruction window and sampling knob
 	// forwarded in chunk specs are the exact values the content keys
 	// encode.
@@ -180,9 +182,6 @@ func (s *Server) runFleet(ctx context.Context, id string, base CampaignSpec, pai
 
 	// Mirror Characterize's cache wiring so local lookups see the store
 	// tier and gathered results write through to it.
-	if opt.Cache == nil {
-		opt.Cache = sched.NewCache()
-	}
 	if opt.Store != nil {
 		opt.Cache.SetBackend(opt.Store, core.CharacteristicsCodec{})
 	}
@@ -229,14 +228,14 @@ func (s *Server) runFleet(ctx context.Context, id string, base CampaignSpec, pai
 	report()
 	span.SetAttr("served_locally", len(pairs)-len(miss))
 	if len(miss) == 0 {
-		return results, nil
+		return results, keys, nil
 	}
 
 	// Probe the fleet: dead workers lose their ring ranges for this
 	// campaign, recovered ones re-admit themselves.
 	alive := s.probeFleet(ctx)
 	if len(alive) == 0 {
-		return nil, fmt.Errorf("no healthy fleet worker among %d configured", len(s.cfg.Fleet))
+		return nil, nil, fmt.Errorf("no healthy fleet worker among %d configured", len(s.cfg.Fleet))
 	}
 	aliveSet := make(map[int]bool, len(alive))
 	dispatchOf := make(map[int]int, len(alive)) // fleet index -> dispatch index
@@ -357,7 +356,7 @@ func (s *Server) runFleet(ctx context.Context, id string, base CampaignSpec, pai
 		},
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return results, nil
+	return results, keys, nil
 }

@@ -54,7 +54,17 @@
 //
 // Results served twice are bit-identical: campaigns run through the same
 // memoizing cache (and optional persistent store tier) as the CLI tools,
-// keyed by content hashes of pair model + machine + options.
+// keyed by content hashes of pair model + machine + options. New
+// installs a memory cache when the configuration has none.
+//
+// A finished campaign keeps its spec, timestamps, counters and manifest
+// and, on success, one []byte per result: the encoded record the
+// cache's memory tier holds for that pair (sched.Cache.Record), shared
+// by every job that names it, not a decoded copy. It drops its resolved
+// pairs once it has run. A full status, whether the ?wait=1 reply or
+// GET /v1/campaigns/{id}, splices those records into "results"
+// verbatim; a record is the JSON core.Characteristics.WriteJSON writes,
+// so the bytes are those the decoded results would encode to.
 package server
 
 import (
@@ -263,17 +273,25 @@ type CampaignStatus struct {
 	ManifestDigest string `json:"manifest_digest,omitempty"`
 }
 
-// campaignWork is a campaign job's kind-specific state.
+// campaignWork is a campaign job's kind-specific state. A finished
+// campaign keeps its spec, counters and, on success, one record slice
+// per result; the resolved pairs go once it has run.
 type campaignWork struct {
-	spec  CampaignSpec
-	pairs []profile.Pair
+	spec CampaignSpec
+	// pairs is the resolved pair list, dropped once the campaign has
+	// run; npairs keeps its length for the status.
+	pairs  []profile.Pair
+	npairs int
 	// scenario is the spec's parsed and validated scenario, layered
 	// over the server's base options at run time (core.Scenario.Over:
 	// zero knobs inherit the base).
 	scenario core.Scenario
 
 	progress sched.Progress
-	results  []core.Characteristics
+	// records holds a done campaign's results as their encoded records:
+	// slices of the records in the server cache's memory tier, shared
+	// with every other job that names the same pair, not copies.
+	records [][]byte
 }
 
 func newCampaignWork(s *Server, body io.Reader) (jobWork, error) {
@@ -285,6 +303,7 @@ func newCampaignWork(s *Server, body io.Reader) (jobWork, error) {
 	if c.pairs, err = c.spec.resolve(); err != nil {
 		return nil, err
 	}
+	c.npairs = len(c.pairs)
 	if c.scenario, err = core.ParseScenario(c.spec.Scenario); err != nil {
 		return nil, err
 	}
@@ -293,17 +312,17 @@ func newCampaignWork(s *Server, body io.Reader) (jobWork, error) {
 
 func (c *campaignWork) status(j *job, full bool) any {
 	st := CampaignStatus{
-		ID: j.id, Spec: c.spec, Status: j.status, Pairs: len(c.pairs),
+		ID: j.id, Spec: c.spec, Status: j.status, Pairs: c.npairs,
 		Created: j.created, Error: j.errMsg,
 		Progress:       progressStatus(c.progress),
 		ManifestDigest: j.manifestDigest,
 	}
 	st.Started, st.Finished = j.stamps()
 	if st.Progress.Total == 0 {
-		st.Progress.Total = len(c.pairs)
+		st.Progress.Total = c.npairs
 	}
 	if full && j.status == StatusDone {
-		st.Results = c.results
+		return recordStatus{CampaignStatus: st, records: c.records}
 	}
 	return st
 }
@@ -318,19 +337,23 @@ func (c *campaignWork) run(s *Server, j *job, tr *obs.Trace) error {
 	opt.Progress = func(p sched.Progress) { j.publish(func() { c.progress = p }, progressStatus(p)) }
 	opt.Trace = tr
 
-	var results []core.Characteristics
+	var records [][]byte
 	var err error
 	if len(s.cfg.Fleet) > 0 {
-		results, err = s.runFleet(j.ctx, j.id, c.spec, c.pairs, opt)
+		var keys []string
+		if _, keys, err = s.runFleet(j.ctx, j.id, c.spec, c.pairs, opt); err == nil {
+			records, err = core.Records(opt.Cache, keys)
+		}
 	} else {
-		results, err = runCampaign(c.pairs, opt)
+		records, err = runCampaign(c.pairs, opt)
 	}
 
 	j.mu.Lock()
 	p := c.progress
 	if err == nil {
-		c.results = results
+		c.records = records
 	}
+	c.pairs = nil
 	j.mu.Unlock()
 	// Tally completed pairs by where they came from, per fidelity mode:
 	// /metrics never conflates estimates with exact results, the two
@@ -378,11 +401,17 @@ type Server struct {
 
 // runCampaign is the worker's campaign entry point; tests swap it to
 // observe queueing and cancellation without paying for simulations.
-var runCampaign = core.Characterize
+var runCampaign = core.CharacterizeRecords
 
 // New builds the server and starts its worker pool. Call Drain to stop.
+// A nil Config.Characterize.Cache gets a memory cache shared by every
+// job: results are content-keyed and bit-identical, so sharing them is
+// safe, and it is what lets finished campaigns hold shared records.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	if cfg.Characterize.Cache == nil {
+		cfg.Characterize.Cache = sched.NewCache()
+	}
 	s := &Server{
 		cfg:     cfg,
 		queue:   make(chan *job, cfg.QueueDepth),

@@ -202,7 +202,8 @@ func (w *sweepWork) run(s *Server, j *job, tr *obs.Trace) error {
 		suite, size := w.spec.Suite, w.spec.Size
 		runner = func(ctx context.Context, pairs []profile.Pair, o core.Options) ([]core.Characteristics, error) {
 			id := fmt.Sprintf("%s/g%d", j.id, n.Add(1))
-			return s.runFleet(ctx, id, CampaignSpec{Suite: suite, Size: size}, pairs, o)
+			results, _, err := s.runFleet(ctx, id, CampaignSpec{Suite: suite, Size: size}, pairs, o)
+			return results, err
 		}
 	}
 
