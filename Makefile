@@ -71,9 +71,11 @@ serve-smoke:
 serve-soak:
 	$(GO) test -run='^TestServeSoakBoundedRetention$$' -count=1 ./internal/server
 
-# Scrape the binary's /metrics during a live campaign and assert the
+# Scrape the binary's /metrics after a live campaign and assert the
 # Prometheus text exposition carries the tier-split pair counters, the
-# stage/request histograms and the server gauges.
+# stage/request histograms and the queue, job (by kind and state) and
+# cache-entry gauges, and that /metrics/expvar is gone (404): /metrics
+# is the server's only metrics exposition.
 metrics-smoke:
 	$(GO) test -run='^TestServeSmokeMetrics$$' -count=1 ./cmd/specserved
 

@@ -29,7 +29,7 @@
 // for design-space sweep jobs (cartesian machine-config grids screened
 // at a cheap fidelity tier with Pareto-frontier escalation — see the
 // specsweep command), GET /healthz, Prometheus text metrics at
-// GET /metrics (expvar mirror at /metrics/expvar). See the README's
+// GET /metrics. See the README's
 // "Serving characterizations" and "Sweeping the design space"
 // walkthroughs.
 //

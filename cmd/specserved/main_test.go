@@ -144,6 +144,17 @@ func TestServeSmoke(t *testing.T) {
 	if first.Progress.CacheHits != 0 {
 		t.Fatalf("first campaign had %d cache hits, want 0", first.Progress.CacheHits)
 	}
+	// Every pair missed the store and was written through to it.
+	text, _ := scrapeMetrics(t, base)
+	for series, want := range map[string]int{
+		`speckit_store_ops_total{op="miss"}`:        first.Pairs,
+		`speckit_store_ops_total{op="write"}`:       first.Pairs,
+		`speckit_store_ops_total{op="write_error"}`: 0,
+	} {
+		if got := promValue(text, series); got != float64(want) {
+			t.Errorf("first server %s = %v, want %d", series, got, want)
+		}
+	}
 	sigtermAndWait(t, cmd)
 
 	// Parity with a direct library run under identical options.
@@ -179,25 +190,22 @@ func TestServeSmoke(t *testing.T) {
 		t.Error("restarted server returned different bytes for the same campaign")
 	}
 
-	// The tier stats on the expvar mirror confirm zero simulated pairs.
-	mresp, err := http.Get(base2 + "/metrics/expvar")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mresp.Body.Close()
-	var metrics struct {
-		Specserved struct {
-			Pairs map[string]uint64 `json:"pairs"`
-		} `json:"specserved"`
-	}
-	if err := json.NewDecoder(mresp.Body).Decode(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	if sim := metrics.Specserved.Pairs["simulated"]; sim != 0 {
-		t.Errorf("restarted server simulated %d pairs, want 0", sim)
-	}
-	if fromStore := metrics.Specserved.Pairs["from_store"]; fromStore != uint64(second.Pairs) {
-		t.Errorf("metrics from_store = %d, want %d", fromStore, second.Pairs)
+	// The restarted server's /metrics confirms zero simulated pairs:
+	// every pair was a store hit, in the served tally, the scheduler's
+	// pair counters and the store's own operation counters.
+	text, _ = scrapeMetrics(t, base2)
+	for series, want := range map[string]int{
+		`speckit_served_pairs_total{mode="exact",source="simulated"}`: 0,
+		`speckit_served_pairs_total{mode="exact",source="store"}`:     second.Pairs,
+		`speckit_pairs_total{source="simulated"}`:                     0,
+		`speckit_pairs_total{source="store"}`:                         second.Pairs,
+		`speckit_store_ops_total{op="hit"}`:                           second.Pairs,
+		`speckit_store_ops_total{op="miss"}`:                          0,
+		`speckit_store_ops_total{op="corrupt"}`:                       0,
+	} {
+		if got := promValue(text, series); got != float64(want) {
+			t.Errorf("restarted server %s = %v, want %d", series, got, want)
+		}
 	}
 	sigtermAndWait(t, cmd2)
 }
@@ -206,8 +214,8 @@ func TestServeSmoke(t *testing.T) {
 // run an N=4 rate-mode campaign over HTTP, assert parity with the
 // library's shared-L3 kernel, then restart on the same cache dir and
 // assert the campaign is served from the persistent store — zero pairs
-// simulated, bytes identical — with the rate-tier counters split out on
-// the expvar mirror.
+// simulated, bytes identical — with the rate-tier pair counters split
+// out on /metrics.
 func TestRateSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the specserved binary")
@@ -269,27 +277,17 @@ func TestRateSmoke(t *testing.T) {
 		t.Error("restarted server returned different bytes for the same rate campaign")
 	}
 
-	// The expvar mirror splits the rate tier out: everything was served
-	// from the store, nothing simulated in either accounting mode.
-	mresp, err := http.Get(base2 + "/metrics/expvar")
-	if err != nil {
-		t.Fatal(err)
+	// /metrics splits the rate tier out: everything was served from the
+	// store, nothing simulated in either accounting mode.
+	text, _ := scrapeMetrics(t, base2)
+	served := func(mode, source string) float64 {
+		return promValue(text, `speckit_served_pairs_total{mode="`+mode+`",source="`+source+`"}`)
 	}
-	defer mresp.Body.Close()
-	var metrics struct {
-		Specserved struct {
-			Pairs map[string]uint64 `json:"pairs"`
-		} `json:"specserved"`
+	if sim := served("rate", "simulated") + served("exact", "simulated"); sim != 0 {
+		t.Errorf("restarted server simulated %v pairs, want 0", sim)
 	}
-	if err := json.NewDecoder(mresp.Body).Decode(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	if sim := metrics.Specserved.Pairs["rate_simulated"] + metrics.Specserved.Pairs["simulated"]; sim != 0 {
-		t.Errorf("restarted server simulated %d pairs, want 0", sim)
-	}
-	served := metrics.Specserved.Pairs["rate_from_store"] + metrics.Specserved.Pairs["rate_from_memory"]
-	if served != uint64(second.Pairs) {
-		t.Errorf("rate tier served %d pairs, want %d", served, second.Pairs)
+	if got := served("rate", "store") + served("rate", "memory"); got != float64(second.Pairs) {
+		t.Errorf("rate tier served %v pairs, want %d", got, second.Pairs)
 	}
 	sigtermAndWait(t, cmd2)
 }
@@ -379,24 +377,11 @@ func TestFleetSmoke(t *testing.T) {
 
 	// The coordinator's own accounting: pairs came from the fleet, none
 	// were simulated in-process.
-	mresp, err := http.Get(coord + "/metrics/expvar")
-	if err != nil {
-		t.Fatal(err)
+	text, _ := scrapeMetrics(t, coord)
+	if sim := promValue(text, `speckit_served_pairs_total{mode="exact",source="simulated"}`); sim != 0 {
+		t.Errorf("coordinator simulated %v pairs itself, want 0", sim)
 	}
-	var metrics struct {
-		Specserved struct {
-			Pairs map[string]uint64 `json:"pairs"`
-		} `json:"specserved"`
-	}
-	err = json.NewDecoder(mresp.Body).Decode(&metrics)
-	mresp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if metrics.Specserved.Pairs["simulated"] != 0 {
-		t.Errorf("coordinator simulated %d pairs itself, want 0", metrics.Specserved.Pairs["simulated"])
-	}
-	if metrics.Specserved.Pairs["from_remote"] == 0 {
+	if promValue(text, `speckit_served_pairs_total{mode="exact",source="remote"}`) == 0 {
 		t.Error("coordinator reports zero remote pairs after a sharded campaign")
 	}
 
@@ -430,25 +415,20 @@ func submitSweepWait(t *testing.T, base string, spec map[string]any) (status, er
 	return st.Status, st.Error, st.Result
 }
 
-// sweepCells scrapes the expvar mirror's sweeps.cells block.
-func sweepCells(t *testing.T, base string) map[string]uint64 {
+// sweepCells reads speckit_sweep_cells_total from the server's /metrics,
+// keyed "phase_source"; each server is its own process, so the values
+// are its own.
+func sweepCells(t *testing.T, base string) map[string]float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics/expvar")
-	if err != nil {
-		t.Fatal(err)
+	text, _ := scrapeMetrics(t, base)
+	cells := map[string]float64{}
+	for _, phase := range []string{"screen", "escalate"} {
+		for _, source := range []string{"simulated", "memory", "store", "remote"} {
+			cells[phase+"_"+source] = promValue(text,
+				`speckit_sweep_cells_total{phase="`+phase+`",source="`+source+`"}`)
+		}
 	}
-	defer resp.Body.Close()
-	var metrics struct {
-		Specserved struct {
-			Sweeps struct {
-				Cells map[string]uint64 `json:"cells"`
-			} `json:"sweeps"`
-		} `json:"specserved"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&metrics); err != nil {
-		t.Fatal(err)
-	}
-	return metrics.Specserved.Sweeps.Cells
+	return cells
 }
 
 // TestSweepSmoke is the `make sweep-smoke` gate: build the real
@@ -551,8 +531,9 @@ func TestSweepSmoke(t *testing.T) {
 }
 
 // TestServeSmokeMetrics is the `make metrics-smoke` gate: the binary's
-// /metrics endpoint serves valid Prometheus text with the tier-split
-// pair counters and stage histograms after a campaign runs.
+// /metrics endpoint, its only metrics exposition, serves valid
+// Prometheus text with the tier-split pair counters, stage histograms
+// and job, queue and cache gauges after a campaign runs.
 func TestServeSmokeMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the specserved binary")
@@ -594,7 +575,10 @@ func TestServeSmokeMetrics(t *testing.T) {
 		submitSeries,
 		`speckit_http_request_seconds_bucket{route="submit",le="+Inf"} 1`,
 		`speckit_server_queue_depth 0`,
-		`speckit_server_jobs{state="running"} 0`,
+		`speckit_server_jobs{kind="campaign",state="running"} 0`,
+		`speckit_server_jobs{kind="campaign",state="done"} 1`,
+		`speckit_server_jobs{kind="sweep",state="done"} 0`,
+		`speckit_cache_entries ` + fmt.Sprint(st.Pairs),
 		`speckit_campaigns_total 1`,
 		`speckit_workers_active 0`,
 	} {
@@ -615,6 +599,15 @@ func TestServeSmokeMetrics(t *testing.T) {
 			t.Fatalf("non-numeric sample value in %q: %v", line, err)
 		}
 	}
+	// The retired expvar mirror is gone.
+	resp, err := http.Get(base + "/metrics/expvar")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /metrics/expvar = %d, want 404", resp.StatusCode)
+	}
 	sigtermAndWait(t, cmd)
 }
 
@@ -634,6 +627,19 @@ func scrapeMetrics(t *testing.T, base string) (text, contentType string) {
 		t.Fatal(err)
 	}
 	return string(raw), resp.Header.Get("Content-Type")
+}
+
+// promValue returns the value of one sample in a Prometheus text
+// payload, or 0 when the series is absent; series is the full
+// "name{labels}" prefix of the sample line.
+func promValue(text, series string) float64 {
+	for _, line := range strings.Split(text, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, _ := strconv.ParseFloat(rest, 64)
+			return v
+		}
+	}
+	return 0
 }
 
 // TestServeSmokeDrainsInFlight: SIGTERM while a campaign is running

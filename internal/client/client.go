@@ -205,6 +205,8 @@ func parseRetryAfter(ra string) time.Duration {
 	}
 	var d time.Duration
 	if secs, err := strconv.Atoi(strings.TrimSpace(ra)); err == nil {
+		// Clamp before multiplying: a huge hint would overflow Duration.
+		secs = max(min(secs, int(maxRetryAfter/time.Second)), 0)
 		d = time.Duration(secs) * time.Second
 	} else if t, err := http.ParseTime(ra); err == nil {
 		d = time.Until(t)

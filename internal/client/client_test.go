@@ -82,6 +82,11 @@ func TestParseRetryAfter(t *testing.T) {
 		{"-5", 0, 0},                             // negative seconds clamp to 0
 		{"999999", maxRetryAfter, maxRetryAfter}, // absurd seconds clamp to the cap
 		{"not-a-hint", 0, 0},                     // unparseable yields no hint
+		// Hints whose nanoseconds overflow int64: clamped before the
+		// multiply, not wrapped to 290ms, a negative or a positive value.
+		{"18446744074", maxRetryAfter, maxRetryAfter},
+		{"9223372037", maxRetryAfter, maxRetryAfter},
+		{"-9223372037", 0, 0},
 		{httpDate(10 * time.Second), 8 * time.Second, 10 * time.Second},
 		{httpDate(-time.Hour), 0, 0}, // past date means retry now
 		{httpDate(48 * time.Hour), maxRetryAfter, maxRetryAfter},

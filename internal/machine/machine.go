@@ -33,7 +33,7 @@ import (
 // modes: "sampled" counts the periodic detail windows of a sampled run,
 // "parallel" the concurrently simulated sub-windows of a RunParallel
 // run. Observations happen once per window (thousands of instructions),
-// never per uop, and are mirrored into specserved's expvar snapshot.
+// never per uop; specserved exposes them on /metrics.
 var metPairWindows = map[string]*obs.Counter{
 	"sampled":  obs.Default().Counter("speckit_pair_windows_total", "Detailed windows simulated, by windowing source (sampled periods vs parallel workers).", "source", "sampled"),
 	"parallel": obs.Default().Counter("speckit_pair_windows_total", "", "source", "parallel"),
@@ -43,23 +43,6 @@ var metWindowSeconds = map[string]*obs.Histogram{
 	"sampled":  obs.Default().Histogram("speckit_pair_window_seconds", "Wall time per detailed window, by windowing source.", obs.LatencyBuckets, "source", "sampled"),
 	"parallel": obs.Default().Histogram("speckit_pair_window_seconds", "", obs.LatencyBuckets, "source", "parallel"),
 	"rate":     obs.Default().Histogram("speckit_pair_window_seconds", "", obs.LatencyBuckets, "source", "rate"),
-}
-
-// PairWindowStats summarizes the window-level series for specserved's
-// expvar snapshot: total windows plus wall-time sum and latency
-// quantiles per windowing source.
-func PairWindowStats() map[string]any {
-	out := make(map[string]any, len(metPairWindows))
-	for src, c := range metPairWindows {
-		h := metWindowSeconds[src].Snapshot()
-		out[src] = map[string]any{
-			"windows":     c.Value(),
-			"seconds_sum": h.Sum,
-			"p50_seconds": h.Quantile(0.5),
-			"p99_seconds": h.Quantile(0.99),
-		}
-	}
-	return out
 }
 
 // Config describes a simulated machine.

@@ -65,6 +65,24 @@ func promSeries(text, series string) float64 {
 	return 0
 }
 
+// scrape returns the server's /metrics text.
+func scrape(t *testing.T, c *client.Client) string {
+	t.Helper()
+	text, err := c.Metrics(ctxT(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text
+}
+
+// servedDelta returns how much speckit_served_pairs_total{mode,source}
+// grew between two scrapes; the registry is process-wide, so tests read
+// deltas.
+func servedDelta(before, after, mode, source string) float64 {
+	series := `speckit_served_pairs_total{mode="` + mode + `",source="` + source + `"}`
+	return promSeries(after, series) - promSeries(before, series)
+}
+
 // postRaw posts body to url and returns the status code and the error
 // envelope's "field" member.
 func postRaw(t *testing.T, url, body string) (int, string) {
@@ -92,7 +110,7 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := core.Options{Instructions: 20000, Cache: sched.NewCache(), Store: st}
-	s, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8, Characterize: base})
+	_, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8, Characterize: base})
 	ctx := ctxT(t)
 
 	metricsBefore, err := c.Metrics(ctx)
@@ -179,7 +197,6 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Resubmission: every pair must come from the cache, none simulated.
-	before := s.MetricsSnapshot()["pairs"].(map[string]uint64)["simulated"]
 	again, err := c.SubmitWait(ctx, spec)
 	if err != nil {
 		t.Fatalf("resubmit: %v", err)
@@ -190,8 +207,8 @@ func TestEndToEnd(t *testing.T) {
 	if again.Progress.CacheHits != status.Pairs {
 		t.Errorf("resubmit cache hits = %d, want all %d", again.Progress.CacheHits, status.Pairs)
 	}
-	if got := s.MetricsSnapshot()["pairs"].(map[string]uint64)["simulated"]; got != before {
-		t.Errorf("resubmit simulated %d pairs, want 0", got-before)
+	if p := again.Progress; p.Done-p.CacheHits-p.Remote != 0 {
+		t.Errorf("resubmit simulated %d pairs, want 0", p.Done-p.CacheHits-p.Remote)
 	}
 	resubJSON, _ := json.Marshal(again.Results)
 	if !bytes.Equal(directJSON, resubJSON) {
@@ -210,13 +227,10 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simSeries := `speckit_served_pairs_total{mode="exact",source="simulated"}`
-	memSeries := `speckit_served_pairs_total{mode="exact",source="memory"}`
-	if d := promSeries(metricsAfter, simSeries) - promSeries(metricsBefore, simSeries); d != float64(status.Pairs) {
-		t.Errorf("%s grew by %v, want %d", simSeries, d, status.Pairs)
-	}
-	if d := promSeries(metricsAfter, memSeries) - promSeries(metricsBefore, memSeries); d != float64(status.Pairs) {
-		t.Errorf("%s grew by %v, want %d", memSeries, d, status.Pairs)
+	for _, source := range []string{"simulated", "memory"} {
+		if d := servedDelta(metricsBefore, metricsAfter, "exact", source); d != float64(status.Pairs) {
+			t.Errorf("exact %s pairs grew by %v, want %d", source, d, status.Pairs)
+		}
 	}
 	for _, series := range []string{
 		"speckit_stage_seconds_bucket",
@@ -233,14 +247,13 @@ func TestEndToEnd(t *testing.T) {
 }
 
 // TestPairWindowMetrics: a campaign with a j-pair scenario counts its
-// concurrently simulated sub-windows under the parallel source in both
-// /metrics (speckit_pair_windows_total and the per-window latency
-// histogram) and the expvar snapshot's pair_windows block.
+// concurrently simulated sub-windows under the parallel source in
+// /metrics: speckit_pair_windows_total and the per-window latency
+// histogram.
 func TestPairWindowMetrics(t *testing.T) {
-	s, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
+	_, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4})
 	ctx := ctxT(t)
 
-	winBefore := s.MetricsSnapshot()["pair_windows"].(map[string]any)["parallel"].(map[string]any)
 	metricsBefore, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -261,14 +274,6 @@ func TestPairWindowMetrics(t *testing.T) {
 	}
 	wantWindows := uint64(2 * len(st.Results))
 
-	winAfter := s.MetricsSnapshot()["pair_windows"].(map[string]any)["parallel"].(map[string]any)
-	if d := winAfter["windows"].(uint64) - winBefore["windows"].(uint64); d != wantWindows {
-		t.Errorf("expvar parallel windows grew by %d, want %d", d, wantWindows)
-	}
-	if winAfter["seconds_sum"].(float64) <= winBefore["seconds_sum"].(float64) {
-		t.Error("expvar parallel window seconds_sum did not grow")
-	}
-
 	metricsAfter, err := c.Metrics(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -280,6 +285,10 @@ func TestPairWindowMetrics(t *testing.T) {
 	countSeries := `speckit_pair_window_seconds_count{source="parallel"}`
 	if d := promSeries(metricsAfter, countSeries) - promSeries(metricsBefore, countSeries); d != float64(wantWindows) {
 		t.Errorf("%s grew by %v, want %d", countSeries, d, wantWindows)
+	}
+	sumSeries := `speckit_pair_window_seconds_sum{source="parallel"}`
+	if promSeries(metricsAfter, sumSeries) <= promSeries(metricsBefore, sumSeries) {
+		t.Errorf("%s did not grow", sumSeries)
 	}
 	if !strings.Contains(metricsAfter, `speckit_pair_window_seconds_bucket{source="parallel"`) {
 		t.Error("/metrics is missing the parallel pair-window latency histogram")
@@ -305,6 +314,7 @@ func TestQueueFull429(t *testing.T) {
 	_, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 1})
 	ctx := ctxT(t)
 	spec := server.CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "train"}
+	before := scrape(t, c)
 
 	if _, err := c.Submit(ctx, spec); err != nil { // taken by the worker
 		t.Fatalf("first submit: %v", err)
@@ -320,6 +330,24 @@ func TestQueueFull429(t *testing.T) {
 	var ae *client.APIError
 	if !errors.As(err, &ae) || ae.RetryAfter <= 0 {
 		t.Errorf("429 without a Retry-After hint: %v", err)
+	}
+
+	// /metrics shows the queued campaign and counts the rejection. A
+	// request is counted after its handler returns, which can be after
+	// the client has the response: scrape until it is, with a deadline.
+	const rejected = `speckit_http_requests_total{code="429",route="submit"}`
+	var after string
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		after = scrape(t, c)
+		if promSeries(after, rejected)-promSeries(before, rejected) >= 1 || time.Now().After(deadline) {
+			break
+		}
+	}
+	if d := promSeries(after, rejected) - promSeries(before, rejected); d != 1 {
+		t.Errorf("%s grew by %v, want 1", rejected, d)
+	}
+	if got := promSeries(after, "speckit_server_queue_depth"); got != 1 {
+		t.Errorf("speckit_server_queue_depth = %v, want 1", got)
 	}
 }
 
@@ -504,6 +532,7 @@ func TestSubmitValidation(t *testing.T) {
 		{`{"unknown_field":1}`, ""},
 		{`{"suite":"cpu2017","size":"ref","scenario":"j-pair=-2"}`, "workers_per_pair"},
 		{`{"suite":"cpu2017","size":"test","instructions":"many"}`, "instructions"},
+		{`{"suite":"cpu2017","size":"test"}{"suite":"cpu2099"}`, ""},
 	} {
 		code, field := postRaw(t, ts.URL+"/v1/campaigns", tc.body)
 		if code != http.StatusBadRequest || field != tc.field {
@@ -765,8 +794,9 @@ func TestSamplingCampaigns(t *testing.T) {
 		}
 		return make([]core.Characteristics, len(pairs)), nil
 	})
-	s, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8})
+	_, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8})
 	ctx := ctxT(t)
+	before := scrape(t, c)
 
 	// Invalid knob: rejected before the campaign is admitted.
 	_, err := c.Submit(ctx, server.CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "train", Scenario: "sampling=not-a-knob"})
@@ -802,16 +832,15 @@ func TestSamplingCampaigns(t *testing.T) {
 		}
 	}
 
-	m := s.MetricsSnapshot()
-	pairs := m["pairs"].(map[string]uint64)
-	if pairs["simulated"] != uint64(pairsPer) {
-		t.Errorf("exact simulated = %d, want %d", pairs["simulated"], pairsPer)
+	after := scrape(t, c)
+	if d := servedDelta(before, after, "exact", "simulated"); d != float64(pairsPer) {
+		t.Errorf("exact simulated = %v, want %d", d, pairsPer)
 	}
-	if pairs["sampled_simulated"] != uint64(2*pairsPer) {
-		t.Errorf("sampled simulated = %d, want %d", pairs["sampled_simulated"], 2*pairsPer)
+	if d := servedDelta(before, after, "sampled", "simulated"); d != float64(2*pairsPer) {
+		t.Errorf("sampled simulated = %v, want %d", d, 2*pairsPer)
 	}
-	if pairs["sampled_from_memory"] != 0 || pairs["sampled_from_store"] != 0 {
-		t.Errorf("sampled cache tiers = %v, want zero", pairs)
+	if m, st := servedDelta(before, after, "sampled", "memory"), servedDelta(before, after, "sampled", "store"); m != 0 || st != 0 {
+		t.Errorf("sampled cache tiers = %v memory, %v store, want zero", m, st)
 	}
 }
 
@@ -837,9 +866,10 @@ func TestFidelityCampaigns(t *testing.T) {
 	})
 	// The server's base options carry a sampling default, which an
 	// explicit analytic request must override.
-	s, c, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8,
+	_, c, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8,
 		Characterize: core.Options{Scenario: core.Scenario{Sampling: machine.DefaultSampling()}}})
 	ctx := ctxT(t)
+	before := scrape(t, c)
 
 	base := server.CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "train"}
 	for _, tc := range []struct{ scenario, field string }{
@@ -899,15 +929,15 @@ func TestFidelityCampaigns(t *testing.T) {
 		}
 	}
 
-	pairs := s.MetricsSnapshot()["pairs"].(map[string]uint64)
-	if pairs["analytic_computed"] != uint64(pairsPer) {
-		t.Errorf("analytic computed = %d, want %d", pairs["analytic_computed"], pairsPer)
+	after := scrape(t, c)
+	if d := servedDelta(before, after, "analytic", "simulated"); d != float64(pairsPer) {
+		t.Errorf("analytic computed = %v, want %d", d, pairsPer)
 	}
-	if pairs["sampled_simulated"] != uint64(2*pairsPer) {
-		t.Errorf("sampled simulated = %d, want %d", pairs["sampled_simulated"], 2*pairsPer)
+	if d := servedDelta(before, after, "sampled", "simulated"); d != float64(2*pairsPer) {
+		t.Errorf("sampled simulated = %v, want %d", d, 2*pairsPer)
 	}
-	if pairs["simulated"] != 0 {
-		t.Errorf("exact simulated = %d, want 0", pairs["simulated"])
+	if d := servedDelta(before, after, "exact", "simulated"); d != 0 {
+		t.Errorf("exact simulated = %v, want 0", d)
 	}
 }
 
@@ -931,8 +961,9 @@ func TestScenarioCampaigns(t *testing.T) {
 		}
 		return make([]core.Characteristics, len(pairs)), nil
 	})
-	s, c, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8})
+	_, c, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8})
 	ctx := ctxT(t)
+	before := scrape(t, c)
 
 	base := server.CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "train"}
 
@@ -1001,14 +1032,14 @@ func TestScenarioCampaigns(t *testing.T) {
 	}
 
 	// Rate pairs are accounted in their own quartet, not the exact one.
-	pairs := s.MetricsSnapshot()["pairs"].(map[string]uint64)
-	if pairs["rate_simulated"] != uint64(2*pairsPer) {
-		t.Errorf("rate simulated = %d, want %d", pairs["rate_simulated"], 2*pairsPer)
+	after := scrape(t, c)
+	if d := servedDelta(before, after, "rate", "simulated"); d != float64(2*pairsPer) {
+		t.Errorf("rate simulated = %v, want %d", d, 2*pairsPer)
 	}
-	if pairs["simulated"] != 0 {
-		t.Errorf("exact simulated = %d, want 0", pairs["simulated"])
+	if d := servedDelta(before, after, "exact", "simulated"); d != 0 {
+		t.Errorf("exact simulated = %v, want 0", d)
 	}
-	if pairs["rate_from_memory"] != 0 || pairs["rate_from_store"] != 0 {
-		t.Errorf("rate cache tiers = %v, want zero", pairs)
+	if m, st := servedDelta(before, after, "rate", "memory"), servedDelta(before, after, "rate", "store"); m != 0 || st != 0 {
+		t.Errorf("rate cache tiers = %v memory, %v store, want zero", m, st)
 	}
 }

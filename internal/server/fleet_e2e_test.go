@@ -134,8 +134,9 @@ func TestFleetShardedBitIdentical(t *testing.T) {
 	spec := server.CampaignSpec{Suite: "cpu2017", Mini: "rate-int", Size: "test", Instructions: instructions}
 
 	workers, _ := startWorkers(t, 3, core.Options{Instructions: 11111, Parallelism: 2})
-	coord, c, coordStore := newCoordinator(t, workers, 2, core.Options{Instructions: 77777, Parallelism: 2})
+	_, c, coordStore := newCoordinator(t, workers, 2, core.Options{Instructions: 77777, Parallelism: 2})
 	ctx := ctxT(t)
+	before := scrape(t, c)
 
 	st, err := c.SubmitWait(ctx, spec)
 	if err != nil {
@@ -168,15 +169,7 @@ func TestFleetShardedBitIdentical(t *testing.T) {
 		}
 	}
 
-	// The coordinator's expvar accounting must attribute the pairs to
-	// the remote source, not to local simulation.
-	pairsBySource := coord.MetricsSnapshot()["pairs"].(map[string]uint64)
-	if got := pairsBySource["from_remote"]; got != uint64(len(want)) {
-		t.Errorf("from_remote = %d, want %d", got, len(want))
-	}
-	if got := pairsBySource["simulated"]; got != 0 {
-		t.Errorf("simulated = %d, want 0 on a coordinator", got)
-	}
+	assertRemoteTally(t, st.Progress, before, scrape(t, c), "exact", len(want))
 
 	// A resubmission is served entirely from the coordinator's own
 	// tiers: no pair goes back to the fleet.
@@ -192,26 +185,42 @@ func TestFleetShardedBitIdentical(t *testing.T) {
 	}
 }
 
+// assertRemoteTally checks a coordinator's accounting of a scattered
+// campaign: its progress shows every pair done remotely and none
+// simulated, and /metrics grew speckit_served_pairs_total{mode,
+// source="remote"} by n. Only a coordinator tallies remote pairs; the
+// in-process workers add their own simulated ones to the shared
+// registry, so "none simulated" is read from the job itself.
+func assertRemoteTally(t *testing.T, p server.ProgressStatus, before, after, mode string, n int) {
+	t.Helper()
+	if p.Remote != n || p.Done-p.CacheHits-p.Remote != 0 {
+		t.Errorf("progress = %+v, want %d pairs remote and 0 simulated on a coordinator", p, n)
+	}
+	if d := servedDelta(before, after, mode, "remote"); d != float64(n) {
+		t.Errorf("%s remote pairs grew by %v, want %d", mode, d, n)
+	}
+}
+
 // fleetScenarioBitIdentical scatters a campaign carrying the scenario
 // string over three workers and checks it against a single-node run of
 // the typed scenario it spells: bit-identical results, the same store
 // record keys (every non-default scenario carries its own key suffix, so
 // matching key sets prove the scenario survived the scatter), the pairs
-// tallied as remote in the scenario's metrics mode (simKey and
-// remoteKey are that mode's local and remote counters), and a
-// resubmission served from the coordinator's own tiers. The workers'
-// base options carry no scenario knob and a different window, so a
-// match proves the coordinator forwards the scenario in every chunk
-// spec rather than relying on fleet-wide flag agreement.
-func fleetScenarioBitIdentical(t *testing.T, instructions uint64, scenario string, sc core.Scenario, simKey, remoteKey string) {
+// tallied as remote in the scenario's metrics mode, and a resubmission
+// served from the coordinator's own tiers. The workers' base options
+// carry no scenario knob and a different window, so a match proves the
+// coordinator forwards the scenario in every chunk spec rather than
+// relying on fleet-wide flag agreement.
+func fleetScenarioBitIdentical(t *testing.T, instructions uint64, scenario string, sc core.Scenario, mode string) {
 	t.Helper()
 	spec := server.CampaignSpec{
 		Suite: "cpu2017", Mini: "rate-int", Size: "test",
 		Instructions: instructions, Scenario: scenario,
 	}
 	workers, _ := startWorkers(t, 3, core.Options{Instructions: 11111, Parallelism: 2})
-	coord, c, coordStore := newCoordinator(t, workers, 2, core.Options{Instructions: 77777, Parallelism: 2})
+	_, c, coordStore := newCoordinator(t, workers, 2, core.Options{Instructions: 77777, Parallelism: 2})
 	ctx := ctxT(t)
+	before := scrape(t, c)
 
 	st, err := c.SubmitWait(ctx, spec)
 	if err != nil {
@@ -259,13 +268,7 @@ func fleetScenarioBitIdentical(t *testing.T, instructions uint64, scenario strin
 		}
 	}
 
-	pairsBySource := coord.MetricsSnapshot()["pairs"].(map[string]uint64)
-	if got := pairsBySource[remoteKey]; got != uint64(len(want)) {
-		t.Errorf("%s = %d, want %d", remoteKey, got, len(want))
-	}
-	if got := pairsBySource[simKey]; got != 0 {
-		t.Errorf("%s = %d, want 0 on a coordinator", simKey, got)
-	}
+	assertRemoteTally(t, st.Progress, before, scrape(t, c), mode, len(want))
 
 	// A resubmission never goes back to the fleet and stays identical.
 	st2, err := c.SubmitWait(ctx, spec)
@@ -283,8 +286,7 @@ func fleetScenarioBitIdentical(t *testing.T, instructions uint64, scenario strin
 // TestFleetAnalyticBitIdentical: an analytic-tier campaign scattered
 // over the fleet is bit-identical to a single-node analytic run.
 func TestFleetAnalyticBitIdentical(t *testing.T) {
-	fleetScenarioBitIdentical(t, 20000, "analytic", core.Scenario{Fidelity: machine.FidelityAnalytic},
-		"analytic_computed", "analytic_from_remote")
+	fleetScenarioBitIdentical(t, 20000, "analytic", core.Scenario{Fidelity: machine.FidelityAnalytic}, "analytic")
 }
 
 // TestFleetParallelBitIdentical: a campaign carrying a j-pair knob
@@ -294,8 +296,7 @@ func TestFleetAnalyticBitIdentical(t *testing.T) {
 // fallback), so a match also proves the stitched estimate is
 // reproducible across process boundaries.
 func TestFleetParallelBitIdentical(t *testing.T) {
-	fleetScenarioBitIdentical(t, 120000, "j-pair=2", core.Scenario{IntraPairWorkers: 2},
-		"simulated", "from_remote")
+	fleetScenarioBitIdentical(t, 120000, "j-pair=2", core.Scenario{IntraPairWorkers: 2}, "exact")
 }
 
 // TestFleetScenarioBitIdentical: the sampled tier at an explicit
@@ -309,19 +310,18 @@ func TestFleetScenarioBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name, scenario    string
-		instructions      uint64
-		sc                core.Scenario
-		simKey, remoteKey string
+		name, scenario string
+		instructions   uint64
+		sc             core.Scenario
+		mode           string
 	}{
 		{"sampled", "sampling=131072/4096/4096", 600000,
-			core.Scenario{Sampling: machine.Sampling{Period: 131072, DetailLen: 4096, WarmupLen: 4096}},
-			"sampled_simulated", "sampled_from_remote"},
-		{"rate", "rate=2", 20000, core.Scenario{RateCopies: 2}, "rate_simulated", "rate_from_remote"},
-		{"topology", "topo=1P1E-random", 20000, core.Scenario{Topology: topo}, "rate_simulated", "rate_from_remote"},
+			core.Scenario{Sampling: machine.Sampling{Period: 131072, DetailLen: 4096, WarmupLen: 4096}}, "sampled"},
+		{"rate", "rate=2", 20000, core.Scenario{RateCopies: 2}, "rate"},
+		{"topology", "topo=1P1E-random", 20000, core.Scenario{Topology: topo}, "rate"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fleetScenarioBitIdentical(t, tc.instructions, tc.scenario, tc.sc, tc.simKey, tc.remoteKey)
+			fleetScenarioBitIdentical(t, tc.instructions, tc.scenario, tc.sc, tc.mode)
 		})
 	}
 }
@@ -413,7 +413,7 @@ func TestFleetUnhealthyWorkerSkipped(t *testing.T) {
 
 	workers, kill := startWorkers(t, 3, core.Options{Parallelism: 2})
 	kill[1]() // dead before the campaign is ever submitted
-	coord, c, _ := newCoordinator(t, workers, 2, core.Options{Parallelism: 2})
+	_, c, _ := newCoordinator(t, workers, 2, core.Options{Parallelism: 2})
 	ctx := ctxT(t)
 
 	st, err := c.SubmitWait(ctx, spec)
@@ -428,15 +428,16 @@ func TestFleetUnhealthyWorkerSkipped(t *testing.T) {
 		t.Error("campaign over the degraded fleet lost pairs or changed bits")
 	}
 
-	fleetInfo := coord.MetricsSnapshot()["fleet"].(map[string]any)
-	healthy := 0
-	for _, w := range fleetInfo["workers"].([]map[string]any) {
-		if w["healthy"].(bool) {
-			healthy++
+	// The coordinator is the last server built, so the fleet gauges are
+	// its own.
+	text := scrape(t, c)
+	for series, want := range map[string]float64{
+		`speckit_fleet_workers{state="healthy"}`:   2,
+		`speckit_fleet_workers{state="unhealthy"}`: 1,
+	} {
+		if got := promSeries(text, series); got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
 		}
-	}
-	if healthy != 2 {
-		t.Errorf("fleet snapshot reports %d healthy workers, want 2", healthy)
 	}
 }
 

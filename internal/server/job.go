@@ -208,9 +208,14 @@ func (j *job) publish(set func(), progress any) {
 // execute runs a dequeued job: the kind's body, then the run manifest,
 // then the terminal status the body's error maps to. The manifest is
 // rendered first so a client that observes a terminal status can always
-// fetch the manifest whose digest the status reports.
+// fetch the manifest whose digest the status reports. A job a DELETE
+// finished after the worker dequeued it is left as it is.
 func (s *Server) execute(j *job) {
 	j.mu.Lock()
+	if j.terminal() {
+		j.mu.Unlock()
+		return
+	}
 	j.status, j.started = StatusRunning, time.Now()
 	j.mu.Unlock()
 	tr := obs.NewTrace()
@@ -279,7 +284,6 @@ func (s *Server) submit(k *jobKind, w http.ResponseWriter, r *http.Request) {
 		s.nextID[k]--
 		s.mu.Unlock()
 		j.cancel()
-		s.rejected.Add(1)
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests,
 			"campaign queue is full (%d queued); retry later", s.cfg.QueueDepth)
@@ -411,14 +415,23 @@ func mustJSON(v any) []byte {
 	return data
 }
 
+// errTrailingData rejects a submit body that goes on after its spec.
+var errTrailingData = errors.New("unexpected data after the spec")
+
 // decodeSpec decodes a submit body into spec (a *CampaignSpec or a
-// *SweepSpec), rejecting unknown fields. A value of the wrong JSON type,
-// or a machine override its own decoder rejects, comes back as a
-// *core.FieldError naming the field.
+// *SweepSpec), rejecting unknown fields and anything but whitespace
+// after the spec. A value of the wrong JSON type, or a machine override
+// its own decoder rejects, comes back as a *core.FieldError naming the
+// field.
 func decodeSpec(body io.Reader, spec any) error {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	err := dec.Decode(spec)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			return errTrailingData
+		}
+	}
 	if te, ok := err.(*json.UnmarshalTypeError); ok && te.Field != "" {
 		return badField(te.Field, "%v", err)
 	}

@@ -1,6 +1,6 @@
 // Package server implements specserved's HTTP characterization service:
 // a bounded campaign queue in front of the internal/sched engine, with
-// per-job cancellation, SSE progress streaming, expvar metrics and a
+// per-job cancellation, SSE progress streaming, Prometheus metrics and a
 // graceful drain for SIGTERM.
 //
 // API (all request/response bodies are JSON):
@@ -33,12 +33,12 @@
 //	GET    /healthz                  200 ok / 503 draining.
 //	GET    /metrics                  Prometheus text format: the
 //	                                 process-wide obs registry (pair
-//	                                 counters split by cache tier, stage
-//	                                 and store latency histograms, HTTP
-//	                                 request metrics, queue gauges).
-//	GET    /metrics/expvar           expvar JSON, including the
-//	                                 "specserved" map (queue, jobs,
-//	                                 per-tier cache stats, store stats).
+//	                                 and sweep-cell counters split by
+//	                                 source, stage and store latency
+//	                                 histograms, HTTP request metrics,
+//	                                 queue, job, cache and fleet
+//	                                 gauges); specserved's only metrics
+//	                                 exposition.
 //
 // Campaigns and sweeps are two kinds of one job: a single record (ID,
 // context, status and timestamps, error, cancel reason, SSE subscribers,
@@ -71,7 +71,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -86,7 +85,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/sched"
-	"repro/internal/store"
 )
 
 // Config configures a Server.
@@ -368,7 +366,7 @@ func (c *campaignWork) run(s *Server, j *job, tr *obs.Trace) error {
 	case opt.Sampling.Enabled():
 		mode = "sampled"
 	}
-	s.served[mode].add(p.Done-p.CacheHits-p.Remote, p.CacheHits-p.StoreHits, p.StoreHits, p.Remote)
+	metServedPairs[mode].add(p.Done-p.CacheHits-p.Remote, p.CacheHits-p.StoreHits, p.StoreHits, p.Remote)
 	return err
 }
 
@@ -384,14 +382,7 @@ type Server struct {
 	nextID   map[*jobKind]int
 	draining bool
 
-	wg      sync.WaitGroup
-	started time.Time
-
-	rejected atomic.Uint64
-	// served tallies pairs in finished campaigns by fidelity mode
-	// (exact, sampled, analytic, rate); cells tallies sweep cells by
-	// phase (screen, escalate), the fidelity-escalation scoreboard.
-	served, cells map[string]*tally
+	wg sync.WaitGroup
 
 	// fleetUp tracks each configured fleet worker's last observed health
 	// (pre-scatter probes and dispatch evictions write it); 1:1 with
@@ -413,13 +404,10 @@ func New(cfg Config) *Server {
 		cfg.Characterize.Cache = sched.NewCache()
 	}
 	s := &Server{
-		cfg:     cfg,
-		queue:   make(chan *job, cfg.QueueDepth),
-		jobs:    make(map[string]*job),
-		nextID:  make(map[*jobKind]int),
-		started: time.Now(),
-		served:  newTallies(metServedPairs),
-		cells:   newTallies(metSweepCells),
+		cfg:    cfg,
+		queue:  make(chan *job, cfg.QueueDepth),
+		jobs:   make(map[string]*job),
+		nextID: make(map[*jobKind]int),
 	}
 	if n := len(cfg.Fleet); n > 0 {
 		s.fleetUp = make([]atomic.Bool, n)
@@ -432,7 +420,6 @@ func New(cfg Config) *Server {
 	s.routes(sweepKind)
 	s.handle("GET /healthz", "health", s.handleHealth)
 	s.handle("GET /metrics", "metrics", handlePrometheus)
-	s.handle("GET /metrics/expvar", "expvar", expvar.Handler().ServeHTTP)
 	s.publishMetrics()
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -621,49 +608,27 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 // --- Metrics ----------------------------------------------------------
 
-// expvar.Publish panics on duplicate names, so the "specserved" map is
-// published once per process and routed to whichever Server was built
-// most recently (tests build several; real processes build one). The
-// obs gauge funcs follow the same active-server indirection — GaugeFunc
-// is replace-on-reregister, so repeated New calls just repoint them.
-var (
-	metricsOnce  sync.Once
-	activeServer atomic.Pointer[Server]
-)
-
 // sources are the ways a finished pair or sweep cell was satisfied, in
 // tally order: simulated here (computed, for analytic pairs), served
 // from the memory or the store tier, or computed by a fleet worker.
 var sources = [4]string{"simulated", "memory", "store", "remote"}
 
-// tally counts finished work by source: per-server atomics behind the
-// expvar map plus their process-wide Prometheus twins.
-type tally struct {
-	n   [4]atomic.Uint64
-	met [4]*obs.Counter
-}
+// bySource is one tallied value's counters, in source order.
+type bySource [4]*obs.Counter
 
-// add counts work by source, in both the atomics and the twins.
-func (t *tally) add(simulated, memory, store, remote int) {
+// add counts finished work by source.
+func (q bySource) add(simulated, memory, store, remote int) {
 	for i, n := range [4]int{simulated, memory, store, remote} {
-		t.n[i].Add(uint64(n))
-		t.met[i].Add(uint64(n))
-	}
-}
-
-// put records the tally in m under keys, given in source order.
-func (t *tally) put(m map[string]uint64, keys ...string) {
-	for i, k := range keys {
-		m[k] = t.n[i].Load()
+		q[i].Add(uint64(n))
 	}
 }
 
 // metTallies registers series{label=value, source=...} for every value
-// and source, returning each value's counters in source order.
-func metTallies(series, help, label string, values ...string) map[string][4]*obs.Counter {
-	m := make(map[string][4]*obs.Counter, len(values))
+// and source, returning each value's counters.
+func metTallies(series, help, label string, values ...string) map[string]bySource {
+	m := make(map[string]bySource, len(values))
 	for _, v := range values {
-		var q [4]*obs.Counter
+		var q bySource
 		for i, src := range sources {
 			q[i] = obs.Default().Counter(series, help, label, v, "source", src)
 		}
@@ -672,18 +637,10 @@ func metTallies(series, help, label string, values ...string) map[string][4]*obs
 	return m
 }
 
-func newTallies(met map[string][4]*obs.Counter) map[string]*tally {
-	m := make(map[string]*tally, len(met))
-	for k, q := range met {
-		m[k] = &tally{met: q}
-	}
-	return m
-}
-
-// The tallies' Prometheus twins. "remote" pairs and cells were computed
-// on fleet workers by a coordinator. A warmed-up deployment shows the
-// differential win directly: source="simulated" stays flat while
-// store/memory grow.
+// Finished work by where it came from. "remote" pairs and cells were
+// computed on fleet workers by a coordinator. A warmed-up deployment
+// shows the differential win directly: source="simulated" stays flat
+// while store/memory grow.
 var (
 	metServedPairs = metTallies("speckit_served_pairs_total",
 		"Pairs in completed campaigns by fidelity tier and satisfying source.",
@@ -692,129 +649,37 @@ var (
 		"Sweep cells by phase and satisfying source.", "phase", "screen", "escalate")
 )
 
+// publishMetrics points the server gauges at s. GaugeFunc replaces a
+// re-registered series, so the most recently built server wins (tests
+// build several per process; real processes build one).
 func (s *Server) publishMetrics() {
-	activeServer.Store(s)
 	reg := obs.Default()
 	reg.GaugeFunc("speckit_server_queue_depth",
-		"Campaigns waiting in the submission queue.", func() float64 {
-			if srv := activeServer.Load(); srv != nil {
-				return float64(len(srv.queue))
-			}
-			return 0
+		"Jobs waiting in the submission queue.", func() float64 { return float64(len(s.queue)) })
+	reg.GaugeFunc("speckit_cache_entries",
+		"Results held in the server cache's memory tier.", func() float64 {
+			return float64(s.cfg.Characterize.Cache.Len())
 		})
-	help := "Campaigns known to the server by state."
-	for _, state := range []string{StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCancelled} {
-		state := state
-		reg.GaugeFunc("speckit_server_jobs", help, func() float64 {
-			srv := activeServer.Load()
-			if srv == nil {
-				return 0
-			}
-			return float64(srv.states(campaignKind)[state])
-		}, "state", state)
-		help = ""
+	help := "Jobs known to the server by kind and state."
+	for _, k := range []*jobKind{campaignKind, sweepKind} {
+		for _, state := range []string{StatusQueued, StatusRunning, StatusDone, StatusFailed, StatusCancelled} {
+			reg.GaugeFunc("speckit_server_jobs", help, func() float64 {
+				return float64(s.states(k)[state])
+			}, "kind", k.noun, "state", state)
+			help = ""
+		}
 	}
 	help = "Configured fleet workers by last observed health."
 	for _, state := range []string{"healthy", "unhealthy"} {
-		state := state
 		reg.GaugeFunc("speckit_fleet_workers", help, func() float64 {
-			srv := activeServer.Load()
-			if srv == nil {
-				return 0
-			}
-			up := 0
-			for i := range srv.fleetUp {
-				if srv.fleetUp[i].Load() {
-					up++
+			n := 0
+			for i := range s.fleetUp {
+				if s.fleetUp[i].Load() == (state == "healthy") {
+					n++
 				}
 			}
-			if state == "healthy" {
-				return float64(up)
-			}
-			return float64(len(srv.fleetUp) - up)
+			return float64(n)
 		}, "state", state)
 		help = ""
 	}
-	metricsOnce.Do(func() {
-		expvar.Publish("specserved", expvar.Func(func() any {
-			srv := activeServer.Load()
-			if srv == nil {
-				return nil
-			}
-			return srv.MetricsSnapshot()
-		}))
-	})
-}
-
-// MetricsSnapshot returns the live metrics served under /metrics as the
-// "specserved" expvar: queue occupancy, job states, where completed
-// pairs and sweep cells came from (simulated vs. memory vs. store tier),
-// and the campaign cache / persistent store counters.
-func (s *Server) MetricsSnapshot() map[string]any {
-	s.mu.Lock()
-	queueLen := len(s.queue)
-	draining := s.draining
-	s.mu.Unlock()
-
-	pairs := map[string]uint64{}
-	s.served["exact"].put(pairs, "simulated", "from_memory", "from_store", "from_remote")
-	s.served["sampled"].put(pairs, "sampled_simulated", "sampled_from_memory", "sampled_from_store", "sampled_from_remote")
-	s.served["analytic"].put(pairs, "analytic_computed", "analytic_from_memory", "analytic_from_store", "analytic_from_remote")
-	s.served["rate"].put(pairs, "rate_simulated", "rate_from_memory", "rate_from_store", "rate_from_remote")
-	cells := map[string]uint64{}
-	s.cells["screen"].put(cells, "screen_simulated", "screen_memory", "screen_store", "screen_remote")
-	s.cells["escalate"].put(cells, "escalate_simulated", "escalate_memory", "escalate_store", "escalate_remote")
-
-	m := map[string]any{
-		"uptime_seconds": time.Since(s.started).Seconds(),
-		"draining":       draining,
-		"queue": map[string]int{
-			"depth":    queueLen,
-			"capacity": s.cfg.QueueDepth,
-			"workers":  s.cfg.Workers,
-		},
-		"jobs": map[string]any{
-			"states":   s.states(campaignKind),
-			"rejected": s.rejected.Load(),
-		},
-		"pairs":  pairs,
-		"sweeps": map[string]any{"states": s.states(sweepKind), "cells": cells},
-	}
-	m["pair_windows"] = machine.PairWindowStats()
-	if n := len(s.cfg.Fleet); n > 0 {
-		workers := make([]map[string]any, n)
-		for i, w := range s.cfg.Fleet {
-			workers[i] = map[string]any{
-				"name":    w.Name(),
-				"healthy": s.fleetUp[i].Load(),
-			}
-		}
-		m["fleet"] = map[string]any{
-			"chunk":   s.cfg.FleetChunk,
-			"workers": workers,
-		}
-	}
-	if cache := s.cfg.Characterize.Cache; cache != nil {
-		st := cache.Stats()
-		m["cache"] = map[string]any{
-			"hits":        st.Hits,
-			"memory_hits": st.MemoryHits,
-			"store_hits":  st.StoreHits,
-			"misses":      st.Misses,
-			"hit_rate":    st.HitRate(),
-			"entries":     cache.Len(),
-		}
-	}
-	if fs, ok := s.cfg.Characterize.Store.(*store.Store); ok && fs != nil {
-		st := fs.Stats()
-		m["store"] = map[string]any{
-			"dir":          fs.Dir(),
-			"hits":         st.Hits,
-			"misses":       st.Misses,
-			"corrupt":      st.Corrupt,
-			"writes":       st.Writes,
-			"write_errors": st.WriteErrors,
-		}
-	}
-	return m
 }

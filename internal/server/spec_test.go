@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/profile"
 )
 
 func TestSpecResolve(t *testing.T) {
@@ -35,9 +38,9 @@ func TestSpecResolve(t *testing.T) {
 // FuzzSubmitSpec feeds arbitrary bodies to newJob, the step both kinds'
 // submit path takes from a request body to a job or a 400 error; it
 // queues nothing and runs nothing. It must never panic, a rejection must
-// be the decoder's error, a *core.FieldError naming a field, or
-// errNoPairs, and an accepted sweep must grid at least one point and one
-// pair.
+// be the decoder's error, a *core.FieldError naming a field, errNoPairs,
+// or errTrailingData for a body that goes on after a decodable spec, and
+// an accepted sweep must grid at least one point and one pair.
 func FuzzSubmitSpec(f *testing.F) {
 	for _, body := range []string{
 		// Valid campaigns and sweeps, as the e2e tests submit them.
@@ -69,6 +72,8 @@ func FuzzSubmitSpec(f *testing.F) {
 		`{"suite":"cpu2017","size":"test","axes":[{"param":"l3.size","values":[1048576]}],` +
 			`"machine":{"name":"x","l1i":{},"l1d":{},"l2":{},"l3":{},"pipeline":{},"clock_hz":0}}`,
 		`{"suite":"cpu2017","size":"test","pairs":["no-such-pair"],"escalate":"quantum"}`,
+		// A second value after the spec.
+		`{"suite":"cpu2017","size":"test"}{"suite":"cpu2099"}`,
 	} {
 		f.Add(false, []byte(body))
 		f.Add(true, []byte(body))
@@ -90,7 +95,14 @@ func FuzzSubmitSpec(f *testing.F) {
 			}
 			dec := json.NewDecoder(bytes.NewReader(body))
 			dec.DisallowUnknownFields()
-			if derr := dec.Decode(spec); err != errNoPairs && (derr == nil || derr.Error() != err.Error()) {
+			derr := dec.Decode(spec)
+			if err == errTrailingData {
+				if _, terr := dec.Token(); derr != nil || terr == io.EOF {
+					t.Fatalf("%s: trailing-data rejection of a body that is not one spec and more (decode error %v)", body, derr)
+				}
+				return
+			}
+			if err != errNoPairs && (derr == nil || derr.Error() != err.Error()) {
 				t.Fatalf("%s: rejection %v is neither the decode error (%v), a FieldError nor errNoPairs", body, err, derr)
 			}
 			return
@@ -100,4 +112,30 @@ func FuzzSubmitSpec(f *testing.F) {
 			t.Fatalf("%s: accepted sweep grids %d points x %d pairs", body, w.points, len(w.sspec.Pairs))
 		}
 	})
+}
+
+// TestExecuteAfterCancel: a DELETE can finish a queued job after a
+// worker dequeued it but before execute takes the job lock. execute
+// must then leave the job cancelled and not run it: running it would
+// finish it a second time and close its done channel twice.
+func TestExecuteAfterCancel(t *testing.T) {
+	ran := false
+	t.Cleanup(SetRunCampaign(func(pairs []profile.Pair, opt core.Options) ([]core.Characteristics, error) {
+		ran = true
+		return make([]core.Characteristics, len(pairs)), nil
+	}))
+	s := New(Config{Workers: 1})
+	t.Cleanup(s.Drain)
+	j, err := s.newJob(campaignKind, strings.NewReader(`{"suite":"cpu2017","mini":"rate-int","size":"test"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.requestCancel("cancelled by client")
+	s.execute(j)
+	if st := j.snapshot(false).(CampaignStatus); st.Status != StatusCancelled {
+		t.Errorf("status = %s, want %s", st.Status, StatusCancelled)
+	}
+	if ran {
+		t.Error("execute ran a job that was already cancelled")
+	}
 }

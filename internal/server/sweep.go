@@ -222,7 +222,7 @@ func (w *sweepWork) run(s *Server, j *job, tr *obs.Trace) error {
 		w.result = res
 	}
 	j.mu.Unlock()
-	s.cells["screen"].add(p.Screen.Simulated, p.Screen.Memory, p.Screen.Store, p.Screen.Remote)
-	s.cells["escalate"].add(p.Escalate.Simulated, p.Escalate.Memory, p.Escalate.Store, p.Escalate.Remote)
+	metSweepCells["screen"].add(p.Screen.Simulated, p.Screen.Memory, p.Screen.Store, p.Screen.Remote)
+	metSweepCells["escalate"].add(p.Escalate.Simulated, p.Escalate.Memory, p.Escalate.Store, p.Escalate.Remote)
 	return err
 }

@@ -49,9 +49,10 @@ func TestSweepEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := core.Options{Instructions: 20000, Parallelism: 2, Cache: sched.NewCache(), Store: st}
-	s, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8, Characterize: base})
+	_, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 8, Characterize: base})
 	ctx := ctxT(t)
 	spec := sweepSpecT(t)
+	before := scrape(t, c)
 
 	status, err := c.SubmitSweep(ctx, spec)
 	if err != nil {
@@ -152,18 +153,6 @@ func TestSweepEndToEnd(t *testing.T) {
 		t.Error("repeated sweep grid differs")
 	}
 
-	// Cell accounting: expvar "sweeps" block sums both runs.
-	snap := s.MetricsSnapshot()
-	cells := snap["sweeps"].(map[string]any)["cells"].(map[string]uint64)
-	if cells["screen_simulated"] != 8 {
-		t.Errorf("screen_simulated = %d, want 8", cells["screen_simulated"])
-	}
-	if cells["screen_memory"]+cells["screen_store"] != 8 {
-		t.Errorf("screen cache cells = %d, want 8", cells["screen_memory"]+cells["screen_store"])
-	}
-	if cells["escalate_simulated"] == 0 {
-		t.Error("escalate_simulated = 0, want > 0")
-	}
 	// And the listing shows both sweeps done.
 	list, err := c.Sweeps(ctx)
 	if err != nil {
@@ -172,13 +161,25 @@ func TestSweepEndToEnd(t *testing.T) {
 	if len(list) != 2 || list[0].Status != server.StatusDone || list[1].Status != server.StatusDone {
 		t.Errorf("sweep list = %+v", list)
 	}
-	// Prometheus twin of the cell counters is exposed.
-	text, err := c.Metrics(ctx)
-	if err != nil {
-		t.Fatal(err)
+
+	// /metrics tallies both runs' cells by phase and source, and counts
+	// the two done sweeps.
+	after := scrape(t, c)
+	cells := func(phase, source string) float64 {
+		series := `speckit_sweep_cells_total{phase="` + phase + `",source="` + source + `"}`
+		return promSeries(after, series) - promSeries(before, series)
 	}
-	if !strings.Contains(text, `speckit_sweep_cells_total{phase="screen",source="simulated"}`) {
-		t.Error("speckit_sweep_cells_total missing from /metrics")
+	if d := cells("screen", "simulated"); d != 8 {
+		t.Errorf("screen simulated cells grew by %v, want 8", d)
+	}
+	if d := cells("screen", "memory") + cells("screen", "store"); d != 8 {
+		t.Errorf("screen cache cells grew by %v, want 8", d)
+	}
+	if d, want := cells("escalate", "simulated"), res1.Escalate.Simulated+res2.Escalate.Simulated; d != float64(want) || d == 0 {
+		t.Errorf("escalate simulated cells grew by %v, want %d (> 0)", d, want)
+	}
+	if got := promSeries(after, `speckit_server_jobs{kind="sweep",state="done"}`); got != 2 {
+		t.Errorf(`speckit_server_jobs{kind="sweep",state="done"} = %v, want 2`, got)
 	}
 }
 
