@@ -46,6 +46,7 @@ fuzz-seed:
 # TestCodecAllocs in internal/core.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Kernel -benchtime=1x .
+	$(GO) test -run='^$$' -bench=Kernel -benchtime=1x ./internal/machine
 	$(GO) test -run='^$$' -bench=CampaignStatusCodec -benchtime=1x -benchmem ./internal/server
 	$(GO) test -run='^TestKernelBenchBaselines$$' -count=1 .
 

@@ -616,10 +616,11 @@ func BenchmarkPhaseDetection(b *testing.B) {
 //
 // BenchmarkKernel* isolate the simulation hot path at three depths —
 // generator only, cache hierarchy only, full machine — and report
-// throughput as a uops/s custom metric. The peruop/batched sub-benchmark
-// pairs quantify the batched kernel's speedup over the per-uop reference
-// kernel (EXPERIMENTS.md records the measured ratios; the acceptance
-// floor for the full machine is 1.5x).
+// throughput as a uops/s custom metric. The full-machine depth,
+// BenchmarkKernelMachine, lives beside the per-uop reference kernel in
+// internal/machine's tests; its peruop/batched pair quantifies the
+// batched kernel's speedup (EXPERIMENTS.md records the measured ratios;
+// the acceptance floor is 1.5x).
 
 // kernelChunk is the uop count each kernel benchmark iteration processes.
 const kernelChunk = 1 << 16
@@ -688,7 +689,8 @@ func BenchmarkKernelSynth(b *testing.B) {
 }
 
 // BenchmarkKernelCache measures the cache hierarchy alone on a
-// pre-materialized uop stream (generation excluded from the loop).
+// pre-materialized uop stream (generation excluded from the loop),
+// through the one probe every kernel uses.
 func BenchmarkKernelCache(b *testing.B) {
 	pair := kernelPair()
 	gen := kernelGen(b, pair)
@@ -713,46 +715,6 @@ func BenchmarkKernelCache(b *testing.B) {
 		}
 	}
 	reportUops(b, kernelChunk)
-}
-
-// BenchmarkKernelMachine measures the full simulation: the per-uop
-// reference kernel (RunReference) against the batched production kernel
-// (Run) on the same workload. The batched/peruop uops/s ratio is the
-// tentpole acceptance metric (floor: 1.5x).
-func BenchmarkKernelMachine(b *testing.B) {
-	pair := kernelPair()
-	cfg := machine.HaswellScaled()
-	run := func(b *testing.B, batched bool) {
-		var total uint64
-		for i := 0; i < b.N; i++ {
-			// Generator construction is setup, not kernel work: each
-			// iteration needs a fresh generator (identical stream), so
-			// build it with the timer stopped.
-			b.StopTimer()
-			gen := kernelGen(b, pair)
-			opt := machine.Options{
-				Instructions:       kernelChunk,
-				WarmupInstructions: gen.Prologue(),
-				Workload:           pipeline.Workload{ILP: 2, MLP: pair.Model.MLP},
-			}
-			// Warmup instructions run through the same kernel, so count
-			// them in the throughput denominator.
-			total = opt.Instructions + opt.WarmupInstructions
-			b.StartTimer()
-			var err error
-			if batched {
-				_, err = machine.Run(cfg, gen, opt)
-			} else {
-				_, err = machine.RunReference(cfg, gen, opt)
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		reportUops(b, int(total))
-	}
-	b.Run("peruop", func(b *testing.B) { run(b, false) })
-	b.Run("batched", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkKernelSampled measures the sampled-simulation fidelity knob:

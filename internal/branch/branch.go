@@ -352,9 +352,6 @@ func NewUnit(dir Predictor, btbBits, rasDepth int) *Unit {
 // Stats returns the accumulated statistics.
 func (u *Unit) Stats() Stats { return u.stats }
 
-// Direction returns the unit's direction predictor.
-func (u *Unit) Direction() Predictor { return u.dir }
-
 // Resolve processes one branch uop: predicts, compares with the resolved
 // outcome, trains, and reports whether the branch was mispredicted.
 func (u *Unit) Resolve(up *trace.Uop) bool {

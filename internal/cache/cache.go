@@ -54,6 +54,11 @@ func (c Config) Validate() error {
 	if c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("cache %q: line size %d not a power of two", c.Name, c.LineBytes)
 	}
+	if c.LineBytes < 2 {
+		// A 1-byte line could put a tag in bit 63, where it would alias
+		// the occupancy bit folded into Cache.keys.
+		return fmt.Errorf("cache %q: line size %d below 2 bytes", c.Name, c.LineBytes)
+	}
 	lines := c.SizeBytes / c.LineBytes
 	if lines*c.LineBytes != c.SizeBytes {
 		return fmt.Errorf("cache %q: size %d not a multiple of line size %d", c.Name, c.SizeBytes, c.LineBytes)
@@ -93,27 +98,20 @@ type Cache struct {
 	sets      int
 	ways      int
 	lineShift uint
+	tagShift  uint   // bitsFor(sets) when sets is a power of two
 	setMask   uint64 // sets-1 when sets is a power of two, else 0
 	pow2      bool
-	tags      []uint64 // sets*ways entries
-	valid     []bool
-	// keys mirrors tags with the valid bit folded in (tag | keyValid, 0
-	// when empty) so the batched kernel's probe is a single compare per
-	// way. It is maintained by fill and Reset, the only places lines
-	// appear or disappear, so it stays coherent under both kernels.
-	keys       []uint64
-	repl       Replacement
-	stats      Stats
-	loadStats  Stats // subset of stats attributable to load uops
-	storeStats Stats
+	// keys holds every way's line, sets*ways entries: the tag with
+	// keyValid folded in, 0 when the way is empty, so a probe is one
+	// compare per way.
+	keys  []uint64
+	repl  Replacement
+	lru   *lruState // repl devirtualized when it is the default LRU
+	stats Stats
 
-	// Batched-kernel fast path state (see AccessHot). tagShift is the
-	// precomputed bitsFor(sets); lru devirtualizes the default policy so
-	// the hot path touches it without an interface dispatch; memoLine and
-	// memoHit, allocated by EnableFetchMemo, record the last line accessed
-	// in each set for the fetch deduplication short-circuit.
-	tagShift uint
-	lru      *lruState
+	// memoLine and memoHit, allocated by EnableFetchMemo, record the
+	// last line accessed in each set and whether it hit, for the
+	// MemoHit short-circuit.
 	memoLine []uint64
 	memoHit  []bool
 
@@ -140,10 +138,6 @@ func New(cfg Config) *Cache {
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
 	sets := lines / cfg.Ways
-	shift := uint(0)
-	for 1<<shift != cfg.LineBytes {
-		shift++
-	}
 	pol := cfg.Policy
 	if pol == nil {
 		pol = LRU{}
@@ -152,14 +146,12 @@ func New(cfg Config) *Cache {
 		cfg:       cfg,
 		sets:      sets,
 		ways:      cfg.Ways,
-		lineShift: shift,
+		lineShift: uint(bitsFor(cfg.LineBytes)),
+		tagShift:  uint(bitsFor(sets)),
 		setMask:   uint64(sets - 1),
 		pow2:      sets&(sets-1) == 0,
-		tags:      make([]uint64, lines),
-		valid:     make([]bool, lines),
 		keys:      make([]uint64, lines),
 		repl:      pol.New(sets, cfg.Ways),
-		tagShift:  uint(bitsFor(sets)),
 	}
 	c.lru, _ = c.repl.(*lruState)
 	return c
@@ -177,15 +169,9 @@ func (c *Cache) Lines() int { return c.sets * c.ways }
 // Stats returns the accumulated access statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// LoadStats returns statistics for accesses marked as loads.
-func (c *Cache) LoadStats() Stats { return c.loadStats }
-
-// StoreStats returns statistics for accesses marked as stores.
-func (c *Cache) StoreStats() Stats { return c.storeStats }
-
-// AccessKind tells the cache what the access is on behalf of, so per-kind
-// statistics can mirror the paper's load-specific counters
-// (mem_load_uops_retired.l*_hit/miss).
+// AccessKind tells the cache what an access is on behalf of. Demand
+// kinds (load, store, fetch) count in Stats; prefetches fill lines
+// without counting.
 type AccessKind uint8
 
 const (
@@ -199,21 +185,21 @@ const (
 	AccessPrefetch
 )
 
-// keyValid is the occupancy bit folded into Cache.keys entries. Tags are
-// line numbers shifted down by the set-index width, so bit 63 is always
-// clear in a real tag.
+// keyValid is the occupancy bit folded into Cache.keys entries. Lines are
+// at least 2 bytes (Config.Validate), so a tag, at most the line number,
+// never reaches bit 63.
 const keyValid = uint64(1) << 63
 
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	line := addr >> c.lineShift
+// locate splits addr into its line number, set and tag. A power-of-two
+// set count indexes by the line's low bits and keeps the rest as the
+// tag; other set counts (e.g. a 30 MB 20-way L3) index by modulo and
+// keep the whole line number as the tag.
+func (c *Cache) locate(addr uint64) (line uint64, set int, tag uint64) {
+	line = addr >> c.lineShift
 	if c.pow2 {
-		// Fast path: power-of-two set count indexes by low bits; the tag
-		// is the remaining high bits.
-		return int(line & c.setMask), line >> uint(bitsFor(c.sets))
+		return line, int(line & c.setMask), line >> c.tagShift
 	}
-	// Non-power-of-two set counts (e.g. a 30 MB 20-way L3) index by
-	// modulo; the full line number serves as the tag.
-	return int(line % uint64(c.sets)), line
+	return line, int(line % uint64(c.sets)), line
 }
 
 func bitsFor(n int) int {
@@ -224,166 +210,13 @@ func bitsFor(n int) int {
 	return b
 }
 
-// Lookup probes the cache without modifying replacement state or
-// statistics. It reports whether the line holding addr is resident.
-func (c *Cache) Lookup(addr uint64) bool {
-	set, tag := c.index(addr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Access performs a demand access for addr. It returns true on hit. On a
-// miss the line is filled (write-allocate for stores), possibly evicting a
-// victim; the caller is responsible for propagating the miss to the next
-// level.
-func (c *Cache) Access(addr uint64, kind AccessKind) bool {
-	set, tag := c.index(addr)
-	base := set * c.ways
-	hitWay := -1
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			hitWay = w
-			break
-		}
-	}
-	hit := hitWay >= 0
-	if hit {
-		c.repl.Touch(set, hitWay)
-	} else {
-		w := c.fill(set, tag)
-		c.repl.Fill(set, w)
-	}
-	if kind != AccessPrefetch {
-		c.record(kind, hit)
-	}
-	return hit
-}
-
-func (c *Cache) fill(set int, tag uint64) int {
-	c.fills++
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if !c.valid[base+w] {
-			c.valid[base+w] = true
-			c.tags[base+w] = tag
-			c.keys[base+w] = tag | keyValid
-			return w
-		}
-	}
-	w := c.repl.Victim(set)
-	if w < 0 || w >= c.ways {
-		panic(fmt.Sprintf("cache %q: policy returned invalid victim way %d", c.cfg.Name, w))
-	}
-	c.stats.Evictions++
-	if c.OnEvict != nil {
-		c.OnEvict(c.lineAddr(set, c.tags[base+w]))
-	}
-	c.tags[base+w] = tag
-	c.keys[base+w] = tag | keyValid
-	return w
-}
-
-// lineAddr reconstructs a line's base address from its set and tag,
-// inverting index.
-func (c *Cache) lineAddr(set int, tag uint64) uint64 {
-	line := tag
-	if c.pow2 {
-		line = tag<<c.tagShift | uint64(set)
-	}
-	return line << c.lineShift
-}
-
-// Invalidate drops the line holding addr if it is resident, reporting
-// whether it was. The vacated way is refilled first on the set's next
-// miss (fill scans for empty ways before consulting the policy), and
-// the set's fetch memo is cleared so memo short-circuits can never
-// resurrect an invalidated line. Statistics are untouched: an
-// invalidation is not a demand access.
-func (c *Cache) Invalidate(addr uint64) bool {
-	set, tag := c.index(addr)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			c.valid[base+w] = false
-			c.keys[base+w] = 0
-			if c.memoLine != nil {
-				c.memoHit[set] = false
-			}
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Cache) record(kind AccessKind, hit bool) {
-	bump := func(s *Stats) {
-		if hit {
-			s.Hits++
-		} else {
-			s.Misses++
-		}
-	}
-	bump(&c.stats)
-	switch kind {
-	case AccessLoad:
-		bump(&c.loadStats)
-	case AccessStore:
-		bump(&c.storeStats)
-	}
-}
-
-// RecordHits credits n demand hits of the given kind without probing the
-// arrays or touching replacement state. It exists for batched callers
-// that have proven the accesses would hit and leave replacement state
-// unchanged — e.g. the machine's fetch loop deduplicating consecutive
-// instruction fetches of one line under an idempotent-touch policy. The
-// resulting statistics are bit-identical to performing the accesses.
-func (c *Cache) RecordHits(kind AccessKind, n uint64) {
-	if n == 0 || kind == AccessPrefetch {
-		return
-	}
-	c.stats.Hits += n
-	switch kind {
-	case AccessLoad:
-		c.loadStats.Hits += n
-	case AccessStore:
-		c.storeStats.Hits += n
-	}
-}
-
-// AccessHot is Access optimized for the batched simulation kernel: the
-// tag shift is precomputed instead of re-derived per call, the default
-// LRU policy is touched through a devirtualized handle, and statistics
-// are recorded without a closure. It performs exactly the same state
-// transitions and statistics updates as Access — the machine equivalence
-// tests compare whole simulations run through each — and additionally
-// maintains the per-set fetch memo when EnableFetchMemo was called. The
-// legacy Access is kept verbatim as the reference kernel's path; callers
-// must not mix Access and FetchHot on one cache, since Access does not
-// update the memo.
-func (c *Cache) AccessHot(addr uint64, kind AccessKind) bool {
-	line := addr >> c.lineShift
-	var set int
-	var tag uint64
-	if c.pow2 {
-		set, tag = int(line&c.setMask), line>>c.tagShift
-	} else {
-		set, tag = int(line%uint64(c.sets)), line
-	}
-	base := set * c.ways
-	// Subslicing the probe window lets the compiler drop the per-way
-	// bounds checks the legacy Access pays, and the folded valid|tag keys
-	// make the scan one compare per way. The scan runs to the end with a
-	// conditional select instead of breaking early: the hit way is
-	// data-dependent and effectively uniform, so an early-exit branch
-	// mispredicts almost every probe, which costs more than the few
-	// extra compares.
-	keys := c.keys[base : base+c.ways]
+// way returns the way of set holding tag, or -1 when it is not resident.
+// The scan runs to the end with a conditional select instead of breaking
+// early: the hit way is data-dependent and effectively uniform, so an
+// early-exit branch mispredicts almost every probe, which costs more than
+// the few extra compares.
+func (c *Cache) way(set int, tag uint64) int {
+	keys := c.keys[set*c.ways : (set+1)*c.ways]
 	want := tag | keyValid
 	hitWay := -1
 	for w := range keys {
@@ -391,6 +224,24 @@ func (c *Cache) AccessHot(addr uint64, kind AccessKind) bool {
 			hitWay = w
 		}
 	}
+	return hitWay
+}
+
+// Lookup probes the cache without modifying replacement state or
+// statistics. It reports whether the line holding addr is resident.
+func (c *Cache) Lookup(addr uint64) bool {
+	_, set, tag := c.locate(addr)
+	return c.way(set, tag) >= 0
+}
+
+// Access performs an access for addr. It returns true on hit. On a miss
+// the line is filled (write-allocate for stores), possibly evicting a
+// victim; the caller is responsible for propagating the miss to the next
+// level. Demand kinds count in Stats, and the set's memo, when enabled,
+// records the line and its outcome.
+func (c *Cache) Access(addr uint64, kind AccessKind) bool {
+	line, set, tag := c.locate(addr)
+	hitWay := c.way(set, tag)
 	hit := hitWay >= 0
 	if hit {
 		if c.lru != nil {
@@ -412,20 +263,6 @@ func (c *Cache) AccessHot(addr uint64, kind AccessKind) bool {
 		} else {
 			c.stats.Misses++
 		}
-		switch kind {
-		case AccessLoad:
-			if hit {
-				c.loadStats.Hits++
-			} else {
-				c.loadStats.Misses++
-			}
-		case AccessStore:
-			if hit {
-				c.storeStats.Hits++
-			} else {
-				c.storeStats.Misses++
-			}
-		}
 	}
 	if c.memoLine != nil {
 		c.memoLine[set] = line
@@ -434,85 +271,95 @@ func (c *Cache) AccessHot(addr uint64, kind AccessKind) bool {
 	return hit
 }
 
+func (c *Cache) fill(set int, tag uint64) int {
+	c.fills++
+	keys := c.keys[set*c.ways : (set+1)*c.ways]
+	for w, k := range keys {
+		if k == 0 {
+			keys[w] = tag | keyValid
+			return w
+		}
+	}
+	w := c.repl.Victim(set)
+	if w < 0 || w >= c.ways {
+		panic(fmt.Sprintf("cache %q: policy returned invalid victim way %d", c.cfg.Name, w))
+	}
+	c.stats.Evictions++
+	if c.OnEvict != nil {
+		c.OnEvict(c.lineAddr(set, keys[w]&^keyValid))
+	}
+	keys[w] = tag | keyValid
+	return w
+}
+
+// lineAddr reconstructs a line's base address from its set and tag,
+// inverting locate.
+func (c *Cache) lineAddr(set int, tag uint64) uint64 {
+	line := tag
+	if c.pow2 {
+		line = tag<<c.tagShift | uint64(set)
+	}
+	return line << c.lineShift
+}
+
+// Invalidate drops the line holding addr if it is resident, reporting
+// whether it was. The vacated way is refilled first on the set's next
+// miss (fill scans for empty ways before consulting the policy), and
+// the set's memo is cleared so memo short-circuits can never resurrect
+// an invalidated line. Statistics are untouched: an invalidation is not
+// a demand access.
+func (c *Cache) Invalidate(addr uint64) bool {
+	_, set, tag := c.locate(addr)
+	w := c.way(set, tag)
+	if w < 0 {
+		return false
+	}
+	c.keys[set*c.ways+w] = 0
+	if c.memoLine != nil {
+		c.memoHit[set] = false
+	}
+	return true
+}
+
+// RecordHits credits n demand hits without probing the arrays or
+// touching replacement state. It exists for batched callers that have
+// proven the accesses would hit and leave replacement state unchanged —
+// e.g. the machine's fetch loop deduplicating consecutive instruction
+// fetches of one line under an idempotent-touch policy. The resulting
+// statistics are bit-identical to performing the accesses.
+func (c *Cache) RecordHits(n uint64) { c.stats.Hits += n }
+
 // EnableFetchMemo allocates the per-set last-access memo that lets
-// FetchHot short-circuit repeated fetches. Callers must only enable it
-// when TouchIdempotent holds for the cache's policy, and must then route
-// every access to this cache through AccessHot/FetchHot so the memo
-// stays coherent.
+// MemoAccess short-circuit repeated accesses. Callers must only enable it
+// when TouchIdempotent holds for the cache's policy.
 func (c *Cache) EnableFetchMemo() {
 	c.memoLine = make([]uint64, c.sets)
 	c.memoHit = make([]bool, c.sets)
 }
 
-// FetchHot performs a fetch-kind demand access with the set-memo
-// short-circuit: if the last access to this line's set was this very line
-// and it hit, the line is still resident and most-recently-used, so under
-// an idempotent-touch policy re-probing and re-touching it is observably
-// a no-op (no future Victim decision can change — see TouchIdempotent).
-// The access is then answered by a statistics credit alone, which is
-// bit-identical to what Access would have recorded.
-func (c *Cache) FetchHot(addr uint64) bool {
-	if c.memoLine != nil {
-		line := addr >> c.lineShift
-		var set int
-		if c.pow2 {
-			set = int(line & c.setMask)
-		} else {
-			set = int(line % uint64(c.sets))
-		}
-		if c.memoHit[set] && c.memoLine[set] == line {
-			c.stats.Hits++
-			return true
-		}
-	}
-	return c.AccessHot(addr, AccessFetch)
-}
-
 // MemoHit reports whether addr hits the per-set last-line memo: the last
-// access to its set was the same line and found it resident. It is small
-// enough to inline, so the batched kernel's sweeps can test the memo
-// without a call and fall through to AccessHot themselves, crediting the
-// hit through RecordHits. Callers own the statistics credit; MemoHit
-// records nothing.
+// access to its set was the same line and found it resident. The line
+// is then still resident and most-recently-used, so under an
+// idempotent-touch policy re-probing and re-touching it is observably a
+// no-op (no future Victim decision can change — see TouchIdempotent).
+// It is small enough to inline, so the batched kernel's sweeps can test
+// the memo without a call and fall through to Access themselves,
+// crediting the hit through RecordHits. Callers own the statistics
+// credit; MemoHit records nothing.
 func (c *Cache) MemoHit(addr uint64) bool {
-	line := addr >> c.lineShift
-	var set int
-	if c.pow2 {
-		set = int(line & c.setMask)
-	} else {
-		set = int(line % uint64(c.sets))
-	}
+	line, set, _ := c.locate(addr)
 	return c.memoLine != nil && c.memoHit[set] && c.memoLine[set] == line
 }
 
-// DemandHot is FetchHot for demand load/store accesses: the same per-set
-// last-line memo short-circuit, but the statistics credit is recorded
-// under the caller's access kind so load/store hit breakdowns stay
-// bit-identical to the un-memoized path. The soundness argument is the
-// one in FetchHot: a memo hit proves the line is resident and
-// most-recently-used in its set, so under an idempotent-touch policy the
-// probe and Touch are observably no-ops.
-func (c *Cache) DemandHot(addr uint64, kind AccessKind) bool {
-	if c.memoLine != nil {
-		line := addr >> c.lineShift
-		var set int
-		if c.pow2 {
-			set = int(line & c.setMask)
-		} else {
-			set = int(line % uint64(c.sets))
-		}
-		if c.memoHit[set] && c.memoLine[set] == line {
-			c.stats.Hits++
-			switch kind {
-			case AccessLoad:
-				c.loadStats.Hits++
-			case AccessStore:
-				c.storeStats.Hits++
-			}
-			return true
-		}
+// MemoAccess performs a demand access with the set-memo short-circuit:
+// a MemoHit is answered by a hit credit alone, which is bit-identical
+// to what Access would have recorded; anything else runs Access.
+func (c *Cache) MemoAccess(addr uint64, kind AccessKind) bool {
+	if c.MemoHit(addr) {
+		c.stats.Hits++
+		return true
 	}
-	return c.AccessHot(addr, kind)
+	return c.Access(addr, kind)
 }
 
 // Fills returns the total number of line fills, including prefetch
@@ -550,11 +397,7 @@ func (c *Cache) Age(n int) {
 		} else {
 			w = c.repl.Victim(s)
 		}
-		idx := s*c.ways + w
-		if c.valid[idx] {
-			c.valid[idx] = false
-			c.keys[idx] = 0
-		}
+		c.keys[s*c.ways+w] = 0
 		if c.lru != nil {
 			c.lru.Touch(s, w)
 		} else {
@@ -568,24 +411,13 @@ func (c *Cache) Age(n int) {
 
 // Reset invalidates all lines and zeroes statistics.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.keys[i] = 0
-	}
-	for i := range c.memoHit {
-		c.memoHit[i] = false
-	}
+	clear(c.keys)
+	clear(c.memoHit)
 	c.stats = Stats{}
-	c.loadStats = Stats{}
-	c.storeStats = Stats{}
 	c.fills = 0
 	c.ageCursor = 0
 }
 
 // ResetStats zeroes the access statistics while keeping cache contents,
 // for discarding a warmup window.
-func (c *Cache) ResetStats() {
-	c.stats = Stats{}
-	c.loadStats = Stats{}
-	c.storeStats = Stats{}
-}
+func (c *Cache) ResetStats() { c.stats = Stats{} }

@@ -11,11 +11,7 @@ const (
 	L2
 	// L3 is the shared last-level cache.
 	L3
-	numLevels
 )
-
-// NumLevels is the number of data-path cache levels.
-const NumLevels = int(numLevels)
 
 // String returns "l1", "l2" or "l3".
 func (l Level) String() string {
@@ -123,8 +119,10 @@ func (h *Hierarchy) Cache(l Level) *Cache {
 func (h *Hierarchy) L1I() *Cache { return h.l1i }
 
 // Fetch performs an instruction fetch for pc and reports where it hit.
+// The L1I probe takes its set-memo short-circuit when the memo is
+// enabled (see Cache.MemoAccess).
 func (h *Hierarchy) Fetch(pc uint64) HitLevel {
-	if h.l1i.Access(pc, AccessFetch) {
+	if h.l1i.MemoAccess(pc, AccessFetch) {
 		return HitL1
 	}
 	if h.l2.Access(pc, AccessFetch) {
@@ -139,84 +137,32 @@ func (h *Hierarchy) Fetch(pc uint64) HitLevel {
 // Data performs a demand data access (load or store, per kind) and reports
 // where it hit. Misses propagate down the hierarchy with fills at every
 // level (inclusive behaviour). When a prefetcher is attached, it observes
-// L1 misses and issues prefetch fills into L2/L3.
+// L1 misses and issues prefetch fills into L2/L3. The L1D probe takes its
+// set-memo short-circuit when the memo is enabled.
 func (h *Hierarchy) Data(addr uint64, kind AccessKind) HitLevel {
+	if h.l1d.MemoAccess(addr, kind) {
+		return HitL1
+	}
+	return h.DataMiss(addr, kind)
+}
+
+// DataMiss completes a demand access that the caller already probed (and
+// missed) in L1D: the L2 and L3 lookups plus the prefetcher observation,
+// exactly the non-L1 arm of Data. Splitting the access this way lets the
+// batched kernel's data sweep keep the dominant L1-hit case down to a
+// single call.
+func (h *Hierarchy) DataMiss(addr uint64, kind AccessKind) HitLevel {
 	level := HitMemory
 	switch {
-	case h.l1d.Access(addr, kind):
-		level = HitL1
 	case h.l2.Access(addr, kind):
 		level = HitL2
 	case h.l3.Access(addr, kind):
 		level = HitL3
 	}
-	if level != HitL1 && h.pf != nil {
+	if h.pf != nil {
 		for _, p := range h.pf.Observe(addr) {
 			if !h.l2.Access(p, AccessPrefetch) {
 				h.l3.Access(p, AccessPrefetch)
-			}
-		}
-	}
-	return level
-}
-
-// FetchHot is Fetch through the batched-kernel fast path: the L1I probe
-// uses the fetch memo short-circuit (see Cache.FetchHot) and lower levels
-// use AccessHot. State transitions and statistics are bit-identical to
-// Fetch; callers must not mix the two on one hierarchy.
-func (h *Hierarchy) FetchHot(pc uint64) HitLevel {
-	if h.l1i.FetchHot(pc) {
-		return HitL1
-	}
-	if h.l2.AccessHot(pc, AccessFetch) {
-		return HitL2
-	}
-	if h.l3.AccessHot(pc, AccessFetch) {
-		return HitL3
-	}
-	return HitMemory
-}
-
-// DataHot is Data through the batched-kernel fast path (AccessHot at
-// every level, including prefetch fills). State transitions and
-// statistics are bit-identical to Data.
-func (h *Hierarchy) DataHot(addr uint64, kind AccessKind) HitLevel {
-	level := HitMemory
-	switch {
-	case h.l1d.DemandHot(addr, kind):
-		level = HitL1
-	case h.l2.AccessHot(addr, kind):
-		level = HitL2
-	case h.l3.AccessHot(addr, kind):
-		level = HitL3
-	}
-	if level != HitL1 && h.pf != nil {
-		for _, p := range h.pf.Observe(addr) {
-			if !h.l2.AccessHot(p, AccessPrefetch) {
-				h.l3.AccessHot(p, AccessPrefetch)
-			}
-		}
-	}
-	return level
-}
-
-// DataHotMiss completes a demand access that the caller already probed
-// (and missed) in L1D via DemandHot: the L2 and L3 lookups plus the
-// prefetcher observation — exactly the non-L1 arm of DataHot. Splitting
-// the access this way lets the batched kernel's data sweep keep the
-// dominant L1-hit case down to a single call.
-func (h *Hierarchy) DataHotMiss(addr uint64, kind AccessKind) HitLevel {
-	level := HitMemory
-	switch {
-	case h.l2.AccessHot(addr, kind):
-		level = HitL2
-	case h.l3.AccessHot(addr, kind):
-		level = HitL3
-	}
-	if h.pf != nil {
-		for _, p := range h.pf.Observe(addr) {
-			if !h.l2.AccessHot(p, AccessPrefetch) {
-				h.l3.AccessHot(p, AccessPrefetch)
 			}
 		}
 	}

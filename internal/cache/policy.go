@@ -222,10 +222,11 @@ func (r Random) Fingerprint() string { return fmt.Sprintf("random:seed=%d", r.Se
 // set's newest stamp (relative order within every set is unchanged),
 // PLRU re-points the tree nodes the same direction, SRRIP re-zeroes an
 // already-zero RRPV, and Random ignores touches entirely.
-// Frequency-counting policies would not qualify. The batched kernel's
-// fetch deduplication (Cache.FetchHot's per-set memo) is only sound when
-// this holds, so unknown custom policies conservatively disable the
-// optimization rather than risk divergence from the per-uop kernel.
+// Frequency-counting policies would not qualify. The set memos
+// (Cache.MemoHit) and the batched kernel's register-level line dedups
+// are only sound when this holds, so unknown custom policies
+// conservatively disable them rather than risk divergence from the
+// per-uop reference kernel.
 func TouchIdempotent(p Policy) bool {
 	switch p.(type) {
 	case nil, LRU, TreePLRU, Random, SRRIP:

@@ -210,9 +210,8 @@ type Options struct {
 	// value). See DESIGN.md: miss rates and mix are measured from the
 	// simulation; IPC is anchored to the paper's measurement.
 	CalibrateIPC float64
-	// Context, when non-nil, aborts an in-flight simulation: the batched
-	// run loop polls it between batches (RunReference polls every
-	// cancelCheckStride instructions) and returns the context's error.
+	// Context, when non-nil, aborts an in-flight simulation: the run
+	// loop polls it between batches and returns the context's error.
 	// Nil disables cancellation checks.
 	Context context.Context
 	// BatchSize is the uop buffer length of the batched kernel; 0 means
@@ -224,8 +223,7 @@ type Options struct {
 	// the measured stream and extrapolates the counters to the full
 	// length (see the Sampling type). Unlike BatchSize it changes result
 	// bits, so it participates in every result-cache key. Only the
-	// batched Run supports it; RunReference, RunParallel and RunShared
-	// reject it.
+	// batched Run supports it; RunParallel and RunShared reject it.
 	Sampling Sampling
 	// Span, when non-nil, receives one child span per stage that ran
 	// (fast-forward/warmup/detail for sampled and parallel runs,
@@ -236,12 +234,6 @@ type Options struct {
 	// a cache key: observability must not change what is computed.
 	Span *obs.Span
 }
-
-// cancelCheckStride is how often (in instructions) RunReference polls
-// Options.Context; a power of two so the check is a mask, not a divide.
-// The batched loop polls between batches instead, which for the default
-// batch size is at least as often.
-const cancelCheckStride = 8192
 
 // DefaultBatchSize is the uop buffer length used when Options.BatchSize
 // is zero. 4096 uops (192 KB) amortize per-batch overheads to noise while
@@ -325,7 +317,7 @@ type core struct {
 	// already-set footprint bit, so translation and footprint tracking
 	// are skipped and the TLB hit credited directly. The cache access
 	// itself always runs — distinct lines within a page matter. (Fetch
-	// deduplication lives in the cache itself: see Cache.FetchHot.)
+	// deduplication lives in the cache itself: see Cache.MemoHit.)
 	dataPage uint64 // last translated page, ^0 = none yet
 
 	// Register-level dedup configuration for the batched sweeps. The
@@ -433,50 +425,13 @@ func lineShift(lineBytes int) uint {
 	return s
 }
 
-// step consumes one uop. It returns false when the source is exhausted.
-// It is the reference per-uop kernel, kept verbatim for RunReference.
-func (c *core) step(src trace.Source, u *trace.Uop) bool {
-	if !src.Next(u) {
-		return false
-	}
-	c.process(u)
-	return true
-}
-
-// process simulates one uop through every component model.
-func (c *core) process(u *trace.Uop) {
-	c.kinds[u.Kind]++
-	if c.unified {
-		c.hier.Fetch(u.PC)
-	} else if !c.hier.L1I().Access(u.PC, cache.AccessFetch) {
-		// Sequential next-line instruction prefetch, as every modern
-		// front-end performs; hides straight-line code misses.
-		c.hier.L1I().Access(u.PC+64, cache.AccessPrefetch)
-	}
-	switch u.Kind {
-	case trace.KindLoad, trace.KindStore:
-		kind := cache.AccessLoad
-		if u.Kind == trace.KindStore {
-			kind = cache.AccessStore
-		}
-		level := c.hier.Data(u.Addr, kind)
-		c.dataLevel[level]++
-		if u.Kind == trace.KindLoad {
-			c.loadLevel[level]++
-		}
-		c.tlb.Translate(u.Addr)
-		c.foot.Touch(u.Addr)
-	case trace.KindBranch:
-		c.unit.Resolve(u)
-	}
-}
-
 // processBatch simulates a buffer of uops through the batched kernel. It
-// produces bit-identical statistics to calling process on each uop in
-// order (the equivalence tests enforce this); the speedup comes from the
-// cache fast paths (AccessHot/FetchHot with per-set fetch dedup), the
-// DTLB page dedup, and — on non-unified machines — sweeping the batch
-// once per component instead of once per uop.
+// produces bit-identical statistics to simulating each uop through every
+// component in order (the equivalence tests enforce this against the
+// per-uop reference kernel); the speedup comes from the cache set memos,
+// the register-level line dedups, the DTLB page dedup, and — on
+// non-unified machines — sweeping the batch once per component instead
+// of once per uop.
 func (c *core) processBatch(buf []trace.Uop) {
 	if c.unified {
 		c.processBatchUnified(buf)
@@ -522,9 +477,11 @@ func (c *core) fetchSweep(buf []trace.Uop) {
 			nm += kindIsMem[k]
 			brIdx[nb] = uint32(i)
 			nb += kindIsBranch[k]
-			if !l1i.FetchHot(u.PC) {
-				// Sequential next-line instruction prefetch, as in process.
-				l1i.AccessHot(u.PC+64, cache.AccessPrefetch)
+			if !l1i.MemoAccess(u.PC, cache.AccessFetch) {
+				// Sequential next-line instruction prefetch, as every
+				// modern front-end performs; hides straight-line code
+				// misses.
+				l1i.Access(u.PC+64, cache.AccessPrefetch)
 			}
 		}
 		c.nMem, c.nBr = int(nm), int(nb)
@@ -547,21 +504,21 @@ func (c *core) fetchSweep(buf []trace.Uop) {
 			credit++
 			continue
 		}
-		// Inlined FetchHot: the set-memo test runs call-free and its
+		// Inlined MemoAccess: the set-memo test runs call-free and its
 		// hit is credited through the same deferred counter as the
-		// register dedup; only memo misses pay the AccessHot call.
+		// register dedup; only memo misses pay the Access call.
 		hit := true
 		if l1i.MemoHit(u.PC) {
 			credit++
-		} else if hit = l1i.AccessHot(u.PC, cache.AccessFetch); !hit {
-			// Sequential next-line instruction prefetch, as in process.
-			l1i.AccessHot(u.PC+64, cache.AccessPrefetch)
+		} else if hit = l1i.Access(u.PC, cache.AccessFetch); !hit {
+			// Sequential next-line instruction prefetch.
+			l1i.Access(u.PC+64, cache.AccessPrefetch)
 		}
 		lastLine = line
 		lastOK = hit
 	}
 	c.nMem, c.nBr = int(nm), int(nb)
-	l1i.RecordHits(cache.AccessFetch, credit)
+	l1i.RecordHits(credit)
 }
 
 // dataSweep runs the branch and data sides of a batch on a non-unified
@@ -594,10 +551,7 @@ func (c *core) dataSweep(buf []trace.Uop) {
 	l1d := c.hier.Cache(cache.L1)
 	shift := c.dataShift
 	lastLine := ^uint64(0)
-	// credit[0] accumulates deferred load hits, credit[1] store hits; the
-	// store bit from the packed address selects arithmetically so the
-	// load-vs-store distinction never costs a branch.
-	var credit [2]uint64
+	credit := uint64(0) // deferred L1D hits
 	for _, p := range c.memAddr[:c.nMem] {
 		s := p >> 63
 		addr := p &^ storeBit
@@ -605,25 +559,25 @@ func (c *core) dataSweep(buf []trace.Uop) {
 		if line == lastLine {
 			c.dataLevel[cache.HitL1]++
 			c.loadLevel[cache.HitL1] += 1 - s
-			credit[s]++
+			credit++
 			c.tlb.RecordL1Hits(1)
 			continue
 		}
 		// The L1-hit common cases stay call-free (set memo, inlined) or
-		// a single call (AccessHot); only a real L1D miss takes the
+		// a single call (Access); only a real L1D miss takes the
 		// hierarchy walk (L2/L3 plus the prefetcher). Memo hits are
-		// credited through the same deferred RecordHits counters as the
-		// register dedup, which is the statistics update DemandHot
+		// credited through the same deferred RecordHits counter as the
+		// register dedup, which is the statistics update MemoAccess
 		// would have made.
 		kind := accessBySBit[s]
 		level := cache.HitL1
 		if l1d.MemoHit(addr) {
-			credit[s]++
+			credit++
 			lastLine = line
-		} else if l1d.AccessHot(addr, kind) {
+		} else if l1d.Access(addr, kind) {
 			lastLine = line
 		} else {
-			level = c.hier.DataHotMiss(addr, kind)
+			level = c.hier.DataMiss(addr, kind)
 			lastLine = ^uint64(0)
 		}
 		c.dataLevel[level]++
@@ -636,8 +590,7 @@ func (c *core) dataSweep(buf []trace.Uop) {
 			c.dataPage = page
 		}
 	}
-	l1d.RecordHits(cache.AccessLoad, credit[0])
-	l1d.RecordHits(cache.AccessStore, credit[1])
+	l1d.RecordHits(credit)
 }
 
 // processBatchUnified is the batched kernel for machines whose L1I misses
@@ -649,13 +602,13 @@ func (c *core) processBatchUnified(buf []trace.Uop) {
 	l1i := c.hier.L1I()
 	l1d := c.hier.Cache(cache.L1)
 	fLine, dLine := ^uint64(0), ^uint64(0)
-	var fetchCredit, creditLoad, creditStore uint64
+	var fetchCredit, dataCredit uint64
 	for i := range buf {
 		u := &buf[i]
 		c.kinds[u.Kind]++
 		if line := u.PC >> c.fetchShift; c.fetchDedup && line == fLine {
 			fetchCredit++
-		} else if c.hier.FetchHot(u.PC) == cache.HitL1 {
+		} else if c.hier.Fetch(u.PC) == cache.HitL1 {
 			fLine = line
 		} else {
 			fLine = ^uint64(0)
@@ -666,10 +619,8 @@ func (c *core) processBatchUnified(buf []trace.Uop) {
 				c.dataLevel[cache.HitL1]++
 				if u.Kind == trace.KindLoad {
 					c.loadLevel[cache.HitL1]++
-					creditLoad++
-				} else {
-					creditStore++
 				}
+				dataCredit++
 				c.tlb.RecordL1Hits(1)
 			} else if c.processData(u) == cache.HitL1 {
 				dLine = line
@@ -680,9 +631,8 @@ func (c *core) processBatchUnified(buf []trace.Uop) {
 			c.unit.Resolve(u)
 		}
 	}
-	l1i.RecordHits(cache.AccessFetch, fetchCredit)
-	l1d.RecordHits(cache.AccessLoad, creditLoad)
-	l1d.RecordHits(cache.AccessStore, creditStore)
+	l1i.RecordHits(fetchCredit)
+	l1d.RecordHits(dataCredit)
 }
 
 // processData runs one memory uop's data-side accesses in the batched
@@ -698,7 +648,7 @@ func (c *core) processData(u *trace.Uop) cache.HitLevel {
 // pair, the form dataSweep's dense packed-address walk produces; sbit
 // is 1 for stores, 0 for loads, and selects counters arithmetically.
 func (c *core) processDataAddr(addr, sbit uint64) cache.HitLevel {
-	level := c.hier.DataHot(addr, accessBySBit[sbit])
+	level := c.hier.Data(addr, accessBySBit[sbit])
 	c.dataLevel[level]++
 	c.loadLevel[level] += 1 - sbit
 	if page := addr >> tlb.PageBits; page == c.dataPage {
@@ -741,47 +691,6 @@ func (c *core) runWindow(src trace.BatchSource, buf []trace.Uop, n uint64, ctx c
 		done += uint64(got)
 	}
 	return done, nil
-}
-
-// RunReference simulates one uop stream with the legacy per-uop kernel.
-// It is the executable specification the batched Run is tested against:
-// both must produce bit-identical Results for the same configuration,
-// source and options. It is exported for the equivalence tests and the
-// kernel benchmarks; production callers should use Run.
-func RunReference(cfg Config, src trace.Source, opt Options) (*Result, error) {
-	// The reference kernel is the exact-run executable specification; a
-	// sampled reference would have nothing to be a reference for.
-	if err := checkRun(cfg, opt, "the reference kernel (use Run)"); err != nil {
-		return nil, err
-	}
-	c := newCore(cfg, nil)
-	checkCancel := opt.Context != nil
-	if warm := warmupLength(opt); warm > 0 {
-		var u trace.Uop
-		for i := uint64(0); i < warm; i++ {
-			if checkCancel && i&(cancelCheckStride-1) == 0 {
-				if err := opt.Context.Err(); err != nil {
-					return nil, err
-				}
-			}
-			if !c.step(src, &u) {
-				return nil, fmt.Errorf("machine: source exhausted during warmup")
-			}
-		}
-		c.resetStats()
-	}
-	var u trace.Uop
-	for i := uint64(0); i < opt.Instructions; i++ {
-		if checkCancel && i&(cancelCheckStride-1) == 0 {
-			if err := opt.Context.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if !c.step(src, &u) {
-			return nil, fmt.Errorf("machine: source exhausted after %d instructions", i)
-		}
-	}
-	return DeriveResult(cfg, opt, c.counts())
 }
 
 // warmupLength resolves the warmup policy from the options.

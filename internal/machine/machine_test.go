@@ -321,13 +321,6 @@ func TestRunSharedErrors(t *testing.T) {
 	}
 }
 
-func TestWorkloadFromModel(t *testing.T) {
-	w := WorkloadFromModel(3.5)
-	if w.MLP != 3.5 || w.ILP <= 0 {
-		t.Errorf("WorkloadFromModel = %+v", w)
-	}
-}
-
 func BenchmarkRunCharacterization(b *testing.B) {
 	cfg := HaswellScaled()
 	m := testModel()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
@@ -84,11 +83,4 @@ func RunShared(cfg Config, srcs []trace.Source, opt Options) (*SharedResult, err
 		out.SharedL3MPKI = 1000 * float64(out.SharedL3Misses) / float64(totalInstr)
 	}
 	return out, nil
-}
-
-// WorkloadFromModel maps the profile-level ILP/MLP knobs into the pipeline
-// model's Workload. The ILP field is only a starting point when the run
-// calibrates to a target IPC.
-func WorkloadFromModel(mlp float64) pipeline.Workload {
-	return pipeline.Workload{ILP: 2, MLP: mlp}
 }

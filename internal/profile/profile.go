@@ -64,9 +64,6 @@ func (s Suite) String() string {
 // IsInt reports whether the suite contains integer applications.
 func (s Suite) IsInt() bool { return s == RateInt || s == SpeedInt || s == CPU06Int }
 
-// IsCPU17 reports whether the suite belongs to CPU2017.
-func (s Suite) IsCPU17() bool { return s <= SpeedFP }
-
 // InputSize is one of the three SPEC input data sizes.
 type InputSize int
 
@@ -79,9 +76,6 @@ const (
 	Ref
 	numInputSizes
 )
-
-// NumInputSizes is the number of input sizes.
-const NumInputSizes = int(numInputSizes)
 
 // String returns "test", "train" or "ref".
 func (s InputSize) String() string {

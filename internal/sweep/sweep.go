@@ -191,16 +191,12 @@ type Point struct {
 	CostBytes int64
 }
 
-// ConfigCost is the sweep's configuration cost proxy: total cache
+// RateCost is the sweep's configuration cost proxy: total cache
 // capacity in bytes. Silicon area is overwhelmingly SRAM for the
 // parameters the axes expose, so capacity orders design points the way
-// an area budget would.
-func ConfigCost(cfg machine.Config) int64 { return RateCost(cfg, 1) }
-
-// RateCost extends ConfigCost to rate-mode points: each copy owns
-// private L1I/L1D/L2 slices while the inclusive L3 is shared, so
-// capacity scales as copies x private + shared. copies <= 1 reproduces
-// ConfigCost.
+// an area budget would. Each rate-mode copy owns private L1I/L1D/L2
+// slices while the inclusive L3 is shared, so capacity scales as
+// copies x private + shared; copies <= 1 counts one copy.
 func RateCost(cfg machine.Config, copies int) int64 {
 	if copies < 1 {
 		copies = 1

@@ -210,9 +210,9 @@ func TestRateAxisExpand(t *testing.T) {
 		t.Errorf("cost scaled super-linearly: 1 copy %d, 4 copies %d — shared L3 double-counted?",
 			points[0].CostBytes, points[2].CostBytes)
 	}
-	// RateCost degenerates to ConfigCost at and below one copy.
-	if sweep.RateCost(base, 1) != sweep.ConfigCost(base) || sweep.RateCost(base, 0) != sweep.ConfigCost(base) {
-		t.Error("RateCost(1)/RateCost(0) differ from ConfigCost")
+	// Copy counts at and below one cost the same single copy.
+	if sweep.RateCost(base, 0) != sweep.RateCost(base, 1) {
+		t.Error("RateCost(0) differs from RateCost(1)")
 	}
 
 	// Out-of-range copy counts fail at expansion, naming the bound.

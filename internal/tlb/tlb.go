@@ -137,9 +137,6 @@ func (t *TLB) RecordL1Hits(n uint64) { t.l1.stats.Hits += n }
 // L1Stats returns first-level statistics.
 func (t *TLB) L1Stats() Stats { return t.l1.stats }
 
-// L2Stats returns second-level statistics.
-func (t *TLB) L2Stats() Stats { return t.l2.stats }
-
 // Walks returns the number of page walks performed.
 func (t *TLB) Walks() uint64 { return t.l2.stats.Misses }
 

@@ -10,7 +10,6 @@ package xrand
 
 import (
 	"math"
-	"math/bits"
 )
 
 // SplitMix64 is the splitmix64 generator of Steele, Lea and Flood. It is
@@ -194,93 +193,6 @@ func (p *PCG32) Uint64n(n uint64) uint64 {
 			return v % n
 		}
 	}
-}
-
-// Uint64nBound returns the rejection bound Uint64n uses internally for a
-// given n. Callers that draw many values for the same n can compute it
-// once and pass it to Uint64nFast, saving one 64-bit division per draw.
-// It panics if n == 0.
-func Uint64nBound(n uint64) uint64 {
-	if n == 0 {
-		panic("xrand: Uint64nBound with zero n")
-	}
-	return ^uint64(0) - (^uint64(0) % n)
-}
-
-// Uint64nFast is Uint64n with the rejection bound precomputed by
-// Uint64nBound(n). For equal n it consumes the generator identically to
-// Uint64n and returns the same values; it exists purely so batch
-// generators can hoist the bound computation out of their inner loops.
-func (p *PCG32) Uint64nFast(n, bound uint64) uint64 {
-	for {
-		v := p.Uint64()
-		if v < bound {
-			return v % n
-		}
-	}
-}
-
-// Uint64nDiv is Uint64nFast with the final modulo performed by a
-// precomputed Divisor, removing the hardware divide from the accepted
-// path as well. d must be NewDivisor(n) and bound Uint64nBound(n); the
-// values and generator consumption are then identical to Uint64n(n).
-func (p *PCG32) Uint64nDiv(d Divisor, bound uint64) uint64 {
-	for {
-		v := p.Uint64()
-		if v < bound {
-			return d.Mod(v)
-		}
-	}
-}
-
-// Divisor performs exact unsigned division and modulo by a fixed n using
-// the Granlund–Montgomery multiply-shift technique, replacing the ~30-90
-// cycle hardware divide in `v % n` with two multiplies. Div and Mod
-// return bit-identical results to v/n and v%n for every v; the batched
-// samplers rely on this to keep their streams equal to the legacy paths'.
-type Divisor struct {
-	n    uint64
-	m    uint64 // low 64 bits of the 65-bit magic floor(2^(64+l)/n)+1
-	sh   uint   // post-shift: l-1 (generic) or log2(n) (power of two)
-	pow2 bool
-}
-
-// NewDivisor prepares a divisor for n. It panics if n == 0.
-func NewDivisor(n uint64) Divisor {
-	if n == 0 {
-		panic("xrand: NewDivisor with zero n")
-	}
-	if n&(n-1) == 0 {
-		return Divisor{n: n, pow2: true, sh: uint(bits.TrailingZeros64(n))}
-	}
-	// l = ceil(log2 n), so 2^(l-1) < n < 2^l. The 65-bit magic is
-	// M = floor(2^(64+l)/n) + 1 = 2^64 + m with m below: 2^(64+l)/n
-	// splits as (2^l/n)<<64 + ((2^l mod n)<<64)/n = 2^64 + q0.
-	l := uint(bits.Len64(n - 1))
-	q0, _ := bits.Div64((uint64(1)<<l)-n, 0, n)
-	return Divisor{n: n, m: q0 + 1, sh: l - 1}
-}
-
-// N returns the divisor's modulus.
-func (d Divisor) N() uint64 { return d.n }
-
-// Div returns v / d.n exactly.
-func (d Divisor) Div(v uint64) uint64 {
-	if d.pow2 {
-		return v >> d.sh
-	}
-	// q = floor(M*v / 2^(64+l)) with M = 2^64 + m: the 2^64 term
-	// contributes v, recombined overflow-free as t + (v-t)/2 (v >= t).
-	t, _ := bits.Mul64(d.m, v)
-	return (t + (v-t)>>1) >> d.sh
-}
-
-// Mod returns v % d.n exactly.
-func (d Divisor) Mod(v uint64) uint64 {
-	if d.pow2 {
-		return v & (d.n - 1)
-	}
-	return v - d.Div(v)*d.n
 }
 
 // Float64 returns a uniformly distributed float64 in [0, 1).

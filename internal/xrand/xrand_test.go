@@ -306,52 +306,6 @@ func BenchmarkCategoricalSample(b *testing.B) {
 	}
 }
 
-// TestDivisorExact sweeps divisors and operands — small values, powers of
-// two, off-by-one neighbours, huge n, and random pairs — checking Div and
-// Mod against the hardware operators bit for bit.
-func TestDivisorExact(t *testing.T) {
-	ns := []uint64{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 100, 113,
-		255, 256, 257, 641, 1 << 20, 1<<20 + 1, 1<<32 - 1, 1 << 32, 1<<32 + 1,
-		1<<63 - 1, 1 << 63, 1<<63 + 1, ^uint64(0) - 1, ^uint64(0)}
-	vs := []uint64{0, 1, 2, 3, 63, 64, 65, 1<<32 - 1, 1 << 32,
-		1<<63 - 1, 1 << 63, ^uint64(0) - 1, ^uint64(0)}
-	for _, n := range ns {
-		d := NewDivisor(n)
-		if d.N() != n {
-			t.Fatalf("N() = %d, want %d", d.N(), n)
-		}
-		for _, v := range vs {
-			if got, want := d.Div(v), v/n; got != want {
-				t.Fatalf("Divisor(%d).Div(%d) = %d, want %d", n, v, got, want)
-			}
-			if got, want := d.Mod(v), v%n; got != want {
-				t.Fatalf("Divisor(%d).Mod(%d) = %d, want %d", n, v, got, want)
-			}
-		}
-	}
-	rng := NewPCG32(0xd1715)
-	for i := 0; i < 2_000_000; i++ {
-		n := rng.Uint64()>>uint(rng.Intn(64)) | 1
-		v := rng.Uint64() >> uint(rng.Intn(64))
-		d := NewDivisor(n)
-		if got, want := d.Div(v), v/n; got != want {
-			t.Fatalf("Divisor(%d).Div(%d) = %d, want %d", n, v, got, want)
-		}
-		if got, want := d.Mod(v), v%n; got != want {
-			t.Fatalf("Divisor(%d).Mod(%d) = %d, want %d", n, v, got, want)
-		}
-	}
-}
-
-func TestDivisorPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewDivisor(0) did not panic")
-		}
-	}()
-	NewDivisor(0)
-}
-
 func TestFillMatchesUint32(t *testing.T) {
 	// Fill must be bit-identical to successive Uint32 calls — including
 	// the sub-8 scalar path, non-multiple-of-4 tails, and the generator
