@@ -115,9 +115,11 @@ race-fanout:
 # real worker pools at K in {2,3,4,8} (short stream lengths under
 # -short keep it fast). The checkpoint tests share one stream's
 # checkpoint table between concurrently skipping generators, as the
-# parallel kernel's windows do.
+# parallel kernel's windows do. The prefetcher test runs concurrent
+# Run, RunParallel and RunShared calls on one configuration with each
+# built-in prefetcher, whose state every hierarchy must own.
 race-kernel:
-	$(GO) test -race -short -run='^TestParallel' -count=1 ./internal/machine
+	$(GO) test -race -short -run='^TestParallel|^TestPrefetcherRace' -count=1 ./internal/machine
 	$(GO) test -race -short -run='^TestCheckpoint' -count=1 ./internal/synth
 
 ci: build vet test race fuzz-seed bench-smoke analytic-smoke serve-smoke serve-soak metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel

@@ -14,6 +14,7 @@ package speckit
 // targets. EXPERIMENTS.md records paper-vs-measured for every exhibit.
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -313,7 +314,8 @@ func runAblation(b *testing.B, cfg machine.Config, pair profile.Pair) *machine.R
 func BenchmarkAblationReplacement(b *testing.B) {
 	pair := ablationPair()
 	for _, pol := range cache.Policies() {
-		b.Run(pol.Name(), func(b *testing.B) {
+		name, _, _ := strings.Cut(pol.String(), ":")
+		b.Run(name, func(b *testing.B) {
 			var miss float64
 			for i := 0; i < b.N; i++ {
 				cfg := machine.HaswellScaled()
@@ -336,21 +338,13 @@ func BenchmarkAblationPredictor(b *testing.B) {
 			pair = p.Expand(profile.Ref)[0]
 		}
 	}
-	for _, mk := range []func() branch.Predictor{
-		func() branch.Predictor { return branch.Static{} },
-		func() branch.Predictor { return branch.NewBimodal(14) },
-		func() branch.Predictor { return branch.NewGshare(14, 12) },
-		func() branch.Predictor { return branch.NewTwoLevelLocal(12, 12) },
-		func() branch.Predictor { return branch.NewTournament(14) },
-		func() branch.Predictor { return branch.NewPerceptron(10, 24) },
-		func() branch.Predictor { return branch.NewTAGE(11, nil) },
-	} {
-		name := mk().Name()
+	for _, spec := range branch.Predictors() {
+		name, _, _ := strings.Cut(spec.String(), ":")
 		b.Run(name, func(b *testing.B) {
 			var misp float64
 			for i := 0; i < b.N; i++ {
 				cfg := machine.HaswellScaled()
-				cfg.NewPredictor = mk
+				cfg.Predictor = spec
 				res := runAblation(b, cfg, pair)
 				misp = res.Counters.MispredictPct()
 			}
@@ -462,18 +456,18 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 	}
 	cases := []struct {
 		name string
-		pf   func() cache.Prefetcher
+		pf   cache.Prefetcher
 	}{
-		{"none", func() cache.Prefetcher { return nil }},
-		{"nextline", func() cache.Prefetcher { return &cache.NextLinePrefetcher{LineBytes: 64} }},
-		{"stride", func() cache.Prefetcher { return &cache.StridePrefetcher{LineBytes: 64} }},
+		{"none", ""},
+		{"nextline", "nextline:64:1"},
+		{"stride", "stride:64:2"},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
 			var miss float64
 			for i := 0; i < b.N; i++ {
 				cfg := machine.HaswellScaled()
-				cfg.Hierarchy.Prefetcher = tc.pf()
+				cfg.Hierarchy.Prefetcher = tc.pf
 				res := runAblation(b, cfg, pair)
 				miss = res.Counters.CacheMissPct(2)
 			}

@@ -30,7 +30,7 @@ func main() {
 	fmt.Println("LLC size sweep (LRU):")
 	fmt.Printf("%10s %10s %10s %8s\n", "L3 size", "L3 miss%", "mem/kinstr", "IPC")
 	for _, kb := range []int{512, 1024, 2048, 4096} {
-		res := runWith(pair, kb<<10, cache.LRU{})
+		res := runWith(pair, kb<<10, "lru")
 		fmt.Printf("%9dK %10.2f %10.2f %8.3f\n",
 			kb, res.Counters.CacheMissPct(3),
 			float64(res.Events.MemAccesses)/float64(res.Events.Instructions)*1000,
@@ -41,11 +41,11 @@ func main() {
 	fmt.Printf("%10s %10s %8s\n", "policy", "L3 miss%", "IPC")
 	for _, pol := range cache.Policies() {
 		res := runWith(pair, 512<<10, pol)
-		fmt.Printf("%10s %10.2f %8.3f\n", pol.Name(), res.Counters.CacheMissPct(3), res.IPC)
+		fmt.Printf("%10s %10.2f %8.3f\n", pol, res.Counters.CacheMissPct(3), res.IPC)
 	}
 
 	fmt.Println("\nmicroarchitecture-independent characteristics stay put:")
-	res := runWith(pair, 2<<20, cache.LRU{})
+	res := runWith(pair, 2<<20, "lru")
 	fmt.Printf("  %.1f%% loads, %.1f%% stores, %.1f%% branches at every configuration\n",
 		res.Counters.LoadPct(), res.Counters.StorePct(), res.Counters.BranchPct())
 }

@@ -96,7 +96,7 @@ func checkConfig(cfg machine.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if cfg.Hierarchy.Prefetcher != nil {
+	if cfg.Hierarchy.Prefetcher.String() != "none" {
 		return fmt.Errorf("analytic: miss-curve prediction has no prefetcher model (machine %q configures one)", cfg.Name)
 	}
 	if cfg.UnifiedCodePath {
@@ -131,9 +131,9 @@ func ProfileKey(cfg machine.Config, model profile.Model) string {
 	l1i := cfg.Hierarchy.L1I
 	return fmt.Sprintf("analytic-profile|model=%+v|geo=%+v|l1i=%d:%d:%d:%s|l1d.line=%d|bp=%s:%d:%d",
 		model, cfg.Geometry(),
-		l1i.SizeBytes, l1i.Ways, l1i.LineBytes, cache.PolicyFingerprint(l1i.Policy),
+		l1i.SizeBytes, l1i.Ways, l1i.LineBytes, l1i.Policy,
 		cfg.Hierarchy.L1D.LineBytes,
-		cfg.PredictorFingerprint(), cfg.BTBBits, cfg.RASDepth)
+		cfg.Predictor, cfg.BTBBits, cfg.RASDepth)
 }
 
 // Profile drives gen through the tier's simulated windows on cfg's
@@ -148,11 +148,7 @@ func Profile(cfg machine.Config, gen *synth.Generator) (*StreamProfile, error) {
 	// component models, driven through the simulated windows so their
 	// measured slices see warm state — only the data-cache stack is
 	// replaced by the profiler.
-	newPred := cfg.NewPredictor
-	if newPred == nil {
-		newPred = func() branch.Predictor { return branch.NewTournament(14) }
-	}
-	unit := branch.NewUnit(newPred(), cfg.BTBBits, cfg.RASDepth)
+	unit := branch.NewUnit(cfg.Predictor.New(), cfg.BTBBits, cfg.RASDepth)
 	l1i := cache.New(cfg.Hierarchy.L1I)
 	dtlb := tlb.NewHaswell()
 	foot := mem.NewFootprint(0, 1<<30, 0)

@@ -102,7 +102,7 @@ func TestRunRejections(t *testing.T) {
 		{"zero length", func(c *machine.Config, o *machine.Options) { o.Instructions = 0 }, "zero-length"},
 		{"sampling", func(c *machine.Config, o *machine.Options) { o.Sampling = machine.DefaultSampling() }, "sampling"},
 		{"prefetcher", func(c *machine.Config, o *machine.Options) {
-			c.Hierarchy.Prefetcher = &cache.NextLinePrefetcher{LineBytes: 64, Degree: 1}
+			c.Hierarchy.Prefetcher = "nextline:64:1"
 		}, "prefetcher"},
 		{"unified code path", func(c *machine.Config, o *machine.Options) { c.UnifiedCodePath = true }, "unified"},
 	}

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/machine"
 	"repro/internal/profile"
 )
@@ -74,7 +73,7 @@ func TestProfileKeyAxes(t *testing.T) {
 		t.Error("model seed does not change the key")
 	}
 	l1iPolicy := base
-	l1iPolicy.Hierarchy.L1I.Policy = cache.SRRIP{}
+	l1iPolicy.Hierarchy.L1I.Policy = "srrip"
 	if ProfileKey(l1iPolicy, m) == baseKey {
 		t.Error("L1I policy does not change the key")
 	}
@@ -83,8 +82,8 @@ func TestProfileKeyAxes(t *testing.T) {
 		"name":      func(c *machine.Config) { c.Name = "other" },
 		"clock":     func(c *machine.Config) { c.ClockHz *= 2 },
 		"pipeline":  func(c *machine.Config) { c.Pipeline.MemLatency *= 2 },
-		"l2.policy": func(c *machine.Config) { c.Hierarchy.L2.Policy = cache.SRRIP{} },
-		"l3.policy": func(c *machine.Config) { c.Hierarchy.L3.Policy = cache.Random{Seed: 3} },
+		"l2.policy": func(c *machine.Config) { c.Hierarchy.L2.Policy = "srrip" },
+		"l3.policy": func(c *machine.Config) { c.Hierarchy.L3.Policy = "random:seed=3" },
 	}
 	for name, mut := range predictOnly {
 		cfg := base

@@ -3,17 +3,15 @@
 // machinery whose mispredict counters
 // (br_inst_exec.all_branches / br_misp_exec.all_branches) the paper reads.
 //
-// Direction predictors implement the Predictor interface; the Unit type
-// combines a direction predictor with target prediction and per-class
-// statistics.
+// Direction predictors implement the Predictor interface and are named
+// by a Spec from the package's catalogue; the Unit type combines a
+// direction predictor with target prediction and per-class statistics.
 package branch
 
 import "repro/internal/trace"
 
 // Predictor predicts conditional branch directions.
 type Predictor interface {
-	// Name returns the canonical lowercase predictor name.
-	Name() string
 	// Predict returns the predicted direction for the branch at pc.
 	Predict(pc uint64) bool
 	// Update trains the predictor with the resolved direction.
@@ -43,9 +41,6 @@ func (c counter2) update(taken bool) counter2 {
 // simplest useful baseline).
 type Static struct{}
 
-// Name implements Predictor.
-func (Static) Name() string { return "static-taken" }
-
 // Predict implements Predictor.
 func (Static) Predict(pc uint64) bool { return true }
 
@@ -67,9 +62,6 @@ func NewBimodal(bits int) *Bimodal {
 	}
 	return &Bimodal{table: t, mask: uint64(size - 1)}
 }
-
-// Name implements Predictor.
-func (b *Bimodal) Name() string { return "bimodal" }
 
 func (b *Bimodal) index(pc uint64) uint64 { return (pc >> 2) & b.mask }
 
@@ -101,9 +93,6 @@ func NewGshare(bits, histBits int) *Gshare {
 	}
 	return &Gshare{table: t, mask: uint64(size - 1), histLen: uint(histBits)}
 }
-
-// Name implements Predictor.
-func (g *Gshare) Name() string { return "gshare" }
 
 func (g *Gshare) index(pc uint64) uint64 {
 	return ((pc >> 2) ^ g.history) & g.mask
@@ -149,9 +138,6 @@ func NewTwoLevelLocal(histEntriesBits, histBits int) *TwoLevelLocal {
 	}
 }
 
-// Name implements Predictor.
-func (l *TwoLevelLocal) Name() string { return "two-level-local" }
-
 // Predict implements Predictor.
 func (l *TwoLevelLocal) Predict(pc uint64) bool {
 	h := l.histories[(pc>>2)&l.histMask]
@@ -180,8 +166,13 @@ type Tournament struct {
 	mask    uint64
 }
 
-// NewTournament returns a tournament predictor sized by bits (table index
-// width shared by all components).
+// tournamentLocalHist is the history length of a tournament predictor's
+// local component.
+const tournamentLocalHist = 12
+
+// NewTournament returns a tournament predictor sized by bits: a
+// gshare:bits:bits global component, a two-level-local:(bits-1):12 local
+// one and a 2^bits-entry chooser.
 func NewTournament(bits int) *Tournament {
 	ch := make([]counter2, 1<<bits)
 	for i := range ch {
@@ -189,14 +180,11 @@ func NewTournament(bits int) *Tournament {
 	}
 	return &Tournament{
 		global:  NewGshare(bits, bits),
-		local:   NewTwoLevelLocal(bits-1, 12),
+		local:   NewTwoLevelLocal(bits-1, tournamentLocalHist),
 		chooser: ch,
 		mask:    uint64(1<<bits - 1),
 	}
 }
-
-// Name implements Predictor.
-func (t *Tournament) Name() string { return "tournament" }
 
 // Predict implements Predictor.
 func (t *Tournament) Predict(pc uint64) bool {
@@ -241,9 +229,6 @@ func NewPerceptron(tableBits, histLen int) *Perceptron {
 		theta:   int32(1.93*float64(histLen) + 14),
 	}
 }
-
-// Name implements Predictor.
-func (p *Perceptron) Name() string { return "perceptron" }
 
 func (p *Perceptron) output(pc uint64) int32 {
 	w := p.weights[(pc>>2)&p.mask]
@@ -293,20 +278,6 @@ func satAdd8(a, b int8) int8 {
 		return -128
 	}
 	return int8(s)
-}
-
-// Predictors returns one instance of every built-in direction predictor at
-// its default size, for sweeps and ablation benchmarks.
-func Predictors() []Predictor {
-	return []Predictor{
-		Static{},
-		NewBimodal(14),
-		NewGshare(14, 12),
-		NewTwoLevelLocal(10, 12),
-		NewTournament(13),
-		NewPerceptron(10, 24),
-		NewTAGE(11, nil),
-	}
 }
 
 // Stats accumulates prediction outcomes per branch class.

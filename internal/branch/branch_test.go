@@ -39,22 +39,22 @@ func trainAndMeasure(p Predictor, outcome func(i int) bool, n int) float64 {
 }
 
 func TestAllPredictorsLearnAlwaysTaken(t *testing.T) {
-	for _, p := range Predictors() {
-		rate := trainAndMeasure(p, func(int) bool { return true }, 2000)
+	for _, s := range Predictors() {
+		rate := trainAndMeasure(s.New(), func(int) bool { return true }, 2000)
 		if rate > 0.01 {
-			t.Errorf("%s: mispredict rate %v on always-taken, want ~0", p.Name(), rate)
+			t.Errorf("%s: mispredict rate %v on always-taken, want ~0", s, rate)
 		}
 	}
 }
 
 func TestDynamicPredictorsLearnAlwaysNotTaken(t *testing.T) {
-	for _, p := range Predictors() {
-		if p.Name() == "static-taken" {
+	for _, s := range Predictors() {
+		if s == "static-taken" {
 			continue
 		}
-		rate := trainAndMeasure(p, func(int) bool { return false }, 2000)
+		rate := trainAndMeasure(s.New(), func(int) bool { return false }, 2000)
 		if rate > 0.01 {
-			t.Errorf("%s: mispredict rate %v on never-taken, want ~0", p.Name(), rate)
+			t.Errorf("%s: mispredict rate %v on never-taken, want ~0", s, rate)
 		}
 	}
 }
@@ -70,7 +70,7 @@ func TestHistoryPredictorsLearnAlternating(t *testing.T) {
 	} {
 		rate := trainAndMeasure(p, func(i int) bool { return i%2 == 0 }, 4000)
 		if rate > 0.02 {
-			t.Errorf("%s: mispredict rate %v on alternating pattern, want ~0", p.Name(), rate)
+			t.Errorf("%T: mispredict rate %v on alternating pattern, want ~0", p, rate)
 		}
 	}
 }
@@ -100,7 +100,7 @@ func TestPredictorsOnRandomStream(t *testing.T) {
 	for _, p := range []Predictor{NewBimodal(14), NewGshare(14, 12)} {
 		rate := trainAndMeasure(p, func(i int) bool { return outcomes[i] }, len(outcomes))
 		if rate < 0.35 || rate > 0.65 {
-			t.Errorf("%s: mispredict rate %v on random stream, want ~0.5", p.Name(), rate)
+			t.Errorf("%T: mispredict rate %v on random stream, want ~0.5", p, rate)
 		}
 	}
 }

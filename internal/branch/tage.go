@@ -24,19 +24,23 @@ type tageTable struct {
 	mask uint64
 }
 
-// NewTAGE returns a TAGE predictor with 2^tableBits entries per tagged
-// table and the given geometric history lengths (default 4 tables of
-// 5/15/44/130 bits when histLens is nil).
-func NewTAGE(tableBits int, histLens []uint) *TAGE {
-	if histLens == nil {
-		histLens = []uint{5, 15, 44, 64}
-	}
+// tageHistLens are the geometric history lengths of the tagged tables,
+// and tageDetail renders them with the bimodal base's size, as a tage
+// spec's String appends them.
+var tageHistLens = []uint{5, 15, 44, 64}
+
+const tageDetail = ":5,15,44,64[bimodal:13]"
+
+// NewTAGE returns a TAGE predictor with 2^tableBits entries in each of
+// four tagged tables (history lengths tageHistLens) over a bimodal:13
+// base.
+func NewTAGE(tableBits int) *TAGE {
 	t := &TAGE{
 		base:     NewBimodal(13),
-		histLens: histLens,
+		histLens: tageHistLens,
 	}
 	size := 1 << tableBits
-	for range histLens {
+	for range tageHistLens {
 		t.tables = append(t.tables, tageTable{
 			tags: make([]uint16, size),
 			ctr:  make([]int8, size),
@@ -46,9 +50,6 @@ func NewTAGE(tableBits int, histLens []uint) *TAGE {
 	}
 	return t
 }
-
-// Name implements Predictor.
-func (t *TAGE) Name() string { return "tage" }
 
 // foldedHistory compresses the low histLen bits of history into width
 // bits by XOR folding.

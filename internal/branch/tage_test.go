@@ -1,12 +1,13 @@
 package branch
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/xrand"
 )
 
-func newTestTAGE() *TAGE { return NewTAGE(10, nil) }
+func newTestTAGE() *TAGE { return NewTAGE(10) }
 
 func TestTAGELearnsBias(t *testing.T) {
 	for _, taken := range []bool{true, false} {
@@ -120,10 +121,14 @@ func TestSatAdd3Bounds(t *testing.T) {
 }
 
 func TestTAGEInPredictorsListStyle(t *testing.T) {
-	// TAGE satisfies the Predictor contract used by the machine.
-	var p Predictor = newTestTAGE()
-	if p.Name() != "tage" {
-		t.Errorf("name = %s", p.Name())
+	// TAGE is catalogued and satisfies the Predictor contract used by
+	// the machine.
+	if !slices.Contains(Predictors(), "tage:11") {
+		t.Errorf("Predictors() = %v lacks tage:11", Predictors())
+	}
+	p := Spec("tage:11").New()
+	if _, ok := p.(*TAGE); !ok {
+		t.Errorf("tage:11 built %T", p)
 	}
 	p.Update(0x400000, true)
 	_ = p.Predict(0x400000)

@@ -11,7 +11,7 @@ package cache
 import "fmt"
 
 // Replacement selects a victim way within a set and tracks recency state.
-// Implementations are created per cache via a Policy factory.
+// Each cache builds its own from its Policy spec.
 type Replacement interface {
 	// Touch records a hit or fill of way w in set s.
 	Touch(s, w int)
@@ -23,28 +23,24 @@ type Replacement interface {
 	Fill(s, w int)
 }
 
-// Policy names a replacement policy and constructs its per-cache state.
-type Policy interface {
-	// Name returns the canonical lowercase policy name.
-	Name() string
-	// New returns replacement state for a cache with sets sets of
-	// associativity ways.
-	New(sets, ways int) Replacement
-}
-
-// Config describes one cache level.
+// Config describes one cache level. Its JSON form is one level of the
+// machine configuration's wire form.
 type Config struct {
 	// Name labels the cache in stats output (e.g. "l1d").
-	Name string
+	Name string `json:"name,omitempty"`
 	// SizeBytes is the total capacity.
-	SizeBytes int
+	SizeBytes int `json:"size_bytes"`
 	// Ways is the set associativity.
-	Ways int
+	Ways int `json:"ways"`
 	// LineBytes is the cache line size.
-	LineBytes int
-	// Policy selects the replacement policy; nil means LRU.
-	Policy Policy
+	LineBytes int `json:"line_bytes"`
+	// Policy is the replacement policy spec; the zero value is LRU.
+	Policy Policy `json:"policy,omitempty"`
 }
+
+// maxLines bounds a cache's capacity in lines, which bounds the memory
+// a validated configuration can ask one cache for.
+const maxLines = 1 << 22
 
 // Validate checks the configuration for internal consistency.
 func (c Config) Validate() error {
@@ -63,9 +59,15 @@ func (c Config) Validate() error {
 	if lines*c.LineBytes != c.SizeBytes {
 		return fmt.Errorf("cache %q: size %d not a multiple of line size %d", c.Name, c.SizeBytes, c.LineBytes)
 	}
+	if lines > maxLines {
+		return fmt.Errorf("cache %q: %d lines exceed the %d-line bound", c.Name, lines, maxLines)
+	}
 	sets := lines / c.Ways
 	if sets <= 0 || sets*c.Ways != lines {
 		return fmt.Errorf("cache %q: %d lines not divisible into %d ways", c.Name, lines, c.Ways)
+	}
+	if err := c.Policy.validate(c.Ways); err != nil {
+		return fmt.Errorf("cache %q: %w", c.Name, err)
 	}
 	return nil
 }
@@ -138,10 +140,6 @@ func New(cfg Config) *Cache {
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
 	sets := lines / cfg.Ways
-	pol := cfg.Policy
-	if pol == nil {
-		pol = LRU{}
-	}
 	c := &Cache{
 		cfg:       cfg,
 		sets:      sets,
@@ -151,7 +149,7 @@ func New(cfg Config) *Cache {
 		setMask:   uint64(sets - 1),
 		pow2:      sets&(sets-1) == 0,
 		keys:      make([]uint64, lines),
-		repl:      pol.New(sets, cfg.Ways),
+		repl:      cfg.Policy.newState(sets, cfg.Ways),
 	}
 	c.lru, _ = c.repl.(*lruState)
 	return c
@@ -325,13 +323,12 @@ func (c *Cache) Invalidate(addr uint64) bool {
 // touching replacement state. It exists for batched callers that have
 // proven the accesses would hit and leave replacement state unchanged —
 // e.g. the machine's fetch loop deduplicating consecutive instruction
-// fetches of one line under an idempotent-touch policy. The resulting
+// fetches of one line. The resulting
 // statistics are bit-identical to performing the accesses.
 func (c *Cache) RecordHits(n uint64) { c.stats.Hits += n }
 
 // EnableFetchMemo allocates the per-set last-access memo that lets
-// MemoAccess short-circuit repeated accesses. Callers must only enable it
-// when TouchIdempotent holds for the cache's policy.
+// MemoAccess short-circuit repeated accesses.
 func (c *Cache) EnableFetchMemo() {
 	c.memoLine = make([]uint64, c.sets)
 	c.memoHit = make([]bool, c.sets)
@@ -339,9 +336,9 @@ func (c *Cache) EnableFetchMemo() {
 
 // MemoHit reports whether addr hits the per-set last-line memo: the last
 // access to its set was the same line and found it resident. The line
-// is then still resident and most-recently-used, so under an
-// idempotent-touch policy re-probing and re-touching it is observably a
-// no-op (no future Victim decision can change — see TouchIdempotent).
+// is then still resident and most-recently-used, and every catalogued
+// policy's touch is idempotent, so re-probing and re-touching it is
+// observably a no-op (no future Victim decision can change).
 // It is small enough to inline, so the batched kernel's sweeps can test
 // the memo without a call and fall through to Access themselves,
 // crediting the hit through RecordHits. Callers own the statistics

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +13,7 @@ func smallConfig(name string, policy Policy) Config {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := smallConfig("ok", nil)
+	good := smallConfig("ok", "")
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
@@ -23,6 +24,8 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "ways", SizeBytes: 1024, Ways: 3, LineBytes: 64},
 		// A 1-byte line lets a tag reach bit 63, the occupancy bit.
 		{Name: "byte-line", SizeBytes: 8, Ways: 8, LineBytes: 1},
+		// Over maxLines: the state alone would take gigabytes.
+		{Name: "huge", SizeBytes: 1 << 40, Ways: 16, LineBytes: 64},
 	}
 	// Non-power-of-two set counts are allowed (modulo indexing), e.g. a
 	// 30 MB 20-way L3.
@@ -37,7 +40,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestColdMissThenHit(t *testing.T) {
-	c := New(smallConfig("t", nil))
+	c := New(smallConfig("t", ""))
 	if c.Access(0x1000, AccessLoad) {
 		t.Fatal("cold access hit")
 	}
@@ -51,7 +54,7 @@ func TestColdMissThenHit(t *testing.T) {
 }
 
 func TestSameLineDifferentBytes(t *testing.T) {
-	c := New(smallConfig("t", nil))
+	c := New(smallConfig("t", ""))
 	c.Access(0x1000, AccessLoad)
 	if !c.Access(0x103F, AccessLoad) {
 		t.Fatal("access to same 64B line missed")
@@ -65,7 +68,7 @@ func TestLRUEvictionOrder(t *testing.T) {
 	// 1 KB, 4-way, 64 B lines: 4 sets. Fill one set with 4 lines, touch
 	// the first, then insert a 5th: the second-inserted line must be the
 	// victim.
-	c := New(smallConfig("t", LRU{}))
+	c := New(smallConfig("t", "lru"))
 	// Addresses mapping to set 0: line number multiple of 4.
 	addr := func(i int) uint64 { return uint64(i) * 4 * 64 }
 	for i := 0; i < 4; i++ {
@@ -118,7 +121,7 @@ func TestThrashingWorkingSet(t *testing.T) {
 }
 
 func TestPerKindStats(t *testing.T) {
-	c := New(smallConfig("t", nil))
+	c := New(smallConfig("t", ""))
 	c.Access(0x0, AccessLoad)   // load miss
 	c.Access(0x0, AccessStore)  // store hit
 	c.Access(0x40, AccessFetch) // fetch miss
@@ -128,7 +131,7 @@ func TestPerKindStats(t *testing.T) {
 }
 
 func TestPrefetchNotCounted(t *testing.T) {
-	c := New(smallConfig("t", nil))
+	c := New(smallConfig("t", ""))
 	c.Access(0x0, AccessPrefetch)
 	if got := c.Stats(); got.Accesses() != 0 {
 		t.Errorf("prefetch counted in stats: %+v", got)
@@ -139,7 +142,7 @@ func TestPrefetchNotCounted(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	c := New(smallConfig("t", nil))
+	c := New(smallConfig("t", ""))
 	c.Access(0x0, AccessLoad)
 	c.Reset()
 	if c.Lookup(0x0) {
@@ -156,7 +159,8 @@ func TestReset(t *testing.T) {
 func TestPoliciesProperty(t *testing.T) {
 	for _, pol := range Policies() {
 		pol := pol
-		t.Run(pol.Name(), func(t *testing.T) {
+		kind, _, _ := strings.Cut(pol.String(), ":")
+		t.Run(kind, func(t *testing.T) {
 			f := func(seed uint64) bool {
 				c := New(smallConfig("t", pol))
 				rng := xrand.NewPCG32(seed)
@@ -189,7 +193,7 @@ func TestPoliciesProperty(t *testing.T) {
 func TestPLRUApproximatesLRUOnSequential(t *testing.T) {
 	// On a repeated sequential scan that fits, PLRU behaves like LRU:
 	// only cold misses.
-	c := New(Config{Name: "t", SizeBytes: 4096, Ways: 8, LineBytes: 64, Policy: TreePLRU{}})
+	c := New(Config{Name: "t", SizeBytes: 4096, Ways: 8, LineBytes: 64, Policy: "plru"})
 	lines := c.Lines()
 	for pass := 0; pass < 4; pass++ {
 		for i := 0; i < lines; i++ {
@@ -201,19 +205,23 @@ func TestPLRUApproximatesLRUOnSequential(t *testing.T) {
 	}
 }
 
+// TestPLRURequiresPow2Ways: a plru level whose associativity is not a
+// power of two fails validation instead of reaching the tree walk.
 func TestPLRURequiresPow2Ways(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("TreePLRU with 3 ways did not panic")
-		}
-	}()
-	TreePLRU{}.New(4, 3)
+	cfg := Config{Name: "l2", SizeBytes: 196608, Ways: 6, LineBytes: 64, Policy: "plru"}
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "power-of-two associativity") {
+		t.Errorf("6-way plru: Validate = %v, want a power-of-two associativity error", err)
+	}
+	cfg.Policy = ""
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("6-way lru rejected: %v", err)
+	}
 }
 
 func TestSRRIPScanResistance(t *testing.T) {
 	// A hot line re-referenced between scan bursts should survive better
 	// under SRRIP than the scan lines do.
-	c := New(Config{Name: "t", SizeBytes: 1024, Ways: 4, LineBytes: 64, Policy: SRRIP{}})
+	c := New(Config{Name: "t", SizeBytes: 1024, Ways: 4, LineBytes: 64, Policy: "srrip"})
 	hot := uint64(0)
 	c.Access(hot, AccessLoad)
 	hits := 0
@@ -299,7 +307,7 @@ func TestSharedL3Contention(t *testing.T) {
 
 func TestNextLinePrefetcher(t *testing.T) {
 	cfg := testHierarchyConfig()
-	cfg.Prefetcher = &NextLinePrefetcher{LineBytes: 64, Degree: 1}
+	cfg.Prefetcher = "nextline:64:1"
 	h := NewHierarchy(cfg)
 	h.Data(0x0, AccessLoad) // miss; prefetches 0x40 into L2
 	if got := h.Data(0x40, AccessLoad); got != HitL2 {
@@ -308,7 +316,7 @@ func TestNextLinePrefetcher(t *testing.T) {
 }
 
 func TestStridePrefetcherDetectsStream(t *testing.T) {
-	p := &StridePrefetcher{LineBytes: 64, Degree: 2}
+	p := &stridePrefetcher{lineBytes: 64, degree: 2}
 	// Feed a stride-1 line stream; after confidence builds, prefetches
 	// appear and target line+stride.
 	var got []uint64
@@ -324,7 +332,7 @@ func TestStridePrefetcherDetectsStream(t *testing.T) {
 }
 
 func TestStridePrefetcherIgnoresRandom(t *testing.T) {
-	p := &StridePrefetcher{LineBytes: 64}
+	p := &stridePrefetcher{lineBytes: 64, degree: 2}
 	rng := xrand.NewPCG32(77)
 	issued := 0
 	for i := 0; i < 1000; i++ {

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// fuzzPolicies rotates through every built-in replacement policy so the
-// fuzzer exercises each one's state machine.
-var fuzzPolicies = []Policy{nil, LRU{}, TreePLRU{}, Random{Seed: 1}, SRRIP{}}
+// fuzzPolicies rotates through every catalogued replacement policy so
+// the fuzzer exercises each one's state machine.
+var fuzzPolicies = []Policy{"", "lru", "plru", "random:seed=1", "srrip"}
 
 // FuzzHierarchyAccess feeds an arbitrary access stream — and a
 // fuzzer-chosen (but validated) geometry — through a full hierarchy. The

@@ -60,18 +60,20 @@ func (h HitLevel) String() string {
 // HierarchyConfig configures a three-level hierarchy.
 type HierarchyConfig struct {
 	L1I, L1D, L2, L3 Config
-	// Prefetcher, when non-nil, is attached to the L2 data path.
+	// Prefetcher is the spec of the prefetcher attached to the L2 data
+	// path; the zero value attaches none.
 	Prefetcher Prefetcher
 }
 
-// Validate checks all level configurations.
+// Validate checks all level configurations and the prefetcher spec.
 func (h HierarchyConfig) Validate() error {
 	for _, c := range []Config{h.L1I, h.L1D, h.L2, h.L3} {
 		if err := c.Validate(); err != nil {
 			return err
 		}
 	}
-	return nil
+	_, err := ParsePrefetcher(string(h.Prefetcher))
+	return err
 }
 
 // Hierarchy is a private L1I/L1D + private L2 + (possibly shared) L3 cache
@@ -80,7 +82,7 @@ func (h HierarchyConfig) Validate() error {
 type Hierarchy struct {
 	l1i, l1d, l2 *Cache
 	l3           *Cache
-	pf           Prefetcher
+	pf           prefetcher
 }
 
 // NewHierarchy builds a hierarchy with a private L3.
@@ -89,14 +91,16 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 }
 
 // NewShared builds a hierarchy whose last level is the supplied (possibly
-// shared) L3 cache. cfg.L3 is ignored.
+// shared) L3 cache. cfg.L3 is ignored. The hierarchy gets its own
+// prefetcher state, so concurrent hierarchies built from one
+// configuration never share it.
 func NewShared(cfg HierarchyConfig, l3 *Cache) *Hierarchy {
 	return &Hierarchy{
 		l1i: New(cfg.L1I),
 		l1d: New(cfg.L1D),
 		l2:  New(cfg.L2),
 		l3:  l3,
-		pf:  cfg.Prefetcher,
+		pf:  cfg.Prefetcher.newState(),
 	}
 }
 
@@ -178,46 +182,34 @@ func (h *Hierarchy) Reset() {
 	h.l3.Reset()
 }
 
-// Prefetcher observes demand miss addresses and proposes line addresses to
-// prefetch.
-type Prefetcher interface {
+// prefetcher observes demand miss addresses and proposes line addresses
+// to prefetch.
+type prefetcher interface {
 	// Observe is called with the address of each L1 demand miss and
 	// returns the addresses to prefetch (possibly none).
 	Observe(addr uint64) []uint64
 }
 
-// NextLinePrefetcher prefetches the Degree sequentially following lines on
-// every observed miss.
-type NextLinePrefetcher struct {
-	// LineBytes is the cache line size; it must match the hierarchy's.
-	LineBytes int
-	// Degree is how many consecutive lines to prefetch (default 1).
-	Degree int
-
-	buf []uint64
+// nextLinePrefetcher prefetches the degree sequentially following lines
+// on every observed miss.
+type nextLinePrefetcher struct {
+	lineBytes, degree int
+	buf               []uint64
 }
 
-// Observe implements Prefetcher.
-func (p *NextLinePrefetcher) Observe(addr uint64) []uint64 {
-	d := p.Degree
-	if d <= 0 {
-		d = 1
-	}
+func (p *nextLinePrefetcher) Observe(addr uint64) []uint64 {
 	p.buf = p.buf[:0]
-	line := addr &^ uint64(p.LineBytes-1)
-	for i := 1; i <= d; i++ {
-		p.buf = append(p.buf, line+uint64(i*p.LineBytes))
+	line := addr &^ uint64(p.lineBytes-1)
+	for i := 1; i <= p.degree; i++ {
+		p.buf = append(p.buf, line+uint64(i*p.lineBytes))
 	}
 	return p.buf
 }
 
-// StridePrefetcher detects constant-stride streams with a small PC-less
-// table of recent deltas and prefetches ahead of the detected stride.
-type StridePrefetcher struct {
-	// LineBytes is the cache line size.
-	LineBytes int
-	// Degree is how far ahead (in strides) to prefetch (default 2).
-	Degree int
+// stridePrefetcher detects constant-stride streams with a small PC-less
+// table of recent deltas and prefetches degree strides ahead.
+type stridePrefetcher struct {
+	lineBytes, degree int
 
 	last   uint64
 	stride int64
@@ -225,10 +217,9 @@ type StridePrefetcher struct {
 	buf    []uint64
 }
 
-// Observe implements Prefetcher.
-func (p *StridePrefetcher) Observe(addr uint64) []uint64 {
+func (p *stridePrefetcher) Observe(addr uint64) []uint64 {
 	p.buf = p.buf[:0]
-	line := addr &^ uint64(p.LineBytes-1)
+	line := addr &^ uint64(p.lineBytes-1)
 	if p.last != 0 {
 		s := int64(line) - int64(p.last)
 		if s == p.stride && s != 0 {
@@ -242,11 +233,7 @@ func (p *StridePrefetcher) Observe(addr uint64) []uint64 {
 	}
 	p.last = line
 	if p.conf >= 2 {
-		d := p.Degree
-		if d <= 0 {
-			d = 2
-		}
-		for i := 1; i <= d; i++ {
+		for i := 1; i <= p.degree; i++ {
 			p.buf = append(p.buf, uint64(int64(line)+p.stride*int64(i)))
 		}
 	}

@@ -1,27 +1,22 @@
 package cache
 
-import (
-	"fmt"
+import "repro/internal/xrand"
 
-	"repro/internal/xrand"
-)
+// The replacement state behind each catalogued Policy. Every policy's
+// Touch is idempotent: repeating Touch(s, w) before any other way of set
+// s is accessed cannot change a future Victim decision (LRU re-stamps
+// the set's newest way, PLRU re-points the same tree nodes, SRRIP
+// re-zeroes a zero RRPV, random ignores touches). The set memos
+// (Cache.MemoHit) and the batched kernel's register-level line dedups
+// rely on it; TestBatchedKernelPolicyVariants checks every catalogued
+// policy against the per-uop reference kernel, which uses neither.
 
-// LRU is true least-recently-used replacement. Recency is tracked with an
-// age counter per line; Victim picks the oldest.
-type LRU struct{}
-
-// Name implements Policy.
-func (LRU) Name() string { return "lru" }
-
+// lruState is true least-recently-used replacement. Recency is tracked
+// with an age counter per line; Victim picks the oldest.
 type lruState struct {
 	ways  int
 	ages  []uint64 // sets*ways
 	clock uint64
-}
-
-// New implements Policy.
-func (LRU) New(sets, ways int) Replacement {
-	return &lruState{ways: ways, ages: make([]uint64, sets*ways)}
 }
 
 func (s *lruState) Touch(set, w int) {
@@ -49,23 +44,14 @@ func (s *lruState) Victim(set int) int {
 	return victim
 }
 
-// TreePLRU is tree-based pseudo-LRU, the policy real L1/L2 caches commonly
-// approximate LRU with. Associativity must be a power of two.
-type TreePLRU struct{}
-
-// Name implements Policy.
-func (TreePLRU) Name() string { return "plru" }
-
+// plruState is tree-based pseudo-LRU, the policy real L1/L2 caches
+// commonly approximate LRU with. Associativity must be a power of two.
 type plruState struct {
 	ways int
 	bits [][]bool // per set: ways-1 internal tree nodes
 }
 
-// New implements Policy.
-func (TreePLRU) New(sets, ways int) Replacement {
-	if ways&(ways-1) != 0 {
-		panic("cache: TreePLRU requires power-of-two associativity")
-	}
+func newPLRU(sets, ways int) *plruState {
 	st := &plruState{ways: ways, bits: make([][]bool, sets)}
 	for i := range st.bits {
 		st.bits[i] = make([]bool, ways-1)
@@ -111,48 +97,29 @@ func (s *plruState) Victim(set int) int {
 	return lo
 }
 
-// Random replacement picks a uniformly random victim. Deterministic given
-// the seed.
-type Random struct {
-	// Seed initializes the victim PRNG; the zero value is a valid seed.
-	Seed uint64
-}
-
-// Name implements Policy.
-func (Random) Name() string { return "random" }
-
+// randomState picks a uniformly random victim, deterministic given the
+// seed its PRNG was built from.
 type randomState struct {
 	ways int
 	rng  *xrand.PCG32
-}
-
-// New implements Policy.
-func (r Random) New(sets, ways int) Replacement {
-	return &randomState{ways: ways, rng: xrand.NewPCG32(r.Seed ^ 0x9d5c)}
 }
 
 func (s *randomState) Touch(set, w int)   {}
 func (s *randomState) Fill(set, w int)    {}
 func (s *randomState) Victim(set int) int { return s.rng.Intn(s.ways) }
 
-// SRRIP is static re-reference interval prediction (Jaleel et al., ISCA
-// 2010) with 2-bit RRPVs: fills insert at distant re-reference (RRPV 2),
-// hits promote to 0, victims are lines with RRPV 3 (aging as needed).
-// It resists thrashing and scanning better than LRU at L3.
-type SRRIP struct{}
-
-// Name implements Policy.
-func (SRRIP) Name() string { return "srrip" }
-
 const rrpvMax = 3
 
+// srripState is static re-reference interval prediction (Jaleel et al.,
+// ISCA 2010) with 2-bit RRPVs: fills insert at distant re-reference
+// (RRPV 2), hits promote to 0, victims are lines with RRPV 3 (aging as
+// needed). It resists thrashing and scanning better than LRU at L3.
 type srripState struct {
 	ways int
 	rrpv []uint8
 }
 
-// New implements Policy.
-func (SRRIP) New(sets, ways int) Replacement {
+func newSRRIP(sets, ways int) *srripState {
 	st := &srripState{ways: ways, rrpv: make([]uint8, sets*ways)}
 	for i := range st.rrpv {
 		st.rrpv[i] = rrpvMax
@@ -176,61 +143,4 @@ func (s *srripState) Victim(set int) int {
 			s.rrpv[base+w]++
 		}
 	}
-}
-
-// Policies returns all built-in replacement policies, for sweeps and
-// ablation benchmarks.
-func Policies() []Policy {
-	return []Policy{LRU{}, TreePLRU{}, Random{}, SRRIP{}}
-}
-
-// Fingerprinter is an optional interface for policies (and other machine
-// components) whose Name does not carry every parameter that affects
-// behaviour. The machine configuration fingerprint — and therefore the
-// campaign result cache key — prefers Fingerprint over Name, so two
-// custom components sharing a name can never alias to the same cached
-// result.
-type Fingerprinter interface {
-	// Fingerprint returns a string covering the component's name and
-	// every behaviour-affecting parameter.
-	Fingerprint() string
-}
-
-// PolicyFingerprint identifies a level's replacement policy for content
-// keys: its Fingerprint when it has one, its Name otherwise, and "lru"
-// for the nil default.
-func PolicyFingerprint(p Policy) string {
-	switch p := p.(type) {
-	case nil:
-		return "lru"
-	case Fingerprinter:
-		return p.Fingerprint()
-	default:
-		return p.Name()
-	}
-}
-
-// Fingerprint implements Fingerprinter: Random's victim stream depends on
-// its seed, which the bare name does not carry.
-func (r Random) Fingerprint() string { return fmt.Sprintf("random:seed=%d", r.Seed) }
-
-// TouchIdempotent reports whether a policy's Touch is observably
-// idempotent: as long as no other way of set s has been accessed since
-// Touch(s, w), repeating Touch(s, w) cannot change any future Victim
-// decision. Victim only ever compares state within one set, so the
-// property holds per set: LRU re-stamps the way that already holds the
-// set's newest stamp (relative order within every set is unchanged),
-// PLRU re-points the tree nodes the same direction, SRRIP re-zeroes an
-// already-zero RRPV, and Random ignores touches entirely.
-// Frequency-counting policies would not qualify. The set memos
-// (Cache.MemoHit) and the batched kernel's register-level line dedups
-// are only sound when this holds, so unknown custom policies
-// conservatively disable them rather than risk divergence from the
-// per-uop reference kernel.
-func TouchIdempotent(p Policy) bool {
-	switch p.(type) {
-	case nil, LRU, TreePLRU, Random, SRRIP:
-		return true
-	}
-	return false
 }

@@ -19,8 +19,8 @@ import (
 
 // campaignKeyPrefix captures the per-campaign (pair-independent) part of
 // the key: machine fingerprint and run options. Computed once per
-// campaign, not once per pair, because Config.Fingerprint constructs a
-// throwaway predictor. The sampling and fidelity knobs are appended only
+// campaign, not once per pair, because Config.Fingerprint formats the
+// whole configuration. The sampling and fidelity knobs are appended only
 // when they leave the exact tier, so exact-run keys are stable across
 // each feature's introduction while sampled and analytic results — which
 // are estimates, not bit-identical to exact ones — can never alias an

@@ -19,40 +19,41 @@ func configVariants() map[string]Config {
 	}
 	srrip := HaswellScaled()
 	srrip.Name = "scaled-srrip-l3"
-	srrip.Hierarchy.L3.Policy = cache.SRRIP{}
+	srrip.Hierarchy.L3.Policy = "srrip"
 	variants["srrip-l3"] = srrip
 
 	plru := HaswellScaled()
 	plru.Name = "scaled-plru-l2"
-	plru.Hierarchy.L2.Policy = cache.TreePLRU{}
+	plru.Hierarchy.L2.Policy = "plru"
 	variants["plru-l2"] = plru
 
 	random := HaswellScaled()
 	random.Name = "scaled-random-l3"
-	random.Hierarchy.L3.Policy = cache.Random{Seed: 42}
+	random.Hierarchy.L3.Policy = "random:seed=42"
 	variants["random-l3"] = random
 
 	pf := HaswellScaled()
 	pf.Name = "scaled-stride-pf"
-	pf.Hierarchy.Prefetcher = &cache.StridePrefetcher{LineBytes: 64, Degree: 2}
+	pf.Hierarchy.Prefetcher = "stride:64:2"
 	variants["stride-pf"] = pf
 
 	nl := HaswellScaled()
 	nl.Name = "scaled-nextline-pf"
-	nl.Hierarchy.Prefetcher = &cache.NextLinePrefetcher{LineBytes: 64, Degree: 1}
+	nl.Hierarchy.Prefetcher = "nextline:64:1"
 	variants["nextline-pf"] = nl
 
-	for name, newPred := range map[string]func() branch.Predictor{
-		"static":          func() branch.Predictor { return branch.Static{} },
-		"bimodal":         func() branch.Predictor { return branch.NewBimodal(12) },
-		"gshare":          func() branch.Predictor { return branch.NewGshare(14, 12) },
-		"two-level-local": func() branch.Predictor { return branch.NewTwoLevelLocal(10, 10) },
-		"tournament":      func() branch.Predictor { return branch.NewTournament(13) },
-		"perceptron":      func() branch.Predictor { return branch.NewPerceptron(10, 24) },
+	for name, spec := range map[string]branch.Spec{
+		"static":          "static-taken",
+		"bimodal":         "bimodal:12",
+		"gshare":          "gshare:14:12",
+		"two-level-local": "two-level-local:10:10",
+		"tournament":      "tournament:13",
+		"perceptron":      "perceptron:10:24",
+		"tage":            "tage:11",
 	} {
 		c := HaswellScaled()
 		c.Name = "scaled-" + name
-		c.NewPredictor = newPred
+		c.Predictor = spec
 		variants["pred-"+name] = c
 	}
 	return variants
@@ -122,6 +123,24 @@ func TestConfigJSONValidatesOnDecode(t *testing.T) {
 		"bad-prefetcher": func(m map[string]json.RawMessage) {
 			m["prefetcher"] = json.RawMessage(`"markov:1:2"`)
 		},
+		"huge-prefetch-degree": func(m map[string]json.RawMessage) {
+			m["prefetcher"] = json.RawMessage(`"nextline:64:1000000000"`)
+		},
+		"prefetch-line": func(m map[string]json.RawMessage) {
+			m["prefetcher"] = json.RawMessage(`"stride:48:2"`)
+		},
+		"oversize-predictor": func(m map[string]json.RawMessage) {
+			m["predictor"] = json.RawMessage(`"perceptron:24:64"`)
+		},
+		"plru-6-ways": func(m map[string]json.RawMessage) {
+			m["l2"] = json.RawMessage(`{"name":"l2","size_bytes":196608,"ways":6,"line_bytes":64,"policy":"plru"}`)
+		},
+		"huge-cache": func(m map[string]json.RawMessage) {
+			m["l3"] = json.RawMessage(`{"name":"l3","size_bytes":1099511627776,"ways":16,"line_bytes":64}`)
+		},
+		"huge-ras": func(m map[string]json.RawMessage) {
+			m["ras_depth"] = json.RawMessage(`1000000000000`)
+		},
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -188,8 +207,10 @@ func TestApplyAxis(t *testing.T) {
 }
 
 // FuzzConfigJSON feeds arbitrary bytes to Config's JSON decoder: it must
-// never panic, and every config it accepts must re-encode and decode
-// back to the same Fingerprint.
+// never panic, every config it accepts must re-encode and decode back to
+// the same Fingerprint, each component spec must parse back from its
+// String, and the config must build — every cache, the hierarchy with
+// its prefetcher, and the predictor — so a decoded Config is runnable.
 func FuzzConfigJSON(f *testing.F) {
 	for _, c := range []Config{Haswell(), HaswellScaled()} {
 		b, err := json.Marshal(c)
@@ -198,11 +219,29 @@ func FuzzConfigJSON(f *testing.F) {
 		}
 		f.Add(b)
 		// Predictor specs whose tables would not fit in memory must be
-		// rejected at decode, before Fingerprint builds one.
+		// rejected at decode, before anything builds one.
 		for _, spec := range []string{"two-level-local:1:40", "perceptron:24:64"} {
 			f.Add(bytes.Replace(b, []byte(`"btb_bits"`), []byte(`"predictor":"`+spec+`","btb_bits"`), 1))
 		}
 	}
+	base, err := json.Marshal(HaswellScaled())
+	if err != nil {
+		f.Fatal(err)
+	}
+	with := func(old, new string) []byte { return bytes.Replace(base, []byte(old), []byte(new), 1) }
+	// Every spec kind, then the rejections: plru on a 6-way level,
+	// oversize predictors and an unbounded prefetch degree.
+	for _, p := range append(cache.Policies(), "lru", "random", "random:seed=7", "plru:2") {
+		f.Add(with(`"line_bytes":64}`, `"line_bytes":64,"policy":"`+string(p)+`"}`))
+	}
+	for _, p := range append(branch.Predictors(), "static", "tournament:13[gshare:13:13,two-level-local:12:12]",
+		"tage:11:5,15,44,64[bimodal:13]", "bimodal:25", "gshare:25:12", "tournament:25", "tage:21") {
+		f.Add(with(`"btb_bits"`, `"predictor":"`+string(p)+`","btb_bits"`))
+	}
+	for _, p := range []string{"none", "nextline:64:1", "stride:64:2", "nextline:64:1000000000", "stride:3:2"} {
+		f.Add(with(`"btb_bits"`, `"prefetcher":"`+p+`","btb_bits"`))
+	}
+	f.Add(with(`"l2":{"name":"l2","size_bytes":262144,"ways":8`, `"l2":{"name":"l2","size_bytes":196608,"ways":6,"policy":"plru"`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c Config
 		if json.Unmarshal(data, &c) != nil {
@@ -219,5 +258,20 @@ func FuzzConfigJSON(f *testing.F) {
 		if got, want := back.Fingerprint(), c.Fingerprint(); got != want {
 			t.Fatalf("fingerprint changed across a round trip:\n%s\n%s", want, got)
 		}
+		h := c.Hierarchy
+		for _, l := range []cache.Config{h.L1I, h.L1D, h.L2, h.L3} {
+			if p, err := cache.ParsePolicy(l.Policy.String()); err != nil || p != l.Policy {
+				t.Fatalf("policy %q does not parse back from %q: %q, %v", l.Policy, l.Policy.String(), p, err)
+			}
+			cache.New(l)
+		}
+		if p, err := cache.ParsePrefetcher(h.Prefetcher.String()); err != nil || p != h.Prefetcher {
+			t.Fatalf("prefetcher %q does not parse back from %q: %q, %v", h.Prefetcher, h.Prefetcher.String(), p, err)
+		}
+		if p, err := branch.ParseSpec(c.Predictor.String()); err != nil || p != c.Predictor {
+			t.Fatalf("predictor %q does not parse back from %q: %q, %v", c.Predictor, c.Predictor.String(), p, err)
+		}
+		cache.NewHierarchy(h)
+		c.Predictor.New()
 	})
 }

@@ -146,53 +146,23 @@ func TestBatchedKernelBatchSizeIndependent(t *testing.T) {
 	}
 }
 
-// nonIdempotentLFU is an LFU-ish policy whose Touch is NOT idempotent
-// (it counts touches), so the batched kernel must disable fetch
-// deduplication for it and still match the reference bit for bit.
-type nonIdempotentLFU struct{}
-
-func (nonIdempotentLFU) Name() string { return "lfu-test" }
-
-type lfuState struct {
-	ways   int
-	counts []uint64
-}
-
-func (nonIdempotentLFU) New(sets, ways int) cache.Replacement {
-	return &lfuState{ways: ways, counts: make([]uint64, sets*ways)}
-}
-
-func (s *lfuState) Touch(set, w int) { s.counts[set*s.ways+w]++ }
-func (s *lfuState) Fill(set, w int)  { s.counts[set*s.ways+w] = 1 }
-func (s *lfuState) Victim(set int) int {
-	base := set * s.ways
-	victim, least := 0, s.counts[base]
-	for w := 1; w < s.ways; w++ {
-		if s.counts[base+w] < least {
-			victim, least = w, s.counts[base+w]
-		}
-	}
-	return victim
-}
-
 // TestBatchedKernelPolicyVariants runs the equivalence property across
-// every built-in L1I replacement policy plus a custom non-idempotent one
-// (which exercises the dedup-disabled conservative path).
+// every catalogued replacement policy at every level. The batched
+// kernel's set memos and register dedups assume each policy's touch is
+// idempotent; the reference kernel uses neither, so a catalogue entry
+// that broke the assumption would diverge here.
 func TestBatchedKernelPolicyVariants(t *testing.T) {
 	const instr = 15000
 	m := testModel()
-	policies := append(cache.Policies(), nonIdempotentLFU{})
-	for _, pol := range policies {
+	for _, pol := range cache.Policies() {
 		cfg := HaswellScaled()
-		cfg.Hierarchy.L1I.Policy = pol
-		if !cache.TouchIdempotent(pol) && pol.Name() != "lfu-test" {
-			t.Errorf("built-in policy %s unexpectedly reported non-idempotent", pol.Name())
-		}
+		h := &cfg.Hierarchy
+		h.L1I.Policy, h.L1D.Policy, h.L2.Policy, h.L3.Policy = pol, pol, pol, pol
 		ref := runKernel(t, cfg, m, instr, 0)
 		for _, bs := range equivBatchSizes {
 			got := runKernel(t, cfg, m, instr, bs)
 			if d := diffResults(ref, got); d != "" {
-				t.Errorf("policy %s batch=%d diverges from reference:\n%s", pol.Name(), bs, d)
+				t.Errorf("policy %s batch=%d diverges from reference:\n%s", pol, bs, d)
 			}
 		}
 	}

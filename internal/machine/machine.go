@@ -51,9 +51,9 @@ type Config struct {
 	Name string
 	// Hierarchy is the cache stack configuration.
 	Hierarchy cache.HierarchyConfig
-	// NewPredictor constructs the branch direction predictor; nil means
-	// gshare(14,12).
-	NewPredictor func() branch.Predictor
+	// Predictor is the branch direction predictor spec; the zero value
+	// is tournament:14.
+	Predictor branch.Spec
 	// BTBBits and RASDepth size the branch target structures.
 	BTBBits, RASDepth int
 	// Pipeline holds the interval-model timing parameters.
@@ -67,7 +67,12 @@ type Config struct {
 	UnifiedCodePath bool
 }
 
-// Validate reports configuration errors.
+// maxRASDepth bounds the return-address stack a validated configuration
+// can ask for.
+const maxRASDepth = 1 << 16
+
+// Validate reports configuration errors, including every component
+// spec.
 func (c Config) Validate() error {
 	if err := c.Hierarchy.Validate(); err != nil {
 		return err
@@ -75,7 +80,10 @@ func (c Config) Validate() error {
 	if err := c.Pipeline.Validate(); err != nil {
 		return err
 	}
-	if c.BTBBits <= 0 || c.BTBBits > 24 || c.RASDepth <= 0 {
+	if _, err := branch.ParseSpec(string(c.Predictor)); err != nil {
+		return fmt.Errorf("machine %q: %w", c.Name, err)
+	}
+	if c.BTBBits <= 0 || c.BTBBits > 24 || c.RASDepth <= 0 || c.RASDepth > maxRASDepth {
 		return fmt.Errorf("machine %q: bad branch structure sizes", c.Name)
 	}
 	if c.ClockHz <= 0 {
@@ -97,56 +105,30 @@ func (c Config) Validate() error {
 const kernelDigest = "kernel=batched-v4"
 
 // Fingerprint returns a deterministic content key for the configuration,
-// used by the campaign scheduler's memoizing result cache. Component
-// factories (predictor, replacement policy, prefetcher) that implement
-// their package's Fingerprinter interface are identified by their full
-// parameterized fingerprint; others fall back to name and static
-// parameters. Custom components that carry behaviour-affecting parameters
-// their Name does not should implement Fingerprinter, otherwise two
-// instances sharing a name would alias to the same cached result.
+// used by the campaign scheduler's memoizing result cache. Components
+// enter it as their specs' canonical Strings, which carry every
+// behaviour-affecting parameter. A configured prefetcher's fragment
+// carries "-v2", the version in which each hierarchy got its own
+// prefetcher state, so results stored from a shared prefetcher never
+// serve a lookup.
 func (c Config) Fingerprint() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "machine|%s|%s|", kernelDigest, c.Name)
 	for _, l := range []cache.Config{c.Hierarchy.L1I, c.Hierarchy.L1D, c.Hierarchy.L2, c.Hierarchy.L3} {
-		fmt.Fprintf(&b, "%s:%d:%d:%d:%s|", l.Name, l.SizeBytes, l.Ways, l.LineBytes, cache.PolicyFingerprint(l.Policy))
+		fmt.Fprintf(&b, "%s:%d:%d:%d:%s|", l.Name, l.SizeBytes, l.Ways, l.LineBytes, l.Policy)
 	}
-	switch pf := c.Hierarchy.Prefetcher.(type) {
-	case nil:
+	if pf := c.Hierarchy.Prefetcher.String(); pf == "none" {
 		b.WriteString("pf=none|")
-	case *cache.NextLinePrefetcher:
-		fmt.Fprintf(&b, "pf=nextline:%d:%d|", pf.LineBytes, pf.Degree)
-	case *cache.StridePrefetcher:
-		fmt.Fprintf(&b, "pf=stride:%d:%d|", pf.LineBytes, pf.Degree)
-	default:
-		if f, ok := pf.(cache.Fingerprinter); ok {
-			fmt.Fprintf(&b, "pf=%s|", f.Fingerprint())
-		} else {
-			fmt.Fprintf(&b, "pf=%T|", pf)
-		}
+	} else {
+		fmt.Fprintf(&b, "pf=%s-v2|", pf)
 	}
-	fmt.Fprintf(&b, "bp=%s:%d:%d|", c.PredictorFingerprint(), c.BTBBits, c.RASDepth)
+	fmt.Fprintf(&b, "bp=%s:%d:%d|", c.Predictor, c.BTBBits, c.RASDepth)
 	p := c.Pipeline
 	fmt.Fprintf(&b, "pipe=%v:%v:%v:%v:%v:%v:%v:%v|clock=%v|unified=%v",
 		p.Width, p.MispredictPenalty, p.L2HitLatency, p.L3HitLatency,
 		p.MemLatency, p.FetchMissPenalty, p.WalkPenalty, p.ShortMLP,
 		c.ClockHz, c.UnifiedCodePath)
 	return b.String()
-}
-
-// PredictorFingerprint identifies the configured branch direction
-// predictor (the tournament default when NewPredictor is nil) by its
-// Fingerprint, falling back to its Name. It constructs a throwaway
-// predictor to ask.
-func (c Config) PredictorFingerprint() string {
-	newPred := c.NewPredictor
-	if newPred == nil {
-		newPred = func() branch.Predictor { return branch.NewTournament(14) }
-	}
-	pred := newPred()
-	if f, ok := pred.(branch.Fingerprinter); ok {
-		return f.Fingerprint()
-	}
-	return pred.Name()
 }
 
 // Geometry returns the cache capacities in lines, for the trace generator.
@@ -166,11 +148,10 @@ func haswellBase(l3Bytes, l3Ways int) Config {
 			L2:  cache.Config{Name: "l2", SizeBytes: 256 << 10, Ways: 8, LineBytes: 64},
 			L3:  cache.Config{Name: "l3", SizeBytes: l3Bytes, Ways: l3Ways, LineBytes: 64},
 		},
-		NewPredictor: func() branch.Predictor { return branch.NewTournament(14) },
-		BTBBits:      12,
-		RASDepth:     16,
-		Pipeline:     pipeline.Haswell(),
-		ClockHz:      1.8e9,
+		BTBBits:  12,
+		RASDepth: 16,
+		Pipeline: pipeline.Haswell(),
+		ClockHz:  1.8e9,
 	}
 }
 
@@ -323,9 +304,8 @@ type core struct {
 	// Register-level dedup configuration for the batched sweeps. The
 	// sweeps keep the last fetched / last accessed line number in a local
 	// and skip the cache entirely on a repeat, crediting the guaranteed
-	// hit instead. This is sound only under an idempotent-touch policy at
-	// the corresponding level (see TouchIdempotent), so each side carries
-	// its own gate; the shifts are the precomputed line-offset widths.
+	// hit instead. Private cores enable both, shared-L3 cores neither
+	// (see newCore); the shifts are the precomputed line-offset widths.
 	fetchDedup, dataDedup bool
 	fetchShift, dataShift uint
 
@@ -361,20 +341,17 @@ var (
 const storeBit = uint64(1) << 63
 
 // newCore builds a core on a private hierarchy (l3 nil) or on one
-// whose last level is the shared l3. Private hierarchies get the set
-// memos wherever the touch policy is idempotent. A shared-L3 eviction
-// can back-invalidate a privately cached line between any two accesses,
-// so the hit-armed soundness argument behind the register dedups and
-// set memos does not hold there: shared cores run with both dedups off
-// and no memos, and the batched sweeps still carry the run.
+// whose last level is the shared l3, with its own predictor and
+// prefetcher state built from cfg's specs. Private hierarchies get the
+// set memos and register dedups (every catalogued policy's touch is
+// idempotent). A shared-L3 eviction can back-invalidate a privately
+// cached line between any two accesses, so the hit-armed soundness
+// argument behind them does not hold there: shared cores run with both
+// dedups off and no memos, and the batched sweeps still carry the run.
 func newCore(cfg Config, l3 *cache.Cache) *core {
-	pred := cfg.NewPredictor
-	if pred == nil {
-		pred = func() branch.Predictor { return branch.NewTournament(14) }
-	}
 	c := &core{
 		unified:    cfg.UnifiedCodePath,
-		unit:       branch.NewUnit(pred(), cfg.BTBBits, cfg.RASDepth),
+		unit:       branch.NewUnit(cfg.Predictor.New(), cfg.BTBBits, cfg.RASDepth),
 		tlb:        tlb.NewHaswell(),
 		foot:       mem.NewFootprint(0, 1<<30, 0),
 		dataPage:   ^uint64(0),
@@ -386,12 +363,9 @@ func newCore(cfg Config, l3 *cache.Cache) *core {
 		return c
 	}
 	c.hier = cache.NewHierarchy(cfg.Hierarchy)
-	if c.fetchDedup = cache.TouchIdempotent(cfg.Hierarchy.L1I.Policy); c.fetchDedup {
-		c.hier.L1I().EnableFetchMemo()
-	}
-	if c.dataDedup = cache.TouchIdempotent(cfg.Hierarchy.L1D.Policy); c.dataDedup {
-		c.hier.Cache(cache.L1).EnableFetchMemo()
-	}
+	c.fetchDedup, c.dataDedup = true, true
+	c.hier.L1I().EnableFetchMemo()
+	c.hier.Cache(cache.L1).EnableFetchMemo()
 	return c
 }
 
@@ -455,8 +429,8 @@ func (c *core) processBatch(buf []trace.Uop) {
 }
 
 // fetchSweep runs the instruction-fetch side of a batch on a non-unified
-// machine. Under an idempotent-touch L1I policy it deduplicates
-// consecutive same-line fetches in a register: within the sweep nothing
+// machine. On a private core it deduplicates consecutive same-line
+// fetches in a register: within the sweep nothing
 // else touches the L1I between two fetches, so after a fetch of line L
 // that HIT (leaving L resident with its touch state freshly set), an
 // immediately following fetch of L is a guaranteed hit whose repeated
@@ -525,9 +499,8 @@ func (c *core) fetchSweep(buf []trace.Uop) {
 // machine, walking the structure-of-arrays scratch fetchSweep built
 // instead of re-scanning the buffer: the memory loop streams the dense
 // packed-address array (one 8-byte load per record, no pointer chase
-// back into the 32-byte uop buffer). Under an idempotent-touch L1D
-// policy consecutive memory uops to one line are deduplicated in a
-// register once the line has HIT in the L1D: the hit's touch left the
+// back into the 32-byte uop buffer). On a private core consecutive
+// memory uops to one line are deduplicated in a register once the line has HIT in the L1D: the hit's touch left the
 // line resident with its touch state freshly set, so a same-line
 // follow-up is a guaranteed L1 hit whose repeated touch is a no-op,
 // and — lines being smaller than pages — a guaranteed repeat of the

@@ -550,6 +550,52 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnbuildableMachine: a machine override that decodes
+// but could not be built — plru on a 6-way level — is a 400 naming the
+// machine field, not a panic on the worker that takes the server down,
+// and the server goes on running campaigns. A sweep whose axes make
+// such a point fails point validation.
+func TestSubmitRejectsUnbuildableMachine(t *testing.T) {
+	base := core.Options{Instructions: 12000, Cache: sched.NewCache()}
+	_, c, ts := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4, Characterize: base})
+	var m map[string]json.RawMessage
+	raw, err := json.Marshal(machine.HaswellScaled())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["l2"] = json.RawMessage(`{"name":"l2","size_bytes":196608,"ways":6,"line_bytes":64,"policy":"plru"}`)
+	bad, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"suite":"cpu2017","size":"test","pairs":["505.mcf_r"],"machine":` + string(bad) + `}`
+	if code, field := postRaw(t, ts.URL+"/v1/campaigns?wait=1", body); code != http.StatusBadRequest || field != "machine" {
+		t.Errorf("plru on 6 ways: status %d field %q, want 400 field machine", code, field)
+	}
+
+	m["l2"] = json.RawMessage(`{"name":"l2","size_bytes":262144,"ways":8,"line_bytes":64,"policy":"plru"}`)
+	plru, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepBody := `{"suite":"cpu2017","size":"test","pairs":["505.mcf_r"],"machine":` + string(plru) +
+		`,"axes":[{"param":"l2.size","values":[196608]},{"param":"l2.ways","values":[6]}]}`
+	if code, field := postRaw(t, ts.URL+"/v1/sweeps", sweepBody); code != http.StatusBadRequest || field != "axes" {
+		t.Errorf("plru sweep point on 6 ways: status %d field %q, want 400 field axes", code, field)
+	}
+
+	st, err := c.SubmitWait(ctxT(t), server.CampaignSpec{Suite: "cpu2017", Size: "test", Pairs: []string{"505.mcf_r"}})
+	if err != nil {
+		t.Fatalf("campaign after the rejection: %v", err)
+	}
+	if st.Status != server.StatusDone || len(st.Results) != 1 {
+		t.Errorf("campaign after the rejection = %s with %d results", st.Status, len(st.Results))
+	}
+}
+
 func TestListCampaigns(t *testing.T) {
 	stubCampaigns(t, func(pairs []profile.Pair, opt core.Options) ([]core.Characteristics, error) {
 		return make([]core.Characteristics, len(pairs)), nil
