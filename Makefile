@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench loc fuzz-seed bench-smoke analytic-smoke serve-smoke serve-soak metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel ci
+.PHONY: build vet test race bench loc fuzz-seed bench-smoke bench-fresh analytic-smoke serve-smoke serve-soak metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel ci
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,16 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench=Kernel -benchtime=1x ./internal/machine
 	$(GO) test -run='^$$' -bench=CampaignStatusCodec -benchtime=1x -benchmem ./internal/server
 	$(GO) test -run='^TestKernelBenchBaselines$$' -count=1 .
+
+# Report-only freshness check of the kernel ledger: run
+# BENCH_kernel.json's two regenerate commands and print each gated ratio
+# fresh beside the recorded one and its floor. It gates nothing (a
+# loaded machine would make a live gate flaky) and is not part of ci; a
+# ledger that no longer holds shows here before anyone re-records it.
+bench-fresh:
+	$(GO) test -run='^$$' -bench='KernelSynth|KernelCache|KernelSampled|KernelParallel|KernelAnalytic' -benchtime=50x . > .bench_fresh.txt
+	$(GO) test -run='^$$' -bench=KernelMachine -benchtime=50x ./internal/machine >> .bench_fresh.txt
+	$(GO) test -run='^TestKernelBenchFresh$$' -count=1 -v . -args -kernel.fresh=.bench_fresh.txt
 
 # The analytic tier's accuracy gate, forced fresh (-count=1): the
 # per-family tolerance harness comparing analytic predictions against
@@ -117,9 +127,12 @@ race-fanout:
 # checkpoint table between concurrently skipping generators, as the
 # parallel kernel's windows do. The prefetcher test runs concurrent
 # Run, RunParallel and RunShared calls on one configuration with each
-# built-in prefetcher, whose state every hierarchy must own.
+# built-in prefetcher, whose state every hierarchy must own. The feed
+# tests end every batched mode normally, on an exhausted source, on a
+# cancelled context and on a bad config while each core's producer
+# goroutine fills its ring, and run two Runs at once.
 race-kernel:
-	$(GO) test -race -short -run='^TestParallel|^TestPrefetcherRace' -count=1 ./internal/machine
+	$(GO) test -race -short -run='^TestParallel|^TestPrefetcherRace|^TestFeed' -count=1 ./internal/machine
 	$(GO) test -race -short -run='^TestCheckpoint' -count=1 ./internal/synth
 
 ci: build vet test race fuzz-seed bench-smoke analytic-smoke serve-smoke serve-soak metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel

@@ -173,6 +173,16 @@ func ParsePrefetcher(s string) (Prefetcher, error) {
 	return Prefetcher(fmt.Sprintf("%s:%d:%d", kind, line, degree)), nil
 }
 
+// WithLine returns the spec with its line size replaced by lineBytes,
+// validated; none stays none.
+func (p Prefetcher) WithLine(lineBytes int) (Prefetcher, error) {
+	kind, _, degree, err := parsePrefetcher(string(p))
+	if err != nil || kind == "none" {
+		return p, err
+	}
+	return ParsePrefetcher(fmt.Sprintf("%s:%d:%d", kind, lineBytes, degree))
+}
+
 // String returns the canonical spec ("none" for the zero value). An
 // invalid spec is returned as is.
 func (p Prefetcher) String() string {

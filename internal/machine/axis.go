@@ -18,7 +18,8 @@ type axisSetter func(*Config, int64) error
 
 // axisParams maps axis parameter names to their setters. Cache levels
 // expose size (bytes) and ways; "line" sets the line size of every
-// level at once — per-level line sizes are deliberately not exposed
+// level at once, and of a configured prefetcher, so it keeps fetching
+// whole lines — per-level line sizes are deliberately not exposed
 // because the hierarchy models a single line size end to end (mixed
 // line sizes would make the inter-level insertion rates physically
 // meaningless).
@@ -36,7 +37,9 @@ var axisParams = map[string]axisSetter{
 		c.Hierarchy.L1D.LineBytes = int(v)
 		c.Hierarchy.L2.LineBytes = int(v)
 		c.Hierarchy.L3.LineBytes = int(v)
-		return nil
+		pf, err := c.Hierarchy.Prefetcher.WithLine(int(v))
+		c.Hierarchy.Prefetcher = pf
+		return err
 	},
 	"btb.bits":  func(c *Config, v int64) error { c.BTBBits = int(v); return nil },
 	"ras.depth": func(c *Config, v int64) error { c.RASDepth = int(v); return nil },

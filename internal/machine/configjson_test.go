@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/branch"
 	"repro/internal/cache"
+	"repro/internal/perf"
+	"repro/internal/synth"
 )
 
 // configVariants is a matrix of configurations covering every component
@@ -203,6 +205,47 @@ func TestApplyAxis(t *testing.T) {
 	b, _ := ApplyAxis(base, "l3.ways", 16)
 	if a.Fingerprint() == b.Fingerprint() {
 		t.Error("different axis values share a fingerprint")
+	}
+}
+
+// TestApplyAxisLinePrefetcher checks that the line axis moves a
+// configured prefetcher to the new line size: a 64-byte nextline
+// prefetcher on 128-byte lines would fetch within the missing line and
+// leave the L2 misses exactly those of no prefetcher.
+func TestApplyAxisLinePrefetcher(t *testing.T) {
+	pf := HaswellScaled()
+	pf.Hierarchy.Prefetcher = "nextline:64:1"
+	got, err := ApplyAxis(pf, "line", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Hierarchy.Prefetcher != "nextline:128:1" {
+		t.Errorf("line=128 prefetcher = %q, want nextline:128:1", got.Hierarchy.Prefetcher)
+	}
+	none, err := ApplyAxis(HaswellScaled(), "line", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if none.Hierarchy.Prefetcher != "" {
+		t.Errorf("line=128 without a prefetcher = %q, want none", none.Hierarchy.Prefetcher)
+	}
+	if _, err := ApplyAxis(pf, "line", 96); err == nil {
+		t.Error("line=96 accepted for a configured prefetcher")
+	}
+	l2Misses := func(cfg Config) uint64 {
+		gen, err := synth.New(testModel(), cfg.Geometry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(cfg, gen, Options{Instructions: 200000, WarmupInstructions: gen.Prologue()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, _ := res.Counters.Value(perf.L2Miss)
+		return v
+	}
+	if a, b := l2Misses(got), l2Misses(none); a == b {
+		t.Errorf("line=128: nextline prefetcher leaves L2 misses at %d, the same as no prefetcher", a)
 	}
 }
 

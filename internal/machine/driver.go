@@ -91,18 +91,26 @@ func checkRun(cfg Config, opt Options, mode string) error {
 	return nil
 }
 
-// batchBuf allocates the batched kernel's uop buffer: Options.BatchSize
-// records, or DefaultBatchSize when unset.
-func batchBuf(opt Options) []trace.Uop {
+// ringLen is the length of one core's feed ring: feedDepth buffers of
+// Options.BatchSize records, or DefaultBatchSize when unset. Several
+// cores take turns one sharedQuantum at a time, so their buffers hold
+// at most a quantum: a rate run's rings then grow with its copies no
+// faster than the cores' own state.
+func ringLen(opt Options, cores int) int {
+	n := DefaultBatchSize
 	if opt.BatchSize > 0 {
-		return make([]trace.Uop, opt.BatchSize)
+		n = opt.BatchSize
 	}
-	return make([]trace.Uop, DefaultBatchSize)
+	if cores > 1 {
+		n = min(n, sharedQuantum)
+	}
+	return feedDepth * n
 }
 
 // driver is the one simulation lifecycle behind every batched run mode.
-// It owns the cores and their sources, one batch buffer, the context
-// and the per-stage wall times, and offers the steps the modes compose:
+// It owns the cores and their feeds (each core's source, generated
+// ahead on a producer goroutine), the context and the per-stage wall
+// times, and offers the steps the modes compose:
 // simulate, reset, settle (simulate while measuring fill rates), bridge
 // a gap, and finish. Run is warmup → simulate → finish, or warmup →
 // settle → (bridge → re-warm → counted window)* → finish when sampled;
@@ -113,8 +121,7 @@ type driver struct {
 	cfg   Config
 	opt   Options
 	cores []*core
-	srcs  []trace.BatchSource
-	buf   []trace.Uop
+	feeds []*feed
 	// backInv counts the shared-L3 back-invalidations since the last
 	// reset.
 	backInv uint64
@@ -126,24 +133,34 @@ type driver struct {
 	stages    stageTimes
 }
 
-// newDriver builds one core per source. Unshared cores get private
-// hierarchies; shared ones sit on one inclusive L3 whose evictions
-// back-invalidate every core's private copies. A nil buf allocates one.
-func newDriver(cfg Config, opt Options, srcs []trace.Source, shared bool, buf []trace.Uop) *driver {
-	if buf == nil {
-		buf = batchBuf(opt)
-	}
-	d := &driver{cfg: cfg, opt: opt, buf: buf}
+// newDriver builds one core and one feed per source. Unshared cores get
+// private hierarchies; shared ones sit on one inclusive L3 whose
+// evictions back-invalidate every core's private copies. A non-nil
+// ring backs the first feed; every other feed gets a ring of its own.
+// Every caller must close the driver.
+func newDriver(cfg Config, opt Options, srcs []trace.Source, shared bool, ring []trace.Uop) *driver {
+	d := &driver{cfg: cfg, opt: opt}
 	var l3 *cache.Cache
 	if shared {
 		l3 = cache.New(cfg.Hierarchy.L3)
 		l3.OnEvict = d.backInvalidate
 	}
-	for _, src := range srcs {
+	for i, src := range srcs {
+		if i > 0 || ring == nil {
+			ring = make([]trace.Uop, ringLen(opt, len(srcs)))
+		}
 		d.cores = append(d.cores, newCore(cfg, l3))
-		d.srcs = append(d.srcs, trace.AsBatch(src))
+		d.feeds = append(d.feeds, newFeed(trace.AsBatch(src), ring))
 	}
 	return d
+}
+
+// close stops and joins every core's producer. Each run mode defers it
+// right after newDriver, so no exit path leaves a goroutine behind.
+func (d *driver) close() {
+	for _, f := range d.feeds {
+		f.close()
+	}
 }
 
 // backInvalidate drops a line the shared L3 evicted from every core's
@@ -168,11 +185,17 @@ func exhausted(st stage, stream int) error {
 }
 
 // simulate advances every core n instructions through the batched
-// kernel and charges the time to st. One core runs straight through;
+// kernel and charges the time to st. Each core's feed is asked for
+// exactly n records, generated ahead while the kernel runs, and the
+// request is closed on every return. One core runs straight through;
 // several take turns one sharedQuantum at a time, and each measured
 // round feeds the rate window metrics.
 func (d *driver) simulate(n uint64, st stage) error {
 	defer d.stages.add(st, time.Now())
+	for _, f := range d.feeds {
+		f.request(n)
+	}
+	defer d.endRequests()
 	q := n
 	if len(d.cores) > 1 {
 		q = sharedQuantum
@@ -181,7 +204,7 @@ func (d *driver) simulate(n uint64, st stage) error {
 		step := min(q, n-done)
 		roundStart := time.Now()
 		for i, c := range d.cores {
-			got, err := c.runWindow(d.srcs[i], d.buf, step, d.opt.Context)
+			got, err := c.runWindow(d.feeds[i], step, d.opt.Context)
 			if err != nil {
 				return err
 			}
@@ -196,6 +219,14 @@ func (d *driver) simulate(n uint64, st stage) error {
 		done += step
 	}
 	return nil
+}
+
+// endRequests closes every feed's request, stopping the producers of
+// any the kernel left early.
+func (d *driver) endRequests() {
+	for _, f := range d.feeds {
+		f.end()
+	}
 }
 
 // warmup simulates the options' uncounted warmup and resets the
@@ -265,10 +296,12 @@ func (d *driver) evictions(n uint64) [4]float64 {
 // then cold-skipped and its last tail records are warm-skipped, feeding
 // their branches to the predictor; both poll the context every
 // skipChunkLen records, since a native skip can cover millions of
-// records per call.
+// records per call. No request is open outside simulate, so the skips
+// use the source directly, and a source without native skips drains
+// through the idle ring.
 func (d *driver) bridge(span, skip, tail uint64) error {
 	defer d.stages.add(stageFastForward, time.Now())
-	c, src := d.cores[0], d.srcs[0]
+	c, f := d.cores[0], d.feeds[0]
 	ev := d.evictions(span)
 	for i, ch := range c.agedLevels() {
 		ch.Age(int(ev[i]))
@@ -281,10 +314,10 @@ func (d *driver) bridge(span, skip, tail uint64) error {
 		var got, step uint64
 		if done < cold {
 			step = min(cold-done, skipChunkLen)
-			got = trace.SkipRecords(src, d.buf, step)
+			got = trace.SkipRecords(f.src, f.ring, step)
 		} else {
 			step = min(skip-done, skipChunkLen)
-			got = trace.SkipRecordsWarm(src, d.buf, step, c.unit.Warm)
+			got = trace.SkipRecordsWarm(f.src, f.ring, step, c.unit.Warm)
 		}
 		if got < step {
 			return exhausted(stageFastForward, 0)

@@ -195,8 +195,9 @@ type Options struct {
 	// loop polls it between batches and returns the context's error.
 	// Nil disables cancellation checks.
 	Context context.Context
-	// BatchSize is the uop buffer length of the batched kernel; 0 means
-	// DefaultBatchSize. It is a performance knob only: results are
+	// BatchSize is the length of each uop buffer in a core's feed
+	// (several cores sharing an L3 cap theirs at sharedQuantum); 0
+	// means DefaultBatchSize. It is a performance knob only: results are
 	// bit-identical for every batch size (the machine equivalence tests
 	// enforce this), so it is excluded from all result-cache keys.
 	BatchSize int
@@ -217,9 +218,12 @@ type Options struct {
 }
 
 // DefaultBatchSize is the uop buffer length used when Options.BatchSize
-// is zero. 4096 uops (192 KB) amortize per-batch overheads to noise while
-// keeping the buffer well inside L2.
-const DefaultBatchSize = 4096
+// is zero. 1024 uops (32 KB) amortize per-batch overheads to noise while
+// keeping a core's whole feed ring (128 KB) well inside L2. Larger
+// buffers hurt sampled runs: their windows are a few thousand uops, so
+// the kernel waits longer for a window's first buffer and overlaps
+// less of the rest (4096 made a sampled sweep about 8% slower).
+const DefaultBatchSize = 1024
 
 // Result is the outcome of one run.
 type Result struct {
@@ -255,6 +259,7 @@ func Run(cfg Config, src trace.Source, opt Options) (*Result, error) {
 		return nil, err
 	}
 	d := newDriver(cfg, opt, []trace.Source{src}, false, nil)
+	defer d.close()
 	if err := d.warmup(); err != nil {
 		return nil, err
 	}
@@ -301,12 +306,13 @@ type core struct {
 	// deduplication lives in the cache itself: see Cache.MemoHit.)
 	dataPage uint64 // last translated page, ^0 = none yet
 
-	// Register-level dedup configuration for the batched sweeps. The
-	// sweeps keep the last fetched / last accessed line number in a local
-	// and skip the cache entirely on a repeat, crediting the guaranteed
-	// hit instead. Private cores enable both, shared-L3 cores neither
-	// (see newCore); the shifts are the precomputed line-offset widths.
-	fetchDedup, dataDedup bool
+	// shared marks a core on a shared L3, which runs the batched sweeps
+	// without their register-level dedups (see newCore). A private
+	// core's sweeps keep the last fetched / last accessed line number in
+	// a local and skip the cache entirely on a repeat, crediting the
+	// guaranteed hit instead; the shifts are the precomputed line-offset
+	// widths.
+	shared                bool
 	fetchShift, dataShift uint
 
 	// Structure-of-arrays scratch for the split sweeps: fetchSweep, which
@@ -346,8 +352,8 @@ const storeBit = uint64(1) << 63
 // set memos and register dedups (every catalogued policy's touch is
 // idempotent). A shared-L3 eviction can back-invalidate a privately
 // cached line between any two accesses, so the hit-armed soundness
-// argument behind them does not hold there: shared cores run with both
-// dedups off and no memos, and the batched sweeps still carry the run.
+// argument behind them does not hold there: shared cores run without
+// dedups or memos, and the batched sweeps still carry the run.
 func newCore(cfg Config, l3 *cache.Cache) *core {
 	c := &core{
 		unified:    cfg.UnifiedCodePath,
@@ -360,10 +366,10 @@ func newCore(cfg Config, l3 *cache.Cache) *core {
 	}
 	if l3 != nil {
 		c.hier = cache.NewShared(cfg.Hierarchy, l3)
+		c.shared = true
 		return c
 	}
 	c.hier = cache.NewHierarchy(cfg.Hierarchy)
-	c.fetchDedup, c.dataDedup = true, true
 	c.hier.L1I().EnableFetchMemo()
 	c.hier.Cache(cache.L1).EnableFetchMemo()
 	return c
@@ -442,7 +448,7 @@ func (c *core) fetchSweep(buf []trace.Uop) {
 	l1i := c.hier.L1I()
 	memAddr, brIdx := c.memAddr, c.brIdx
 	nm, nb := uint32(0), uint32(0)
-	if !c.fetchDedup {
+	if c.shared {
 		for i := range buf {
 			u := &buf[i]
 			k := u.Kind
@@ -515,7 +521,7 @@ func (c *core) dataSweep(buf []trace.Uop) {
 	for _, i := range c.brIdx[:c.nBr] {
 		c.unit.Resolve(&buf[i])
 	}
-	if !c.dataDedup {
+	if c.shared {
 		for _, p := range c.memAddr[:c.nMem] {
 			c.processDataAddr(p&^storeBit, p>>63)
 		}
@@ -574,12 +580,13 @@ func (c *core) dataSweep(buf []trace.Uop) {
 func (c *core) processBatchUnified(buf []trace.Uop) {
 	l1i := c.hier.L1I()
 	l1d := c.hier.Cache(cache.L1)
+	dedup := !c.shared
 	fLine, dLine := ^uint64(0), ^uint64(0)
 	var fetchCredit, dataCredit uint64
 	for i := range buf {
 		u := &buf[i]
 		c.kinds[u.Kind]++
-		if line := u.PC >> c.fetchShift; c.fetchDedup && line == fLine {
+		if line := u.PC >> c.fetchShift; dedup && line == fLine {
 			fetchCredit++
 		} else if c.hier.Fetch(u.PC) == cache.HitL1 {
 			fLine = line
@@ -588,7 +595,7 @@ func (c *core) processBatchUnified(buf []trace.Uop) {
 		}
 		switch u.Kind {
 		case trace.KindLoad, trace.KindStore:
-			if line := u.Addr >> c.dataShift; c.dataDedup && line == dLine {
+			if line := u.Addr >> c.dataShift; dedup && line == dLine {
 				c.dataLevel[cache.HitL1]++
 				if u.Kind == trace.KindLoad {
 					c.loadLevel[cache.HitL1]++
@@ -645,10 +652,11 @@ func (c *core) resetStats() {
 	c.dataLevel = [4]uint64{}
 }
 
-// runWindow simulates exactly n instructions through the batched kernel,
-// polling ctx between batches. It returns the number completed; done < n
-// with a nil error means the source was exhausted.
-func (c *core) runWindow(src trace.BatchSource, buf []trace.Uop, n uint64, ctx context.Context) (uint64, error) {
+// runWindow simulates the next n instructions of f's open request
+// through the batched kernel, in place in the feed's buffers, polling
+// ctx between batches. It returns the number completed; done < n with a
+// nil error means the source was exhausted.
+func (c *core) runWindow(f *feed, n uint64, ctx context.Context) (uint64, error) {
 	done := uint64(0)
 	for done < n {
 		if ctx != nil {
@@ -656,12 +664,12 @@ func (c *core) runWindow(src trace.BatchSource, buf []trace.Uop, n uint64, ctx c
 				return done, err
 			}
 		}
-		got := src.NextBatch(buf[:min(n-done, uint64(len(buf)))])
-		if got == 0 {
+		recs := f.next(n - done)
+		if len(recs) == 0 {
 			return done, nil
 		}
-		c.processBatch(buf[:got])
-		done += uint64(got)
+		c.processBatch(recs)
+		done += uint64(len(recs))
 	}
 	return done, nil
 }

@@ -212,7 +212,7 @@ func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options
 
 	// Executor pool: window jobs are independent, so running them on
 	// min(k, GOMAXPROCS) executors changes scheduling only, never a
-	// result bit. Each executor owns one batch buffer reused across all
+	// result bit. Each executor owns one feed ring reused across all
 	// the windows it runs (the per-worker arena; the alloc-regression
 	// test pins the steady-state window loop at zero allocations).
 	execs := min(runtime.GOMAXPROCS(0), k)
@@ -223,13 +223,13 @@ func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := batchBuf(opt)
+			ring := make([]trace.Uop, ringLen(opt, 1))
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= k {
 					return
 				}
-				results[i] = runParallelWindow(cfg, newSource, opt, jobs[i], buf)
+				results[i] = runParallelWindow(cfg, newSource, opt, jobs[i], ring)
 			}
 		}()
 	}
@@ -277,13 +277,14 @@ func RunParallel(cfg Config, newSource func() (trace.Source, error), opt Options
 // does (aging, cold skip, warm-skipped branch tail) and simulates a
 // re-warm window sized to rebuild what aging evicted. Counters reset,
 // then the detail window is counted.
-func runParallelWindow(cfg Config, newSource func() (trace.Source, error), opt Options, job parallelWindow, buf []trace.Uop) parallelResult {
+func runParallelWindow(cfg Config, newSource func() (trace.Source, error), opt Options, job parallelWindow, ring []trace.Uop) parallelResult {
 	start := time.Now()
 	src, err := newSource()
 	if err != nil {
 		return parallelResult{err: err}
 	}
-	d := newDriver(cfg, opt, []trace.Source{src}, false, buf)
+	d := newDriver(cfg, opt, []trace.Source{src}, false, ring)
+	defer d.close()
 	err = d.parallelWindow(job)
 	return parallelResult{counts: d.cores[0].counts(), stages: d.stages, seconds: time.Since(start).Seconds(), err: err}
 }

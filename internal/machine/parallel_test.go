@@ -291,10 +291,12 @@ func TestParallelTolerance(t *testing.T) {
 	}
 }
 
-// TestParallelWindowAllocs pins the per-worker arena reuse: once a
-// core's batch scratch (the packed-address and branch-index arenas) has
-// been sized by its first batch, running further windows through it
-// allocates nothing.
+// TestParallelWindowAllocs pins the per-worker arena reuse on the feed
+// path: once a core's batch scratch (the packed-address and
+// branch-index arenas) has been sized by its first batch, simulating
+// further windows through the driver — each a request to the core's
+// long-lived producer, filled into its ring and consumed in place —
+// allocates nothing, on either goroutine.
 func TestParallelWindowAllocs(t *testing.T) {
 	cfg := HaswellScaled()
 	m := testModel()
@@ -302,15 +304,14 @@ func TestParallelWindowAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newCore(cfg, nil)
-	bsrc := trace.AsBatch(gen)
-	buf := make([]trace.Uop, DefaultBatchSize)
+	d := newDriver(cfg, Options{Instructions: 1}, []trace.Source{gen}, false, nil)
+	defer d.close()
 	const window = 64 << 10
-	if _, err := c.runWindow(bsrc, buf, window, nil); err != nil {
+	if err := d.simulate(window, stageDetail); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(8, func() {
-		if _, err := c.runWindow(bsrc, buf, window, nil); err != nil {
+		if err := d.simulate(window, stageDetail); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -39,7 +39,9 @@ type SharedResult struct {
 // through the batched kernel. The L3 is inclusive: evicting a shared
 // line back-invalidates every core's private copy, and the accounting is
 // reported on the result. It models the paper's multi-threaded SPECspeed
-// runs and the rate-mode contention scenarios.
+// runs and the rate-mode contention scenarios. Each stream must be a
+// distinct source: every core's uops are generated ahead on a producer
+// goroutine of its own, so streams sharing one source would race.
 func RunShared(cfg Config, srcs []trace.Source, opt Options) (*SharedResult, error) {
 	// Skipping one stream would still age the shared L3 through the
 	// others; per-stream systematic sampling is not meaningful here.
@@ -50,6 +52,7 @@ func RunShared(cfg Config, srcs []trace.Source, opt Options) (*SharedResult, err
 		return nil, fmt.Errorf("machine: no streams")
 	}
 	d := newDriver(cfg, opt, srcs, true, nil)
+	defer d.close()
 	if err := d.warmup(); err != nil {
 		return nil, err
 	}

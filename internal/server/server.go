@@ -74,7 +74,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,21 +184,44 @@ func badField(field, format string, args ...any) *core.FieldError {
 // errNoPairs rejects a spec whose filters leave no pairs to run.
 var errNoPairs = errors.New("spec selects no application-input pairs")
 
-// resolve expands the spec into the campaign's pair list.
-func (spec *CampaignSpec) resolve() ([]profile.Pair, error) {
-	apps, err := profile.ParseSuite(spec.Suite)
+// suiteExpansions holds each expanded (suite, mini, size) selection,
+// keyed by its lower-cased names. The profile tables are fixed, so each
+// selection is expanded once per process; only valid names are stored.
+var suiteExpansions sync.Map // string -> []profile.Pair
+
+// expandSuite returns the pairs of the named suite, mini-suite and
+// size, shared between every spec naming them: callers must not
+// modify the slice.
+func expandSuite(suite, mini, sizeName string) ([]profile.Pair, error) {
+	key := strings.ToLower(suite) + "\x00" + strings.ToLower(mini) + "\x00" + strings.ToLower(sizeName)
+	if pairs, ok := suiteExpansions.Load(key); ok {
+		return pairs.([]profile.Pair), nil
+	}
+	apps, err := profile.ParseSuite(suite)
 	if err != nil {
 		return nil, badField("suite", "%v", err)
 	}
-	if apps, err = profile.FilterMini(apps, spec.Mini); err != nil {
+	if apps, err = profile.FilterMini(apps, mini); err != nil {
 		return nil, badField("mini", "%v", err)
 	}
-	size, err := profile.ParseSize(spec.Size)
+	size, err := profile.ParseSize(sizeName)
 	if err != nil {
 		return nil, badField("size", "%v", err)
 	}
-	pairs := profile.ExpandSuite(apps, size)
-	if len(pairs) > 0 && len(spec.Pairs) > 0 {
+	pairs, _ := suiteExpansions.LoadOrStore(key, profile.ExpandSuite(apps, size))
+	return pairs.([]profile.Pair), nil
+}
+
+// resolve expands the spec into the campaign's pair list, a slice of
+// its own.
+func (spec *CampaignSpec) resolve() ([]profile.Pair, error) {
+	pairs, err := expandSuite(spec.Suite, spec.Mini, spec.Size)
+	if err != nil {
+		return nil, err
+	}
+	if len(spec.Pairs) == 0 {
+		pairs = slices.Clone(pairs)
+	} else if len(pairs) > 0 {
 		byName := make(map[string]int, len(pairs))
 		for i := range pairs {
 			byName[pairs[i].Name()] = i

@@ -35,6 +35,30 @@ func TestSpecResolve(t *testing.T) {
 	}
 }
 
+// TestSpecResolveOwnSlice checks that every resolve of one selection
+// returns a slice of its own: the expansion behind it is shared by the
+// whole process, so one job's edits must not reach the next job's pairs.
+func TestSpecResolveOwnSlice(t *testing.T) {
+	spec := CampaignSpec{Suite: "CPU2017", Mini: "rate-int", Size: "Test"}
+	first, err := spec.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := first[0].Model
+	first[0].Model.Seed++
+	first[0].Input = "edited"
+	again, err := (&CampaignSpec{Suite: "cpu2017", Mini: "RATE-INT", Size: "test"}).resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again[0].Model != want || again[0].Input == "edited" {
+		t.Errorf("a second resolve saw the first one's edits: %+v", again[0])
+	}
+	if len(again) != len(first) {
+		t.Errorf("resolve spellings differ: %d vs %d pairs", len(again), len(first))
+	}
+}
+
 // FuzzSubmitSpec feeds arbitrary bodies to newJob, the step both kinds'
 // submit path takes from a request body to a job or a 400 error; it
 // queues nothing and runs nothing. It must never panic, a rejection must
