@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench loc fuzz-seed bench-smoke bench-fresh analytic-smoke serve-smoke serve-soak metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel ci
+.PHONY: build vet test race bench loc fuzz-seed bench-smoke bench-fresh analytic-smoke serve-smoke serve-soak race-fanout race-kernel ci
 
 build:
 	$(GO) build ./...
@@ -69,11 +69,28 @@ analytic-smoke:
 	$(GO) test -run='^TestAnalyticTolerance$$' -count=1 ./internal/analytic
 	$(GO) test -run='^TestAnalyticProfileMemoEquivalence$$' -count=1 ./internal/core
 
-# Build the real specserved binary, run a campaign over HTTP, restart on
-# the same store and assert the repeat simulates zero pairs, then check
-# the SIGTERM drain path.
+# Boot the real binaries (specserved, specload and specsweep, each built
+# once for the whole run) and drive them over HTTP:
+# - serve: run a campaign, restart on the same store and assert the
+#   repeat simulates zero pairs, then check the SIGTERM drain path;
+# - metrics: scrape /metrics after a live campaign for the tier-split
+#   pair counters, the stage/request histograms and the queue, job (by
+#   kind and state) and cache-entry gauges, and check /metrics/expvar
+#   is gone (404);
+# - fleet: a 2-worker fleet plus coordinator, driven by specload under
+#   SLO gates, bit-identical to a direct single-worker run;
+# - sweep: a 2x2x2 design-space sweep, restarted on the same store, must
+#   simulate zero cells with a byte-identical knee report, and the grid
+#   runs through the specsweep CLI too;
+# - rate: an N=4 rate-mode campaign byte-identical to a direct library
+#   run on the shared-L3 kernel, then served after a restart with zero
+#   pairs simulated.
+# The baseline gate then checks the serving trajectory recorded in
+# BENCH_serve.json against its floors — recorded numbers, so a loaded
+# machine can't flake it.
 serve-smoke:
-	$(GO) test -run='^TestServeSmoke$$|^TestServeSmokeDrainsInFlight$$' -count=1 ./cmd/specserved
+	$(GO) test -run='Smoke' -count=1 ./cmd/specserved
+	$(GO) test -run='^TestServeBenchBaselines$$' -count=1 .
 
 # Serve a few thousand ?wait=1 campaigns from an in-process specserved
 # over a pre-populated store and bound the live heap each finished
@@ -81,37 +98,6 @@ serve-smoke:
 # every job's GET afterwards must be byte-identical to its ?wait=1 reply.
 serve-soak:
 	$(GO) test -run='^TestServeSoakBoundedRetention$$' -count=1 ./internal/server
-
-# Scrape the binary's /metrics after a live campaign and assert the
-# Prometheus text exposition carries the tier-split pair counters, the
-# stage/request histograms and the queue, job (by kind and state) and
-# cache-entry gauges, and that /metrics/expvar is gone (404): /metrics
-# is the server's only metrics exposition.
-metrics-smoke:
-	$(GO) test -run='^TestServeSmokeMetrics$$' -count=1 ./cmd/specserved
-
-# Boot a real 2-worker fleet plus coordinator from the built binaries,
-# drive it with specload under SLO gates, and assert the sharded run is
-# bit-identical to a direct single-worker run. The baseline gate then
-# checks the serving trajectory recorded in BENCH_serve.json against its
-# floors — recorded numbers, so a loaded machine can't flake it.
-fleet-smoke:
-	$(GO) test -run='^TestFleetSmoke$$' -count=1 ./cmd/specserved
-	$(GO) test -run='^TestServeBenchBaselines$$' -count=1 .
-
-# Run a 2x2x2 design-space sweep against the built specserved binary,
-# restart it on the same store, re-run the identical sweep and assert it
-# simulates zero cells with a byte-identical knee report, then drive the
-# grid through the specsweep CLI.
-sweep-smoke:
-	$(GO) test -run='^TestSweepSmoke$$' -count=1 ./cmd/specserved
-
-# Run an N=4 rate-mode campaign against the built specserved binary,
-# byte-identical to a direct library run on the shared-L3 kernel, then
-# restart it on the same store and assert the campaign is served with
-# zero pairs simulated.
-rate-smoke:
-	$(GO) test -run='^TestRateSmoke$$' -count=1 ./cmd/specserved
 
 # Race-check the fan-out path specifically: the coordinator/dispatcher,
 # the typed client's retry loop, the registry the handlers hammer, and
@@ -135,4 +121,4 @@ race-kernel:
 	$(GO) test -race -short -run='^TestParallel|^TestPrefetcherRace|^TestFeed' -count=1 ./internal/machine
 	$(GO) test -race -short -run='^TestCheckpoint' -count=1 ./internal/synth
 
-ci: build vet test race fuzz-seed bench-smoke analytic-smoke serve-smoke serve-soak metrics-smoke fleet-smoke sweep-smoke rate-smoke race-fanout race-kernel
+ci: build vet test race fuzz-seed bench-smoke analytic-smoke serve-smoke serve-soak race-fanout race-kernel

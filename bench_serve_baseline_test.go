@@ -38,7 +38,7 @@ type serveBaselines struct {
 // Like the kernel gate, it checks recorded numbers — not live timings a
 // loaded CI machine would flake — so a serving regression is caught at
 // re-record time and a stale record that never met the floors is caught
-// on every run (fleet-smoke drives a live fleet for liveness).
+// on every run (make serve-smoke drives a live fleet for liveness).
 func TestServeBenchBaselines(t *testing.T) {
 	raw, err := os.ReadFile("BENCH_serve.json")
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -32,6 +33,48 @@ type smokeStatus struct {
 	} `json:"progress"`
 	Error   string          `json:"error,omitempty"`
 	Results json.RawMessage `json:"results"`
+}
+
+// binDir holds the binaries the smokes exec and built names the ones
+// already there, so each is built once per test process, not once per
+// test.
+var (
+	binMu  sync.Mutex
+	binDir string
+	built  = map[string]bool{}
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
+// binary returns the path of the named command in cmd/ (specserved,
+// specload or specsweep), building it on first use.
+func binary(t *testing.T, name string) string {
+	t.Helper()
+	binMu.Lock()
+	defer binMu.Unlock()
+	if binDir == "" {
+		dir, err := os.MkdirTemp("", "specserved-smoke-")
+		if err != nil {
+			t.Fatal(err)
+		}
+		binDir = dir
+	}
+	bin := filepath.Join(binDir, name)
+	if !built[name] {
+		build := exec.Command("go", "build", "-o", bin, "../"+name)
+		build.Stderr = os.Stderr
+		if err := build.Run(); err != nil {
+			t.Fatalf("go build %s: %v", name, err)
+		}
+		built[name] = true
+	}
+	return bin
 }
 
 // specserved starts the built binary and returns its base URL plus the
@@ -104,7 +147,7 @@ func sigtermAndWait(t *testing.T, cmd *exec.Cmd) {
 	}
 }
 
-// TestServeSmoke is the `make serve-smoke` gate: build the real binary,
+// TestServeSmoke, part of the `make serve-smoke` gate: with the real binary,
 // run one train-size campaign over HTTP, assert parity with the library,
 // then restart on the same cache dir and assert the repeat is served
 // entirely from the persistent store — zero pairs simulated — before
@@ -114,12 +157,7 @@ func TestServeSmoke(t *testing.T) {
 		t.Skip("builds and execs the specserved binary")
 	}
 	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "specserved")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("go build: %v", err)
-	}
+	bin := binary(t, "specserved")
 	cacheDir := filepath.Join(tmp, "speccache")
 	const instructions = 10000
 	spec := map[string]any{
@@ -210,7 +248,7 @@ func TestServeSmoke(t *testing.T) {
 	sigtermAndWait(t, cmd2)
 }
 
-// TestRateSmoke is the `make rate-smoke` gate: build the real binary,
+// TestRateSmoke, part of the `make serve-smoke` gate: with the real binary,
 // run an N=4 rate-mode campaign over HTTP, assert parity with the
 // library's shared-L3 kernel, then restart on the same cache dir and
 // assert the campaign is served from the persistent store — zero pairs
@@ -221,12 +259,7 @@ func TestRateSmoke(t *testing.T) {
 		t.Skip("builds and execs the specserved binary")
 	}
 	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "specserved")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("go build: %v", err)
-	}
+	bin := binary(t, "specserved")
 	cacheDir := filepath.Join(tmp, "speccache")
 	const instructions = 10000
 	const copies = 4
@@ -292,7 +325,7 @@ func TestRateSmoke(t *testing.T) {
 	sigtermAndWait(t, cmd2)
 }
 
-// TestFleetSmoke is the `make fleet-smoke` gate: build the real
+// TestFleetSmoke, part of the `make serve-smoke` gate: with the real
 // binaries, start two worker specserveds and a coordinator in front of
 // them, drive campaigns through the specload generator under generous
 // SLO gates, and assert digest parity — the sharded campaign's results
@@ -303,18 +336,8 @@ func TestFleetSmoke(t *testing.T) {
 		t.Skip("builds and execs the specserved and specload binaries")
 	}
 	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "specserved")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("go build specserved: %v", err)
-	}
-	loadBin := filepath.Join(tmp, "specload")
-	build = exec.Command("go", "build", "-o", loadBin, "../specload")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("go build specload: %v", err)
-	}
+	bin := binary(t, "specserved")
+	loadBin := binary(t, "specload")
 
 	// Two workers with deliberately different base windows (-n): the
 	// coordinator must forward the campaign's merged window explicitly,
@@ -431,7 +454,7 @@ func sweepCells(t *testing.T, base string) map[string]float64 {
 	return cells
 }
 
-// TestSweepSmoke is the `make sweep-smoke` gate: build the real
+// TestSweepSmoke, part of the `make serve-smoke` gate: with the real
 // binaries, run a 2x2x2 design-space sweep over /v1/sweeps, restart the
 // server on the same cache dir, re-run the identical sweep and assert
 // it simulates zero cells while reproducing the result — knee report
@@ -442,18 +465,8 @@ func TestSweepSmoke(t *testing.T) {
 		t.Skip("builds and execs the specserved and specsweep binaries")
 	}
 	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "specserved")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("go build specserved: %v", err)
-	}
-	sweepBin := filepath.Join(tmp, "specsweep")
-	build = exec.Command("go", "build", "-o", sweepBin, "../specsweep")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("go build specsweep: %v", err)
-	}
+	bin := binary(t, "specserved")
+	sweepBin := binary(t, "specsweep")
 
 	cacheDir := filepath.Join(tmp, "speccache")
 	spec := map[string]any{
@@ -530,7 +543,7 @@ func TestSweepSmoke(t *testing.T) {
 	sigtermAndWait(t, cmd2)
 }
 
-// TestServeSmokeMetrics is the `make metrics-smoke` gate: the binary's
+// TestServeSmokeMetrics, part of the `make serve-smoke` gate: the binary's
 // /metrics endpoint, its only metrics exposition, serves valid
 // Prometheus text with the tier-split pair counters, stage histograms
 // and job, queue and cache gauges after a campaign runs.
@@ -538,13 +551,7 @@ func TestServeSmokeMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the specserved binary")
 	}
-	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "specserved")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("go build: %v", err)
-	}
+	bin := binary(t, "specserved")
 	base, cmd := specserved(t, bin, "-workers", "1")
 	st := submitWait(t, base, map[string]any{
 		"suite": "cpu2017", "mini": "rate-int", "size": "test", "instructions": 10000,
@@ -648,13 +655,7 @@ func TestServeSmokeDrainsInFlight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs the specserved binary")
 	}
-	tmp := t.TempDir()
-	bin := filepath.Join(tmp, "specserved")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	build.Stderr = os.Stderr
-	if err := build.Run(); err != nil {
-		t.Fatalf("go build: %v", err)
-	}
+	bin := binary(t, "specserved")
 	base, cmd := specserved(t, bin, "-workers", "1", "-drain-grace", "2s")
 
 	// A big window keeps the campaign in flight when SIGTERM lands.

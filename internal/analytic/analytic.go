@@ -102,6 +102,12 @@ func checkConfig(cfg machine.Config) error {
 	if cfg.UnifiedCodePath {
 		return fmt.Errorf("analytic: unified code path routes fetch fills through the data levels, which the miss-curve model cannot see (machine %q)", cfg.Name)
 	}
+	h := cfg.Hierarchy
+	for _, c := range []cache.Config{h.L1D, h.L2, h.L3} {
+		if p := c.Policy.String(); p != "lru" {
+			return fmt.Errorf("analytic: the miss-curve model is an LRU stack model and has no %s replacement policy (machine %q, %s)", p, cfg.Name, c.Name)
+		}
+	}
 	return nil
 }
 
@@ -124,9 +130,10 @@ func check(cfg machine.Config, opt machine.Options) error {
 // The stream is fixed by the full model (seed included) and the cache
 // geometry in lines; the front end that walks it by the L1I level, the
 // L1D line size the profiler buckets addresses into, and the branch
-// unit. Data-cache ways and policies, the pipeline, the clock and the
-// machine name only enter Predict, so machine points that differ only
-// in those share one profile.
+// unit. Data-cache ways, the pipeline, the clock and the machine name
+// only enter Predict, so machine points that differ only in those share
+// one profile. Data-cache policies enter neither: checkConfig admits
+// only LRU data levels.
 func ProfileKey(cfg machine.Config, model profile.Model) string {
 	l1i := cfg.Hierarchy.L1I
 	return fmt.Sprintf("analytic-profile|model=%+v|geo=%+v|l1i=%d:%d:%d:%s|l1d.line=%d|bp=%s:%d:%d",

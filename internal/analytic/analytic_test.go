@@ -105,6 +105,9 @@ func TestRunRejections(t *testing.T) {
 			c.Hierarchy.Prefetcher = "nextline:64:1"
 		}, "prefetcher"},
 		{"unified code path", func(c *machine.Config, o *machine.Options) { c.UnifiedCodePath = true }, "unified"},
+		{"l1d policy", func(c *machine.Config, o *machine.Options) { c.Hierarchy.L1D.Policy = "plru" }, "plru replacement"},
+		{"l2 policy", func(c *machine.Config, o *machine.Options) { c.Hierarchy.L2.Policy = "srrip" }, "srrip replacement"},
+		{"l3 policy", func(c *machine.Config, o *machine.Options) { c.Hierarchy.L3.Policy = "random:seed=3" }, "random:seed=3 replacement"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/perf"
 	"repro/internal/profile"
 )
 
@@ -121,7 +122,7 @@ func goldenRows(chars []Characteristics) []goldenRow {
 	for i := range chars {
 		c := &chars[i]
 		counters := map[string]uint64{}
-		for _, name := range c.Counters.Names() {
+		for _, name := range perf.Events {
 			counters[name] = c.Counters.MustValue(name)
 		}
 		rows[i] = goldenRow{

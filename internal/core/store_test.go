@@ -217,7 +217,7 @@ func fillValue(v reflect.Value, n *int) {
 	if v.Type() == reflect.TypeOf((*perf.Counters)(nil)) {
 		*n++
 		v.Set(reflect.ValueOf(perf.NewCounters(map[string]uint64{
-			perf.InstRetired: uint64(*n), "custom<event>": 7}, 11, 12, 0.125)))
+			perf.InstRetired: uint64(*n), perf.DTLBWalks: 7}, 11, 12, 0.125)))
 		return
 	}
 	switch v.Kind() {
@@ -258,7 +258,7 @@ func fillValue(v reflect.Value, n *int) {
 // to reflection fails on any host — a count, not a time. Encoding into
 // a buffer with spare capacity allocates at most once per record
 // (encoding/json took 46). A store decode (CharacteristicsCodec.Decode)
-// takes 7 today and is held to 12: encoding/json took 82, and still
+// takes 3 today and is held to 12: encoding/json took 82, and still
 // takes 17 when it reflects over the record but leaves perf.Counters to
 // its own codec.
 func TestCodecAllocs(t *testing.T) {
@@ -318,6 +318,12 @@ func FuzzCharacteristicsDecode(f *testing.F) {
 	}
 	f.Add(reordered)
 	f.Add([]byte(` { "Pair" : null , "Counters" : { "values" : null } , "Extra" : [ 1 , { } , "x" ] } `))
+	// The event map: a name that is not an event must be rejected, a
+	// partial map decodes with zeros and a repeated name keeps its last
+	// count.
+	f.Add([]byte(`{"Counters":{"values":{"inst_retired.any":1,"custom<event>":7}}}`))
+	f.Add([]byte(`{"Counters":{"values":{"uops_retired.all":9,"icache.misses":2},"seconds":0.5}}`))
+	f.Add([]byte(`{"Counters":{"values":{"icache.misses":2,"icache.misses":3}}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var c Characteristics
 		if c.UnmarshalJSON(data) != nil {
@@ -475,5 +481,55 @@ func TestCorruptStoreRecordRecomputes(t *testing.T) {
 	}
 	if !reflect.DeepEqual(first, third) {
 		t.Error("repaired results differ")
+	}
+}
+
+// TestUnknownEventRecordRecomputes: a stored record whose checksum holds
+// but whose counters name an event the simulator does not record fails
+// to decode, so the pair is simulated again rather than served.
+func TestUnknownEventRecordRecomputes(t *testing.T) {
+	dir := t.TempDir()
+	pairs := fakePairs(2)
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := Characterize(pairs, Options{Instructions: 20000, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	renamed := 0
+	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		key := strings.TrimSuffix(d.Name(), ".json")
+		rec, ok := st.Load(key)
+		if !ok {
+			t.Fatalf("record %s does not load", key)
+		}
+		st.Store(key, bytes.Replace(rec, []byte(`"icache.misses"`), []byte(`"icache.misses_other"`), 1))
+		renamed++
+		return nil
+	})
+	if renamed != len(pairs) {
+		t.Fatalf("rewrote %d records, want %d", renamed, len(pairs))
+	}
+
+	var simulated atomic.Int64
+	stubRunPair(t, func(ctx context.Context, pair profile.Pair, o Options) (*Characteristics, error) {
+		simulated.Add(1)
+		return characterizePairCtx(ctx, pair, o)
+	})
+	st2, _ := store.Open(dir)
+	second, err := Characterize(pairs, Options{Instructions: 20000, Store: st2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := simulated.Load(); n != int64(len(pairs)) {
+		t.Errorf("recomputed %d pairs, want %d", n, len(pairs))
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Error("recomputed results differ")
 	}
 }

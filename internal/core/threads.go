@@ -92,13 +92,12 @@ func runCopies(ctx context.Context, cfg machine.Config, m profile.Model, n int, 
 
 // sumCounters merges per-core counter snapshots into one.
 func sumCounters(res *machine.SharedResult) *perf.Counters {
-	sums := map[string]uint64{}
+	sums := make(map[string]uint64, len(perf.Events))
 	var rss, vsz uint64
 	var seconds float64
 	for _, core := range res.PerCore {
-		for _, name := range core.Counters.Names() {
-			v, _ := core.Counters.Value(name)
-			sums[name] += v
+		for _, name := range perf.Events {
+			sums[name] += core.Counters.MustValue(name)
 		}
 		rss += core.Counters.RSSBytes
 		vsz += core.Counters.VSZBytes

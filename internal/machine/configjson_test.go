@@ -241,8 +241,7 @@ func TestApplyAxisLinePrefetcher(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, _ := res.Counters.Value(perf.L2Miss)
-		return v
+		return res.Counters.MustValue(perf.L2Miss)
 	}
 	if a, b := l2Misses(got), l2Misses(none); a == b {
 		t.Errorf("line=128: nextline prefetcher leaves L2 misses at %d, the same as no prefetcher", a)

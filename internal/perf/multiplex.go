@@ -30,11 +30,11 @@ func Multiplex(c *Counters, slots int, seed uint64) *Counters {
 	if slots <= 0 {
 		slots = 4
 	}
-	names := c.Names() // sorted
-	groups := (len(names) + slots - 1) / slots
+	out := *c
+	groups := (len(Events) + slots - 1) / slots
 	if groups <= 1 {
 		// Everything fits; no multiplexing, no error.
-		return NewCounters(snapshotMap(c, names), c.RSSBytes, c.VSZBytes, c.Seconds)
+		return &out
 	}
 	// Each group is live for 1/groups of the run; the relative sampling
 	// error of the scaled estimate shrinks with the live fraction.
@@ -42,37 +42,36 @@ func Multiplex(c *Counters, slots int, seed uint64) *Counters {
 	// percent; model sigma = 2% x sqrt(groups-1).
 	sigma := 0.02 * math.Sqrt(float64(groups-1))
 	rng := xrand.NewPCG32(seed ^ 0x9e1f)
-	scaled := make(map[string]float64, len(names))
-	for start := 0; start < len(names); start += slots {
+	var scaled [len(Events)]float64
+	for start := 0; start < len(Events); start += slots {
 		scale := 1 + sigma*rng.NormFloat64()
 		if scale < 0 {
 			scale = 0
 		}
-		end := start + slots
-		if end > len(names) {
-			end = len(names)
-		}
-		for _, name := range names[start:end] {
-			v, _ := c.Value(name)
-			scaled[name] = float64(v) * scale
+		for i := start; i < min(start+slots, len(Events)); i++ {
+			scaled[i] = float64(c.values[i]) * scale
 		}
 	}
-	renormalizeBranches(c, scaled)
-	out := make(map[string]uint64, len(scaled))
-	for name, v := range scaled {
+	renormalizeBranches(&c.values, &scaled)
+	for i, v := range scaled {
 		// Round to nearest: flooring would turn a small count scaled by
 		// a factor just under 1 into 0, a 100% relative error.
-		out[name] = uint64(math.Round(v))
+		out.values[i] = uint64(math.Round(v))
 	}
-	clampBranchInts(out)
-	return NewCounters(out, c.RSSBytes, c.VSZBytes, c.Seconds)
+	clampBranchInts(&out.values)
+	return &out
 }
 
-// branchSubtypes are the branch-class events whose shares of AllBranches
-// must remain consistent after scaling.
-var branchSubtypes = []string{
-	CondBranches, DirectJumps, DirectCalls, IndirectJumps, Returns,
-}
+// Indices in Events of the branch events Multiplex keeps consistent:
+// the five branch-class subtypes, whose shares of AllBranches must
+// survive scaling, the total and the mispredicts.
+var (
+	branchSubtypes = [...]int{
+		event(CondBranches), event(DirectJumps), event(DirectCalls), event(IndirectJumps), event(Returns),
+	}
+	allBranches  = event(AllBranches)
+	mispBranches = event(MispBranches)
+)
 
 // renormalizeBranches rescales the branch subtype counts so that they
 // keep their original coverage of AllBranches after multiplex scaling:
@@ -82,66 +81,38 @@ var branchSubtypes = []string{
 // to match scaledAll * (origSubtypeSum / origAll). The mispredict count
 // is likewise clamped to the scaled total so mispredicts per branch stay
 // <= 100%.
-func renormalizeBranches(orig *Counters, scaled map[string]float64) {
-	allScaled, ok := scaled[AllBranches]
-	if !ok {
-		return
-	}
-	allOrig, _ := orig.Value(AllBranches)
+func renormalizeBranches(orig *[len(Events)]uint64, scaled *[len(Events)]float64) {
+	allScaled := scaled[allBranches]
 	var subOrig, subScaled float64
-	for _, name := range branchSubtypes {
-		if v, present := orig.Value(name); present {
-			subOrig += float64(v)
-		}
-		subScaled += scaled[name]
+	for _, i := range branchSubtypes {
+		subOrig += float64(orig[i])
+		subScaled += scaled[i]
 	}
-	if allOrig > 0 && subOrig > 0 && subScaled > 0 {
+	if allOrig := orig[allBranches]; allOrig > 0 && subOrig > 0 && subScaled > 0 {
 		factor := allScaled * (subOrig / float64(allOrig)) / subScaled
-		for _, name := range branchSubtypes {
-			if _, present := scaled[name]; present {
-				scaled[name] *= factor
-			}
+		for _, i := range branchSubtypes {
+			scaled[i] *= factor
 		}
 	}
-	if m, present := scaled[MispBranches]; present && m > allScaled {
-		scaled[MispBranches] = allScaled
-	}
+	scaled[mispBranches] = min(scaled[mispBranches], allScaled)
 }
 
 // clampBranchInts restores the integer-domain invariants that rounding
 // can nudge by a count or two: the branch subtype sum never exceeds
 // AllBranches (excess comes off the largest subtype) and mispredicts
 // never exceed AllBranches.
-func clampBranchInts(out map[string]uint64) {
-	all, ok := out[AllBranches]
-	if !ok {
-		return
-	}
+func clampBranchInts(out *[len(Events)]uint64) {
+	all := out[allBranches]
 	var sum uint64
-	largest := ""
-	for _, n := range branchSubtypes {
-		v, present := out[n]
-		if !present {
-			continue
-		}
-		sum += v
-		if largest == "" || v > out[largest] {
-			largest = n
+	largest := branchSubtypes[0]
+	for _, i := range branchSubtypes {
+		sum += out[i]
+		if out[i] > out[largest] {
+			largest = i
 		}
 	}
-	if excess := sum - all; sum > all && largest != "" && out[largest] >= excess {
+	if excess := sum - all; sum > all && out[largest] >= excess {
 		out[largest] -= excess
 	}
-	if m, present := out[MispBranches]; present && m > all {
-		out[MispBranches] = all
-	}
-}
-
-func snapshotMap(c *Counters, names []string) map[string]uint64 {
-	m := make(map[string]uint64, len(names))
-	for _, n := range names {
-		v, _ := c.Value(n)
-		m[n] = v
-	}
-	return m
+	out[mispBranches] = min(out[mispBranches], all)
 }

@@ -8,7 +8,6 @@ package perf
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/jsonx"
 )
@@ -67,10 +66,30 @@ const (
 	DTLBWalks = "dtlb_load_misses.walk_completed"
 )
 
-// Counters is an immutable snapshot of named event counts from one run,
-// plus the footprint metrics the paper samples with `ps`.
+// Events lists every event the simulator records, in sorted name order
+// (like `perf list` output). A snapshot holds its counts in this order,
+// serializes them in this order, and Multiplex fills its PMU groups in
+// this order.
+var Events = [...]string{
+	AllBranches, CondBranches, DirectJumps, DirectCalls, IndirectJumps, Returns,
+	MispBranches, RefCycles, DTLBWalks, ICacheMisses, InstRetired,
+	L1Hit, L1Miss, L2Hit, L2Miss, L3Hit, L3Miss, AllLoads, AllStores, UopsRetired,
+}
+
+// event returns name's index in Events and panics if name is not an
+// event: every caller names one of the constants above.
+func event(name string) int {
+	i, ok := slices.BinarySearch(Events[:], name)
+	if !ok {
+		panic(fmt.Sprintf("perf: %q is not a simulator event", name))
+	}
+	return i
+}
+
+// Counters is an immutable snapshot of one run's event counts, plus the
+// footprint metrics the paper samples with `ps`.
 type Counters struct {
-	values map[string]uint64
+	values [len(Events)]uint64
 	// RSSBytes is the peak resident set size.
 	RSSBytes uint64
 	// VSZBytes is the peak virtual set size.
@@ -79,34 +98,23 @@ type Counters struct {
 	Seconds float64
 }
 
-// NewCounters builds a snapshot from a value map; the map is copied.
+// NewCounters builds a snapshot from a value map. An event the map
+// leaves out counts zero; a name that is not in Events panics.
 func NewCounters(values map[string]uint64, rss, vsz uint64, seconds float64) *Counters {
-	m := make(map[string]uint64, len(values))
-	for k, v := range values {
-		m[k] = v
+	c := &Counters{RSSBytes: rss, VSZBytes: vsz, Seconds: seconds}
+	for name, v := range values {
+		c.values[event(name)] = v
 	}
-	return &Counters{values: m, RSSBytes: rss, VSZBytes: vsz, Seconds: seconds}
+	return c
 }
 
-// eventNames interns the events the simulator records, so decoding a
-// snapshot reuses these strings instead of allocating one per key.
-var eventNames = func() map[string]string {
-	m := map[string]string{}
-	for _, n := range []string{InstRetired, RefCycles, UopsRetired, AllLoads, AllStores,
-		AllBranches, MispBranches, CondBranches, DirectJumps, DirectCalls, IndirectJumps,
-		Returns, L1Hit, L1Miss, L2Hit, L2Miss, L3Hit, L3Miss, ICacheMisses, DTLBWalks} {
-		m[n] = n
-	}
-	return m
-}()
-
 // AppendJSON appends the snapshot's serialized form,
-// {"values":{...},"rss_bytes":N,"vsz_bytes":N,"seconds":F}, with the
-// event map in sorted key order — byte-identical to json.Marshal of the
-// equivalent tagged struct. Event counts are uint64 and Seconds is
-// written in its shortest round-tripping form, so UnmarshalJSON
-// reproduces the snapshot bit-identically; the persistent result store
-// depends on this. Seconds must be finite.
+// {"values":{...},"rss_bytes":N,"vsz_bytes":N,"seconds":F}, with every
+// event in Events order — byte-identical to json.Marshal of the
+// equivalent tagged struct with a full event map. Event counts are
+// uint64 and Seconds is written in its shortest round-tripping form, so
+// UnmarshalJSON reproduces the snapshot bit-identically; the persistent
+// result store depends on this. Seconds must be finite.
 func (c *Counters) AppendJSON(dst []byte) ([]byte, error) {
 	w := jsonx.Writer{B: dst}
 	c.WriteJSON(&w)
@@ -119,27 +127,16 @@ func (c *Counters) AppendJSON(dst []byte) ([]byte, error) {
 // WriteJSON is AppendJSON on a caller's writer, for records that embed
 // a snapshot.
 func (c *Counters) WriteJSON(w *jsonx.Writer) {
-	if c.values == nil {
-		w.Raw(`{"values":null`)
-	} else {
-		var buf [32]string // room for every simulator event, on the stack
-		names := buf[:0]
-		for k := range c.values {
-			names = append(names, k)
+	w.Raw(`{"values":{`)
+	for i, name := range Events {
+		if i > 0 {
+			w.Raw(",")
 		}
-		slices.Sort(names)
-		w.Raw(`{"values":{`)
-		for i, k := range names {
-			if i > 0 {
-				w.Raw(",")
-			}
-			w.String(k)
-			w.Raw(":")
-			w.Uint(c.values[k])
-		}
-		w.Raw("}")
+		w.String(name)
+		w.Raw(":")
+		w.Uint(c.values[i])
 	}
-	w.Raw(`,"rss_bytes":`)
+	w.Raw(`},"rss_bytes":`)
 	w.Uint(c.RSSBytes)
 	w.Raw(`,"vsz_bytes":`)
 	w.Uint(c.VSZBytes)
@@ -161,79 +158,61 @@ func (c *Counters) UnmarshalJSON(data []byte) error {
 }
 
 // DecodeJSON is UnmarshalJSON on a caller's cursor, for records that
-// embed a snapshot. Unknown keys are skipped; a missing or null event
-// map decodes as an empty one.
+// embed a snapshot. Unknown top-level keys are skipped. In the event
+// map, a name that is not in Events is a decode error (a store record
+// naming one is corrupt), a missing event decodes as zero and a
+// repeated one keeps its last count.
 func (c *Counters) DecodeJSON(d *jsonx.Decoder) {
-	var values map[string]uint64
-	if d.Object() {
-		for key, ok := d.NextKey(); ok; key, ok = d.NextKey() {
-			switch string(key) {
-			case "values":
-				if d.Object() {
-					if values == nil {
-						values = make(map[string]uint64, len(eventNames))
+	c.values = [len(Events)]uint64{}
+	if !d.Object() {
+		return
+	}
+	for key, ok := d.NextKey(); ok; key, ok = d.NextKey() {
+		switch string(key) {
+		case "values":
+			if !d.Object() {
+				continue
+			}
+			// Records list the events in order, so the slot after the
+			// last one decoded is checked before searching.
+			next := 0
+			for name, ok := d.NextKey(); ok; name, ok = d.NextKey() {
+				i := next
+				if i == len(Events) || Events[i] != string(name) {
+					for i = 0; i < len(Events) && Events[i] != string(name); i++ {
 					}
-					for name, ok := d.NextKey(); ok; name, ok = d.NextKey() {
-						s, known := eventNames[string(name)]
-						if !known {
-							s = string(name)
-						}
-						values[s] = d.Uint()
+					if i == len(Events) {
+						d.Fail(fmt.Errorf("perf: unknown event %q", name))
+						return
 					}
 				}
-			case "rss_bytes":
-				c.RSSBytes = d.Uint()
-			case "vsz_bytes":
-				c.VSZBytes = d.Uint()
-			case "seconds":
-				c.Seconds = d.Float()
-			default:
-				d.Skip()
+				c.values[i] = d.Uint()
+				next = i + 1
 			}
+		case "rss_bytes":
+			c.RSSBytes = d.Uint()
+		case "vsz_bytes":
+			c.VSZBytes = d.Uint()
+		case "seconds":
+			c.Seconds = d.Float()
+		default:
+			d.Skip()
 		}
 	}
-	if values == nil {
-		values = map[string]uint64{}
-	}
-	c.values = values
 }
 
-// Value returns the count for the named event, and whether it is present.
-func (c *Counters) Value(name string) (uint64, bool) {
-	v, ok := c.values[name]
-	return v, ok
-}
+// MustValue returns the count for the named event and panics if name
+// is not an event.
+func (c *Counters) MustValue(name string) uint64 { return c.values[event(name)] }
 
-// MustValue returns the count for the named event and panics if absent —
-// for events the simulator always produces.
-func (c *Counters) MustValue(name string) uint64 {
-	v, ok := c.values[name]
-	if !ok {
-		panic(fmt.Sprintf("perf: event %q not recorded", name))
-	}
-	return v
-}
-
-// Names returns the recorded event names in sorted order (like
-// `perf list` output).
-func (c *Counters) Names() []string {
-	names := make([]string, 0, len(c.values))
-	for k := range c.values {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Ratio returns Value(num)/Value(den), or 0 when the denominator is zero
-// or either event is missing.
+// Ratio returns MustValue(num)/MustValue(den), or 0 when the
+// denominator is zero.
 func (c *Counters) Ratio(num, den string) float64 {
-	n, okN := c.values[num]
-	d, okD := c.values[den]
-	if !okN || !okD || d == 0 {
+	d := c.MustValue(den)
+	if d == 0 {
 		return 0
 	}
-	return float64(n) / float64(d)
+	return float64(c.MustValue(num)) / float64(d)
 }
 
 // IPC returns instructions per cycle.
@@ -269,8 +248,8 @@ func (c *Counters) CacheMissPct(level int) float64 {
 	default:
 		panic(fmt.Sprintf("perf: invalid cache level %d", level))
 	}
-	h := c.values[hit]
-	m := c.values[miss]
+	h := c.MustValue(hit)
+	m := c.MustValue(miss)
 	if h+m == 0 {
 		return 0
 	}

@@ -3,9 +3,9 @@ package perf
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -28,34 +28,40 @@ func sample() *Counters {
 	}, 4096*10, 4096*20, 1.5)
 }
 
-func TestValueAndMustValue(t *testing.T) {
+func TestMustValue(t *testing.T) {
 	c := sample()
-	if v, ok := c.Value(InstRetired); !ok || v != 1000 {
-		t.Errorf("Value = %d,%v", v, ok)
-	}
-	if _, ok := c.Value("nonexistent.event"); ok {
-		t.Error("missing event reported present")
-	}
 	if got := c.MustValue(AllLoads); got != 250 {
 		t.Errorf("MustValue = %d", got)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("MustValue on missing event did not panic")
-		}
-	}()
-	c.MustValue("nope")
+	if got := c.MustValue(DirectJumps); got != 0 {
+		t.Errorf("event left out of the map = %d, want 0", got)
+	}
+	mustPanic(t, "MustValue on a name that is not an event", func() { c.MustValue("nope") })
+	mustPanic(t, "NewCounters with a name that is not an event", func() {
+		NewCounters(map[string]uint64{"custom<event>": 1}, 0, 0, 0)
+	})
 }
 
-func TestNamesSorted(t *testing.T) {
-	names := sample().Names()
-	if len(names) == 0 {
-		t.Fatal("no names")
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Fatalf("names unsorted at %d: %s < %s", i, names[i], names[i-1])
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s did not panic", what)
 		}
+	}()
+	f()
+}
+
+// TestEventsSorted: Events is in strictly increasing name order (the
+// order the codec and Multiplex rely on) and holds all twenty events.
+func TestEventsSorted(t *testing.T) {
+	for i := 1; i < len(Events); i++ {
+		if Events[i] <= Events[i-1] {
+			t.Fatalf("Events unsorted at %d: %s <= %s", i, Events[i], Events[i-1])
+		}
+	}
+	if len(Events) != 20 {
+		t.Fatalf("%d events, want 20", len(Events))
 	}
 }
 
@@ -101,12 +107,12 @@ func TestCacheMissPct(t *testing.T) {
 }
 
 func TestRatioEdgeCases(t *testing.T) {
-	c := NewCounters(map[string]uint64{"a": 5, "b": 0}, 0, 0, 0)
-	if got := c.Ratio("a", "b"); got != 0 {
+	c := NewCounters(map[string]uint64{InstRetired: 5, RefCycles: 0}, 0, 0, 0)
+	if got := c.Ratio(InstRetired, RefCycles); got != 0 {
 		t.Errorf("zero denominator ratio = %v", got)
 	}
-	if got := c.Ratio("a", "missing"); got != 0 {
-		t.Errorf("missing event ratio = %v", got)
+	if got := c.Ratio(InstRetired, UopsRetired); got != 0 {
+		t.Errorf("absent denominator ratio = %v", got)
 	}
 	empty := NewCounters(nil, 0, 0, 0)
 	if empty.CacheMissPct(1) != 0 {
@@ -115,10 +121,10 @@ func TestRatioEdgeCases(t *testing.T) {
 }
 
 func TestCountersCopied(t *testing.T) {
-	src := map[string]uint64{"x": 1}
+	src := map[string]uint64{InstRetired: 1}
 	c := NewCounters(src, 0, 0, 0)
-	src["x"] = 99
-	if v, _ := c.Value("x"); v != 1 {
+	src[InstRetired] = 99
+	if v := c.MustValue(InstRetired); v != 1 {
 		t.Error("NewCounters did not copy the map")
 	}
 }
@@ -133,9 +139,8 @@ func TestFootprintFields(t *testing.T) {
 func TestMultiplexNoErrorWhenFits(t *testing.T) {
 	c := sample()
 	m := Multiplex(c, 64, 1)
-	for _, name := range c.Names() {
-		a, _ := c.Value(name)
-		b, _ := m.Value(name)
+	for _, name := range Events {
+		a, b := c.MustValue(name), m.MustValue(name)
 		if a != b {
 			t.Errorf("event %s changed %d -> %d with ample slots", name, a, b)
 		}
@@ -145,9 +150,8 @@ func TestMultiplexNoErrorWhenFits(t *testing.T) {
 func TestMultiplexBoundedError(t *testing.T) {
 	c := sample()
 	m := Multiplex(c, 4, 7)
-	for _, name := range c.Names() {
-		a, _ := c.Value(name)
-		b, _ := m.Value(name)
+	for _, name := range Events {
+		a, b := c.MustValue(name), m.MustValue(name)
 		if a == 0 {
 			continue
 		}
@@ -166,19 +170,15 @@ func TestMultiplexDeterministic(t *testing.T) {
 	c := sample()
 	a := Multiplex(c, 4, 9)
 	b := Multiplex(c, 4, 9)
-	for _, name := range c.Names() {
-		va, _ := a.Value(name)
-		vb, _ := b.Value(name)
-		if va != vb {
+	for _, name := range Events {
+		if a.MustValue(name) != b.MustValue(name) {
 			t.Fatal("same seed, different multiplexing noise")
 		}
 	}
 	d := Multiplex(c, 4, 10)
 	same := true
-	for _, name := range c.Names() {
-		va, _ := a.Value(name)
-		vd, _ := d.Value(name)
-		if va != vd {
+	for _, name := range Events {
+		if a.MustValue(name) != d.MustValue(name) {
 			same = false
 		}
 	}
@@ -249,29 +249,38 @@ func TestMultiplexBranchSharesStayConsistent(t *testing.T) {
 }
 
 // TestMultiplexGroupSharesScale: events scheduled into the same PMU
-// group carry the same scaling factor.
+// group carry the same scaling factor. With four slots the sorted
+// groups 2 (dtlb_load_misses … l1_hit) and 3 (l1_miss … l3_hit) hold no
+// branch events, so renormalizeBranches leaves their scaled counts
+// alone.
 func TestMultiplexGroupSharesScale(t *testing.T) {
-	// Ten like-named events; sorted order puts e00..e03 in group 0.
 	vals := map[string]uint64{}
-	for i := 0; i < 10; i++ {
-		vals[fmt.Sprintf("e%02d", i)] = 1000000
+	for _, name := range Events {
+		vals[name] = 1000000
 	}
 	c := NewCounters(vals, 0, 0, 0)
+	groups := [][]string{
+		{DTLBWalks, ICacheMisses, InstRetired, L1Hit},
+		{L1Miss, L2Hit, L2Miss, L3Hit},
+	}
+	if Events[8] != groups[0][0] || Events[12] != groups[1][0] {
+		t.Fatalf("sorted groups start at %s and %s", Events[8], Events[12])
+	}
 	m := Multiplex(c, 4, 5)
-	g0 := m.MustValue("e00")
-	for _, name := range []string{"e01", "e02", "e03"} {
-		if v := m.MustValue(name); v != g0 {
-			t.Errorf("same-group event %s scaled to %d, group leader %d", name, v, g0)
+	for _, g := range groups {
+		lead := m.MustValue(g[0])
+		for _, name := range g[1:] {
+			if v := m.MustValue(name); v != lead {
+				t.Errorf("same-group event %s scaled to %d, group leader %s %d", name, v, g[0], lead)
+			}
 		}
 	}
-	// Across seeds, some group boundary must show a different factor
+	// Across seeds, the two groups must show different factors
 	// (otherwise grouping is vacuous).
 	differs := false
 	for seed := uint64(0); seed < 20 && !differs; seed++ {
 		m := Multiplex(c, 4, seed)
-		if m.MustValue("e00") != m.MustValue("e04") {
-			differs = true
-		}
+		differs = m.MustValue(DTLBWalks) != m.MustValue(L1Miss)
 	}
 	if !differs {
 		t.Error("groups never scaled independently across 20 seeds")
@@ -304,12 +313,16 @@ func TestCountersJSONMatchesReference(t *testing.T) {
 		t.Fatalf("Counters exported fields = %v, codec covers %v", fields, want)
 	}
 	cases := []*Counters{
-		NewCounters(map[string]uint64{InstRetired: 1 << 63, RefCycles: 7, "z<&>": 1, "a": 0}, 1<<40, math.MaxUint64, 1e-7),
+		NewCounters(map[string]uint64{InstRetired: 1 << 63, RefCycles: 7, L3Miss: 1}, 1<<40, math.MaxUint64, 1e-7),
 		NewCounters(nil, 0, 0, math.Copysign(0, -1)),
 		NewCounters(map[string]uint64{L1Hit: 3}, 1, 2, 1e21),
 	}
 	for i, c := range cases {
-		want, err := json.Marshal(countersRef{Values: c.values, RSSBytes: c.RSSBytes, VSZBytes: c.VSZBytes, Seconds: c.Seconds})
+		values := map[string]uint64{}
+		for _, name := range Events {
+			values[name] = c.MustValue(name)
+		}
+		want, err := json.Marshal(countersRef{Values: values, RSSBytes: c.RSSBytes, VSZBytes: c.VSZBytes, Seconds: c.Seconds})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -331,8 +344,39 @@ func TestCountersJSONMatchesReference(t *testing.T) {
 	if _, err := NewCounters(nil, 0, 0, math.NaN()).AppendJSON(nil); err == nil {
 		t.Fatal("AppendJSON accepted a NaN")
 	}
-	var c Counters
-	if err := c.UnmarshalJSON([]byte(`{"values":null}`)); err != nil || c.values == nil {
-		t.Fatalf("null event map: err %v, values %v (want an empty map)", err, c.values)
+}
+
+// TestCountersDecodeEvents pins the decoder's rules for the event map:
+// events in any order, a missing event counts zero, a repeated one keeps
+// its last count, a null map is all zero, and a name that is not an
+// event is an error.
+func TestCountersDecodeEvents(t *testing.T) {
+	full, err := fullBranchSample().AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		in   string
+		want *Counters
+	}{
+		{string(full), fullBranchSample()},
+		{`{"values":{"uops_retired.all":3,"inst_retired.any":2}}`, NewCounters(map[string]uint64{UopsRetired: 3, InstRetired: 2}, 0, 0, 0)},
+		{`{"values":{"inst_retired.any":2,"inst_retired.any":5},"seconds":1}`, NewCounters(map[string]uint64{InstRetired: 5}, 0, 0, 1)},
+		{`{"values":null,"rss_bytes":4}`, NewCounters(nil, 4, 0, 0)},
+		{`{"values":{}}`, NewCounters(nil, 0, 0, 0)},
+	} {
+		var c Counters
+		if err := c.UnmarshalJSON([]byte(tc.in)); err != nil || c != *tc.want {
+			t.Errorf("decode %s = %+v, %v; want %+v", tc.in, c, err, *tc.want)
+		}
+	}
+	for _, in := range []string{
+		`{"values":{"custom<event>":7}}`,
+		`{"values":{"inst_retired.any":1,"instructions":2}}`,
+	} {
+		var c Counters
+		if err := c.UnmarshalJSON([]byte(in)); err == nil || !strings.Contains(err.Error(), "unknown event") {
+			t.Errorf("decode %s: err %v, want an unknown-event error", in, err)
+		}
 	}
 }
