@@ -116,9 +116,12 @@ race-fanout:
 # built-in prefetcher, whose state every hierarchy must own. The feed
 # tests end every batched mode normally, on an exhausted source, on a
 # cancelled context and on a bad config while each core's producer
-# goroutine fills its ring, and run two Runs at once.
+# goroutine fills its ring, and run two Runs at once. The bridge-memo
+# test runs four sampled runs at once on generators sharing one stream's
+# checkpoint table, so they record and restore warmed bridge ends
+# concurrently.
 race-kernel:
-	$(GO) test -race -short -run='^TestParallel|^TestPrefetcherRace|^TestFeed' -count=1 ./internal/machine
+	$(GO) test -race -short -run='^TestParallel|^TestPrefetcherRace|^TestFeed|^TestBridgeMemo' -count=1 ./internal/machine
 	$(GO) test -race -short -run='^TestCheckpoint' -count=1 ./internal/synth
 
 ci: build vet test race fuzz-seed bench-smoke analytic-smoke serve-smoke serve-soak race-fanout race-kernel

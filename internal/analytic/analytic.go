@@ -91,8 +91,11 @@ func Run(cfg machine.Config, gen *synth.Generator, opt machine.Options) (*machin
 	return Predict(cfg, opt, sp)
 }
 
-// checkConfig rejects machines the miss-curve model cannot represent.
-func checkConfig(cfg machine.Config) error {
+// CheckConfig rejects machines the miss-curve model cannot represent:
+// a prefetcher, a unified code path or a non-LRU data level. specserved
+// calls it when an analytic campaign or an analytic sweep screen is
+// submitted, so such a machine is refused before it runs.
+func CheckConfig(cfg machine.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -111,9 +114,9 @@ func checkConfig(cfg machine.Config) error {
 	return nil
 }
 
-// check is checkConfig plus the run options the tier accepts.
+// check is CheckConfig plus the run options the tier accepts.
 func check(cfg machine.Config, opt machine.Options) error {
-	if err := checkConfig(cfg); err != nil {
+	if err := CheckConfig(cfg); err != nil {
 		return err
 	}
 	if opt.Instructions == 0 {
@@ -132,7 +135,7 @@ func check(cfg machine.Config, opt machine.Options) error {
 // L1D line size the profiler buckets addresses into, and the branch
 // unit. Data-cache ways, the pipeline, the clock and the machine name
 // only enter Predict, so machine points that differ only in those share
-// one profile. Data-cache policies enter neither: checkConfig admits
+// one profile. Data-cache policies enter neither: CheckConfig admits
 // only LRU data levels.
 func ProfileKey(cfg machine.Config, model profile.Model) string {
 	l1i := cfg.Hierarchy.L1I
@@ -148,7 +151,7 @@ func ProfileKey(cfg machine.Config, model profile.Model) string {
 // by synth.New for the model and cfg.Geometry() the profile is keyed
 // by); it is consumed.
 func Profile(cfg machine.Config, gen *synth.Generator) (*StreamProfile, error) {
-	if err := checkConfig(cfg); err != nil {
+	if err := CheckConfig(cfg); err != nil {
 		return nil, err
 	}
 	// The front-end, translation and footprint structures are the real

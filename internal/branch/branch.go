@@ -16,6 +16,9 @@ type Predictor interface {
 	Predict(pc uint64) bool
 	// Update trains the predictor with the resolved direction.
 	Update(pc uint64, taken bool)
+	// state lists the predictor's mutable state for a unit snapshot
+	// (see Unit.Snapshot).
+	state(c *stateCodec)
 }
 
 // counter2 is a saturating 2-bit counter: 0,1 predict not-taken; 2,3 taken.
@@ -209,7 +212,9 @@ func (t *Tournament) Update(pc uint64, taken bool) {
 // Perceptron is the perceptron predictor of Jiménez & Lin (HPCA 2001):
 // per-PC weight vectors dotted with global history.
 type Perceptron struct {
-	weights [][]int8
+	// weights holds 2^tableBits rows of stride weights, bias first.
+	weights []int8
+	stride  uint64
 	mask    uint64
 	history []int8 // +1 taken, -1 not taken
 	theta   int32
@@ -218,20 +223,24 @@ type Perceptron struct {
 // NewPerceptron returns a perceptron predictor with 2^tableBits
 // perceptrons over histLen bits of history.
 func NewPerceptron(tableBits, histLen int) *Perceptron {
-	ws := make([][]int8, 1<<tableBits)
-	for i := range ws {
-		ws[i] = make([]int8, histLen+1) // +1 for bias weight
-	}
+	stride := uint64(histLen + 1) // +1 for bias weight
 	return &Perceptron{
-		weights: ws,
+		weights: make([]int8, stride<<tableBits),
+		stride:  stride,
 		mask:    uint64(1<<tableBits - 1),
 		history: make([]int8, histLen),
 		theta:   int32(1.93*float64(histLen) + 14),
 	}
 }
 
+// row returns the weight vector of pc's perceptron.
+func (p *Perceptron) row(pc uint64) []int8 {
+	i := ((pc >> 2) & p.mask) * p.stride
+	return p.weights[i : i+p.stride]
+}
+
 func (p *Perceptron) output(pc uint64) int32 {
-	w := p.weights[(pc>>2)&p.mask]
+	w := p.row(pc)
 	y := int32(w[0])
 	for i, h := range p.history {
 		y += int32(w[i+1]) * int32(h)
@@ -251,7 +260,7 @@ func (p *Perceptron) Update(pc uint64, taken bool) {
 		mag = -mag
 	}
 	if pred != taken || mag <= p.theta {
-		w := p.weights[(pc>>2)&p.mask]
+		w := p.row(pc)
 		t := int8(-1)
 		if taken {
 			t = 1

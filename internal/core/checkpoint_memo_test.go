@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/branch"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/profile"
@@ -98,13 +99,60 @@ func TestCheckpointMemoEquivalence(t *testing.T) {
 	}
 }
 
-// TestCheckpointSpanAttr checks that run manifests say how many gaps a
-// sampled run restored: none on the first machine point of a stream,
-// some on the next point sharing its cache geometry.
+// TestBridgeMemoEquivalence runs sampled cells of every catalogue
+// predictor over three machine points that share one stream (they
+// differ in L3 ways only) and two run lengths, all through one shared
+// cache: the stream's table then holds bridge ends of seven predictors
+// at once, later points restore the earlier ones' bridges, and the
+// shorter run restores the longer one's. With the default knob the last
+// bridge of both lengths is cut short by the end of the run. Every cell
+// must encode to exactly the bytes of the same cell run on a fresh
+// cache of its own.
+func TestBridgeMemoEquivalence(t *testing.T) {
+	pair := memoPairs(t)[0]
+	period := machine.DefaultSampling().Period
+	shared := sched.NewCache()
+	for _, spec := range branch.Predictors() {
+		bridges0 := metCheckpoints["bridge"].Value()
+		for _, n := range []uint64{4 * period, 3*period + 40000} {
+			for _, ways := range []int64{4, 8, 16} {
+				base := machine.HaswellScaled()
+				base.Predictor = spec
+				cfg, err := machine.ApplyAxis(base, "l3.ways", ways)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opt := Options{Machine: cfg, Instructions: n, Scenario: Scenario{Fidelity: machine.FidelitySampled}}
+				var recs [2][]byte
+				for i, cache := range []*sched.Cache{shared, sched.NewCache()} {
+					opt.Cache = cache
+					got, err := Characterize([]profile.Pair{pair}, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if recs[i], err = (CharacteristicsCodec{}).Encode(got[0]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !bytes.Equal(recs[0], recs[1]) {
+					t.Errorf("%s, n=%d, l3.ways=%d: the shared-table cell differs from a fresh-cache run", spec, n, ways)
+				}
+			}
+		}
+		if metCheckpoints["bridge"].Value() == bridges0 {
+			t.Errorf("%s: no bridge was restored from the shared table", spec)
+		}
+	}
+}
+
+// TestCheckpointSpanAttr checks that run manifests say how many cold
+// gaps and whole bridges a sampled run restored: none on the first
+// machine point of a stream, some on the next point sharing its cache
+// geometry.
 func TestCheckpointSpanAttr(t *testing.T) {
 	pair := memoPairs(t)[0]
 	cache := sched.NewCache()
-	var got []any
+	var got, bridges []any
 	for _, ways := range []int64{8, 16} {
 		cfg, err := machine.ApplyAxis(machine.HaswellScaled(), "l3.ways", ways)
 		if err != nil {
@@ -127,11 +175,18 @@ func TestCheckpointSpanAttr(t *testing.T) {
 			t.Fatal(err)
 		}
 		got = append(got, spans[0].Attrs["checkpoints_restored"])
+		bridges = append(bridges, spans[0].Attrs["bridges_restored"])
 	}
 	if n, ok := got[0].(float64); !ok || n != 0 {
 		t.Errorf("first point's checkpoints_restored = %v, want 0", got[0])
 	}
 	if n, ok := got[1].(float64); !ok || n == 0 {
 		t.Errorf("second point's checkpoints_restored = %v, want > 0", got[1])
+	}
+	if n, ok := bridges[0].(float64); !ok || n != 0 {
+		t.Errorf("first point's bridges_restored = %v, want 0", bridges[0])
+	}
+	if n, ok := bridges[1].(float64); !ok || n == 0 {
+		t.Errorf("second point's bridges_restored = %v, want > 0", bridges[1])
 	}
 }

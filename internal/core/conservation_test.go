@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/perf"
@@ -39,22 +40,48 @@ var counterLaws = []struct {
 	}},
 }
 
-// knownBreaks lists, per golden scenario and law, how many of the six
-// pinned rows break the law today. The sampled and analytic tiers scale
-// a measured window up to the run length one counter field at a time
-// (machine.Counts.Scaled rounds each field separately), so a sum of
-// scaled fields can miss the scaled total by one. Fixing that rounding
-// moves those tiers' goldens and keys; until then the counts are pinned
-// here, so a fix and a new break both fail this test.
+// knownBreaks lists, per golden scenario and law (counter or
+// percentage), how many of the six pinned rows break the law today. The
+// sampled and analytic tiers scale a measured window up to the run
+// length one counter field at a time (machine.Counts.Scaled rounds each
+// field separately), so a sum of scaled fields can miss the scaled
+// total by one, and the branch-class shares then miss 100 by that one
+// branch's share. Fixing that rounding moves those tiers' goldens and
+// keys; until then the counts are pinned here, so a fix and a new break
+// both fail this test.
 var knownBreaks = map[string]map[string]int{
-	"sampled":  {"l1": 3, "br": 3},
-	"analytic": {"br": 2},
+	"sampled":  {"l1": 3, "br": 3, "classes": 3},
+	"analytic": {"br": 2, "classes": 2},
 }
 
+// pctLaws are the percentage laws a row's reported shares must obey to
+// within pctTolerance. Each returns the signed deviation from 100.
+var pctLaws = []struct {
+	name string
+	dev  func(c *Characteristics) float64
+}{
+	// Loads, stores, branches and the rest of the retired instructions
+	// (arithmetic, counted from the row's snapshot) make up the whole
+	// instruction mix.
+	{"mix", func(c *Characteristics) float64 {
+		v := c.Counters.MustValue
+		n := v(perf.InstRetired)
+		rest := 100 * float64(n-v(perf.AllLoads)-v(perf.AllStores)-v(perf.AllBranches)) / float64(n)
+		return c.LoadPct + c.StorePct + c.BranchPct + rest - 100
+	}},
+	// The five branch classes make up all branches.
+	{"classes", func(c *Characteristics) float64 {
+		return c.CondPct + c.JumpPct + c.CallPct + c.IndirectPct + c.ReturnPct - 100
+	}},
+}
+
+const pctTolerance = 1e-9
+
 // TestCounterConservation checks every row TestGoldenMetrics pins
-// against counterLaws. The exact-kernel scenarios (exact, j-pair, rate,
-// topo) must obey every law exactly; a break listed in knownBreaks must
-// be off by no more than one.
+// against counterLaws and pctLaws. The exact-kernel scenarios (exact,
+// j-pair, rate, topo) must obey every counter law exactly and every
+// percentage law within pctTolerance; a break listed in knownBreaks
+// must be off by no more than one count, or one branch's share.
 func TestCounterConservation(t *testing.T) {
 	for _, sc := range goldenScenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -70,10 +97,26 @@ func TestCounterConservation(t *testing.T) {
 						t.Errorf("%s: law %s off by %d", c.Pair.Name(), law.name, d)
 					}
 				}
+				oneBranch := 100 / float64(c.Counters.MustValue(perf.AllBranches))
+				for _, law := range pctLaws {
+					d := math.Abs(law.dev(&c))
+					if d <= pctTolerance {
+						continue
+					}
+					broken[law.name]++
+					if knownBreaks[sc.name][law.name] == 0 || d > oneBranch+pctTolerance {
+						t.Errorf("%s: law %s off by %g", c.Pair.Name(), law.name, d)
+					}
+				}
 			}
-			for _, law := range counterLaws {
-				if got, want := broken[law.name], knownBreaks[sc.name][law.name]; got != want {
-					t.Errorf("law %s broken on %d rows, knownBreaks lists %d", law.name, got, want)
+			for name, want := range knownBreaks[sc.name] {
+				if got := broken[name]; got != want {
+					t.Errorf("law %s broken on %d rows, knownBreaks lists %d", name, got, want)
+				}
+			}
+			for name, got := range broken {
+				if _, ok := knownBreaks[sc.name][name]; !ok {
+					t.Errorf("law %s broken on %d rows, knownBreaks lists none", name, got)
 				}
 			}
 		})

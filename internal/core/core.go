@@ -420,10 +420,12 @@ func runAnalytic(opt Options, m profile.Model, mopt machine.Options) (*machine.R
 // metCheckpoints counts the long cold skips of fast-forwarding runs by
 // source: walked (the generator stepped through the gap and offered the
 // state it reached to its stream's checkpoint table) or restored (the
-// state came from the table).
+// state came from the table). bridge counts the sampled bridges whose
+// whole warmed end, generator and branch unit, came from the table.
 var metCheckpoints = map[string]*obs.Counter{
-	"walked":   obs.Default().Counter("speckit_synth_checkpoints_total", "Long cold skips of sampled and windowed runs by source: walked (generator stepped through the gap) or restored (state served from the stream's checkpoint table).", "source", "walked"),
+	"walked":   obs.Default().Counter("speckit_synth_checkpoints_total", "Long skips of sampled and windowed runs by source: walked (generator stepped through a cold gap), restored (cold gap state served from the stream's checkpoint table) or bridge (a sampled bridge's warmed end served from it).", "source", "walked"),
 	"restored": obs.Default().Counter("speckit_synth_checkpoints_total", "", "source", "restored"),
+	"bridge":   obs.Default().Counter("speckit_synth_checkpoints_total", "", "source", "bridge"),
 }
 
 // pairStream builds one pair's generators. A run that fast-forwards — a
@@ -471,22 +473,26 @@ func (s *pairStream) generator() (*synth.Generator, error) {
 }
 
 // report adds the run's checkpoint traffic to metCheckpoints and records
-// the restores as the pair span's checkpoints_restored attribute.
+// the restores as the pair span's checkpoints_restored and
+// bridges_restored attributes.
 func (s *pairStream) report(span *obs.Span) {
 	if s.table == nil {
 		return
 	}
-	var walked, restored uint64
+	var walked, restored, bridges uint64
 	s.mu.Lock()
 	for _, g := range s.gens {
-		w, r := g.CheckpointStats()
+		w, r, b := g.CheckpointStats()
 		walked += w
 		restored += r
+		bridges += b
 	}
 	s.mu.Unlock()
 	metCheckpoints["walked"].Add(walked)
 	metCheckpoints["restored"].Add(restored)
+	metCheckpoints["bridge"].Add(bridges)
 	span.SetAttr("checkpoints_restored", restored)
+	span.SetAttr("bridges_restored", bridges)
 }
 
 // execSeconds models the full-run execution time. A degenerate rate

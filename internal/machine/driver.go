@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/obs"
+	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
@@ -299,12 +300,28 @@ func (d *driver) evictions(n uint64) [4]float64 {
 // records per call. No request is open outside simulate, so the skips
 // use the source directly, and a source without native skips drains
 // through the idle ring.
-func (d *driver) bridge(span, skip, tail uint64) error {
+//
+// A non-empty run names everything besides the stream that core 0's
+// branch unit state at the gap's end depends on (see bridgeRun). When
+// the source is a generator with a checkpoint table, that end is then
+// memoized there: a bridge the table already holds restores the
+// generator and the branch unit in O(1) instead of walking, and a walked
+// one offers its end to the table. Aging runs either way, since it
+// depends on the caches.
+func (d *driver) bridge(span, skip, tail uint64, run string) error {
 	defer d.stages.add(stageFastForward, time.Now())
 	c, f := d.cores[0], d.feeds[0]
 	ev := d.evictions(span)
 	for i, ch := range c.agedLevels() {
 		ch.Age(int(ev[i]))
+	}
+	gen, _ := f.src.(*synth.Generator)
+	memo := gen != nil && run != ""
+	if memo {
+		if st, ok := gen.RestoreWarm(run, skip); ok {
+			c.unit.Restore(st)
+			return nil
+		}
 	}
 	cold := skip - min(tail, skip)
 	for done := uint64(0); done < skip; {
@@ -324,7 +341,25 @@ func (d *driver) bridge(span, skip, tail uint64) error {
 		}
 		done += step
 	}
+	if memo {
+		gen.RecordWarm(run, c.unit.Snapshot)
+	}
 	return nil
+}
+
+// bridgeRun is the memo key of a sampled run's bridges besides the
+// stream and the bridge's end position: every input core 0's branch
+// unit state at a bridge end depends on. The unit sees only the
+// stream's own branch records, so that is the predictor and its target
+// structures, the sampling knob and warmup that lay out the simulated
+// windows, and the position the first period starts from (the warmup
+// ended there, so with the warmup length it fixes the run's start).
+// Cache, TLB and pipeline parameters never reach the unit. Only full
+// bridges are memoized: a bridge cut short by the end of the run is the
+// run's last step and ends where no full bridge of the same key does.
+func bridgeRun(cfg Config, opt Options, from uint64) string {
+	return fmt.Sprintf("sampled|bp=%s:%d:%d|sampling=%s|warmup=%d|from=%d",
+		cfg.Predictor, cfg.BTBBits, cfg.RASDepth, opt.Sampling, warmupLength(opt), from)
 }
 
 // finish records each stage that ran, once, and derives one Result per

@@ -307,6 +307,66 @@ func TestRunSharedContention(t *testing.T) {
 	}
 }
 
+// TestRunSharedConservation checks that a shared-L3 run's aggregate
+// counters are the field-wise sums over its copies, for a rate run (four
+// copies on the scaled machine) and a topology class run (two copies on
+// its E-class machine): the shared level's misses are the copies'
+// demand data misses, its MPKI is per the copies' summed instructions,
+// and the aggregate IPC is the summed instructions over the slowest
+// copy's cycles. Every copy retires exactly the requested window.
+func TestRunSharedConservation(t *testing.T) {
+	topo, err := ParseTopology("2P2E-random")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 60000
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		copies int
+	}{
+		{"rate", HaswellScaled(), 4},
+		{"topo", topo.ClassConfig(HaswellScaled(), "E"), 2},
+	} {
+		srcs := make([]trace.Source, tc.copies)
+		var prologue uint64
+		for i := range srcs {
+			m := testModel()
+			m.Seed += uint64(i) * 0x9e37
+			gen, err := synth.New(m, tc.cfg.Geometry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			prologue = max(prologue, gen.Prologue())
+			srcs[i] = gen
+		}
+		res, err := RunShared(tc.cfg, srcs, Options{Instructions: n, WarmupInstructions: prologue,
+			Workload: pipeline.Workload{ILP: 2, MLP: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var instr, misses uint64
+		cycles := 0.0
+		for i, r := range res.PerCore {
+			if r.Events.Instructions != n {
+				t.Errorf("%s: copy %d retired %d instructions, want %d", tc.name, i, r.Events.Instructions, n)
+			}
+			instr += r.Events.Instructions
+			misses += r.Events.MemAccesses
+			cycles = max(cycles, r.Breakdown.Total())
+		}
+		if res.SharedL3Misses != misses || misses == 0 {
+			t.Errorf("%s: shared L3 misses %d, copies' demand misses sum to %d", tc.name, res.SharedL3Misses, misses)
+		}
+		if want := 1000 * float64(misses) / float64(instr); res.SharedL3MPKI != want {
+			t.Errorf("%s: shared L3 MPKI %v, want %v", tc.name, res.SharedL3MPKI, want)
+		}
+		if want := float64(instr) / cycles; res.AggregateIPC != want {
+			t.Errorf("%s: aggregate IPC %v, want %v", tc.name, res.AggregateIPC, want)
+		}
+	}
+}
+
 func TestRunSharedErrors(t *testing.T) {
 	cfg := HaswellScaled()
 	if _, err := RunShared(cfg, nil, Options{Instructions: 10}); err == nil {

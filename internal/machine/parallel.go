@@ -329,7 +329,7 @@ func (d *driver) parallelWindow(job parallelWindow) error {
 		}
 		rewarm = min(rewarm, job.gap)
 	}
-	if err := d.bridge(job.gap, job.gap-rewarm, minParallelWarmup*warmTailFactor); err != nil {
+	if err := d.bridge(job.gap, job.gap-rewarm, minParallelWarmup*warmTailFactor, ""); err != nil {
 		return err
 	}
 	if rewarm > 0 {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/pipeline"
+	"repro/internal/synth"
 )
 
 // Sampling configures SMARTS-style systematic sampling of a run. When
@@ -178,6 +179,11 @@ func (d *driver) sample() (*Result, error) {
 	sp := d.opt.Sampling
 	total := d.opt.Instructions
 	c := d.cores[0]
+	// A generator's bridges are memoized under the run's branch inputs.
+	var run string
+	if gen, ok := d.feeds[0].src.(*synth.Generator); ok {
+		run = bridgeRun(d.cfg, d.opt, gen.Pos())
+	}
 
 	// The settle window needs to cover the small-horizon state (L1 and
 	// the predictor's hot entries); the big structures fill cumulatively
@@ -240,7 +246,14 @@ func (d *driver) sample() (*Result, error) {
 		gap := carry + pre
 		carry = skipLen - pre
 		if s := min(gap, total-done); s > 0 {
-			if err := d.bridge(s, s, warmTail); err != nil {
+			// A bridge cut short by the end of the run is the run's last
+			// step: no window reads the predictor after it, so it skips
+			// cold and is not memoized.
+			tail, memo := warmTail, run
+			if s < gap {
+				tail, memo = 0, ""
+			}
+			if err := d.bridge(s, s, tail, memo); err != nil {
 				return nil, err
 			}
 			done += s

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/pipeline"
@@ -402,5 +403,64 @@ func TestSampledGapHonoursCancel(t *testing.T) {
 	}
 	if src.skipped == 0 || src.skipped > 2*skipChunkLen {
 		t.Fatalf("skipped %d records after the cancel, want 1..%d", src.skipped, 2*skipChunkLen)
+	}
+}
+
+// TestBridgeMemoConcurrent runs sampled runs of one stream four at a
+// time on generators that share one checkpoint table, two on each of
+// two machines whose predictors differ. The first round walks and
+// records every full bridge, racing on the same entries; the second
+// restores them. Every run must equal the same machine's run on a
+// table-less generator, and the second round must restore its bridges
+// (run under -race by the race-kernel target).
+func TestBridgeMemoConcurrent(t *testing.T) {
+	const n = 4 * 262144
+	m := testModel()
+	gshare := HaswellScaled()
+	gshare.Predictor = "gshare:14:12"
+	cfgs := []Config{HaswellScaled(), gshare}
+	table := synth.NewCheckpoints(m, cfgs[0].Geometry())
+	run := func(cfg Config, gen *synth.Generator) *Result {
+		res, err := Run(cfg, gen, Options{
+			Instructions:       n,
+			WarmupInstructions: gen.Prologue(),
+			Workload:           pipeline.Workload{ILP: 2, MLP: m.MLP},
+			CalibrateIPC:       m.TargetIPC,
+			Sampling:           DefaultSampling(),
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		return res
+	}
+	want := make([]*Result, len(cfgs))
+	for i, cfg := range cfgs {
+		gen, err := synth.New(m, cfg.Geometry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = run(cfg, gen)
+	}
+	for round := range 2 {
+		var wg sync.WaitGroup
+		for i := range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				gen, err := table.New()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got := run(cfgs[i%2], gen)
+				if !reflect.DeepEqual(got, want[i%2]) {
+					t.Errorf("round %d, run %d: a run on the shared table differs from a table-less run", round, i)
+				}
+				if _, _, b := gen.CheckpointStats(); round == 1 && b == 0 {
+					t.Errorf("round %d, run %d restored no bridge", round, i)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }

@@ -210,8 +210,8 @@ func (c *Cache) Put(key string, v any) {
 	var rec []byte
 	if backend != nil && codec != nil {
 		if data, err := codec.Encode(v); err == nil {
-			backend.Store(key, data)
-			rec = data
+			rec = trimmed(data)
+			backend.Store(key, rec)
 		}
 	}
 	c.mu.Lock()
@@ -237,10 +237,20 @@ func (c *Cache) Record(key string, codec Codec) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.rec = rec
+		e.rec = trimmed(rec)
 		c.entries[key] = e
 	}
 	return e.rec, nil
+}
+
+// trimmed returns rec, or a copy of exactly its length when rec has
+// spare capacity: codecs encode into a generous buffer, and a kept
+// record would pin that slack for as long as its entry lives.
+func trimmed(rec []byte) []byte {
+	if cap(rec) == len(rec) {
+		return rec
+	}
+	return append(make([]byte, 0, len(rec)), rec...)
 }
 
 // HasBackend reports whether a persistent second tier is attached.

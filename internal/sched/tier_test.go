@@ -330,3 +330,33 @@ func TestRecordKeepsEncodedBytes(t *testing.T) {
 		t.Fatal("Record of an absent key succeeded")
 	}
 }
+
+// roomyCodec encodes like the result codec: into a buffer far larger
+// than the record.
+type roomyCodec struct{ intCodec }
+
+func (roomyCodec) Encode(v any) ([]byte, error) {
+	return strconv.AppendInt(make([]byte, 0, 3<<10), int64(v.(int)), 10), nil
+}
+
+// TestPutTrimsRecord checks that a record the cache keeps — written
+// through by Put, or encoded on first request without a backend — has
+// exactly its length as capacity and the encoded bytes, so an entry
+// pins no encode-buffer slack.
+func TestPutTrimsRecord(t *testing.T) {
+	b := newMemBackend()
+	c := NewCache()
+	c.SetBackend(b, roomyCodec{})
+	c.Put("put", 12345)
+	noBackend := NewCache()
+	noBackend.Put("put", 12345)
+	for name, c := range map[string]*Cache{"write-through": c, "no backend": noBackend} {
+		rec, err := c.Record("put", roomyCodec{})
+		if err != nil || string(rec) != "12345" || cap(rec) != len(rec) {
+			t.Errorf("%s: record %q (len %d, cap %d), %v; want \"12345\" with cap == len", name, rec, len(rec), cap(rec), err)
+		}
+	}
+	if got := string(b.m["put"]); got != "12345" {
+		t.Errorf("backend holds %q, want \"12345\"", got)
+	}
+}

@@ -596,6 +596,54 @@ func TestSubmitRejectsUnbuildableMachine(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsAnalyticRefusals: a machine the analytic tier cannot
+// model — a non-LRU data level, a prefetcher, a unified code path — is
+// a 400 naming the machine field when a campaign would run it at that
+// tier, whether the machine or the tier comes from the spec or from
+// the server's base, and likewise for a sweep with an analytic screen.
+// An LRU analytic campaign still runs, and so does the refused machine
+// at the exact tier.
+func TestSubmitRejectsAnalyticRefusals(t *testing.T) {
+	base := core.Options{Instructions: 12000, Cache: sched.NewCache()}
+	_, c, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4, Characterize: base})
+	ctx := ctxT(t)
+	plru, prefetch, unified := machine.HaswellScaled(), machine.HaswellScaled(), machine.HaswellScaled()
+	plru.Hierarchy.L2.Policy = "plru"
+	prefetch.Hierarchy.Prefetcher = "nextline:64:1"
+	unified.UnifiedCodePath = true
+	one := []string{"505.mcf_r"}
+	for name, cfg := range map[string]machine.Config{"plru-l2": plru, "prefetcher": prefetch, "unified": unified} {
+		_, err := c.Submit(ctx, server.CampaignSpec{Suite: "cpu2017", Size: "test", Pairs: one, Scenario: "analytic", Machine: &cfg})
+		if field, _, _ := client.FieldError(err); field != "machine" {
+			t.Errorf("analytic campaign on %s: err %v, want a 400 on field machine", name, err)
+		}
+		spec := sweepSpecT(t)
+		spec.Machine = &cfg
+		_, err = c.SubmitSweep(ctx, spec)
+		if field, _, _ := client.FieldError(err); field != "machine" {
+			t.Errorf("analytic-screen sweep on %s: err %v, want a 400 on field machine", name, err)
+		}
+	}
+	for _, sc := range []string{"analytic", ""} {
+		st, err := c.SubmitWait(ctx, server.CampaignSpec{Suite: "cpu2017", Size: "test", Pairs: one, Scenario: sc})
+		if err != nil || st.Status != server.StatusDone {
+			t.Errorf("LRU campaign, scenario %q: %v, %v; want done", sc, st, err)
+		}
+	}
+	if st, err := c.SubmitWait(ctx, server.CampaignSpec{Suite: "cpu2017", Size: "test", Pairs: one, Machine: &plru}); err != nil || st.Status != server.StatusDone {
+		t.Errorf("exact campaign on plru-l2: %v, %v; want done", st, err)
+	}
+
+	// The server's base machine and tier count as the campaign's.
+	base.Machine = machine.Haswell()
+	base.Scenario = core.Scenario{Fidelity: machine.FidelityAnalytic}
+	_, c2, _ := newTestServer(t, server.Config{Workers: 1, QueueDepth: 4, Characterize: base})
+	_, err := c2.Submit(ctx, server.CampaignSpec{Suite: "cpu2017", Size: "test", Pairs: one})
+	if field, _, _ := client.FieldError(err); field != "machine" {
+		t.Errorf("campaign on an analytic server with a unified base machine: err %v, want a 400 on field machine", err)
+	}
+}
+
 func TestListCampaigns(t *testing.T) {
 	stubCampaigns(t, func(pairs []profile.Pair, opt core.Options) ([]core.Characteristics, error) {
 		return make([]core.Characteristics, len(pairs)), nil

@@ -81,6 +81,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/jsonx"
 	"repro/internal/machine"
@@ -330,7 +331,26 @@ func newCampaignWork(s *Server, body io.Reader) (jobWork, error) {
 	if c.scenario, err = core.ParseScenario(c.spec.Scenario); err != nil {
 		return nil, err
 	}
+	// The analytic tier refuses some machines; say so now, not when the
+	// job runs.
+	if opt := c.options(s.cfg.Characterize).Normalized(); opt.Fidelity == machine.FidelityAnalytic {
+		if err := analytic.CheckConfig(opt.Machine); err != nil {
+			return nil, badField("machine", "%v", err)
+		}
+	}
 	return c, nil
+}
+
+// options returns the campaign's options on top of the server's base:
+// the spec's instruction, multiplex and machine overrides and its
+// scenario over the base scenario.
+func (c *campaignWork) options(base core.Options) core.Options {
+	opt := withOverrides(base, c.spec.Instructions, c.spec.MultiplexSlots)
+	if c.spec.Machine != nil {
+		opt.Machine = *c.spec.Machine
+	}
+	opt.Scenario = c.scenario.Over(opt.Scenario)
+	return opt
 }
 
 func (c *campaignWork) status(j *job, full bool) any {
@@ -351,11 +371,7 @@ func (c *campaignWork) status(j *job, full bool) any {
 }
 
 func (c *campaignWork) run(s *Server, j *job, tr *obs.Trace) error {
-	opt := withOverrides(s.cfg.Characterize, c.spec.Instructions, c.spec.MultiplexSlots)
-	if c.spec.Machine != nil {
-		opt.Machine = *c.spec.Machine
-	}
-	opt.Scenario = c.scenario.Over(opt.Scenario)
+	opt := c.options(s.cfg.Characterize)
 	opt.Context = j.ctx
 	opt.Progress = func(p sched.Progress) { j.publish(func() { c.progress = p }, progressStatus(p)) }
 	opt.Trace = tr

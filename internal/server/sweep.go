@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -89,8 +90,9 @@ type SweepStatus struct {
 // "none" disables escalation), the sampling knob, the instruction and
 // multiplex overrides and the base machine (default base.Machine, then
 // the characterization machine). The grid is expanded and validated
-// once, so anything the sweep cannot honor is rejected here with a
-// field-tagged error. specserved calls it at submit time; specsweep
+// once, and an analytic screen's base machine is checked against what
+// that tier models, so anything the sweep cannot honor is rejected here
+// with a field-tagged error. specserved calls it at submit time; specsweep
 // calls it to sweep in-process from the same spec it would submit.
 func (spec *SweepSpec) Resolve(base core.Options) (sweep.Spec, core.Options, error) {
 	cspec := CampaignSpec{Suite: spec.Suite, Mini: spec.Mini, Size: spec.Size, Pairs: spec.Pairs}
@@ -136,6 +138,11 @@ func (spec *SweepSpec) Resolve(base core.Options) (sweep.Spec, core.Options, err
 	}
 	if err := sspec.Validate(); err != nil {
 		return sweep.Spec{}, core.Options{}, err
+	}
+	if sspec.Screen == machine.FidelityAnalytic {
+		if err := analytic.CheckConfig(sspec.Base); err != nil {
+			return sweep.Spec{}, core.Options{}, badField("machine", "%v", err)
+		}
 	}
 	return sspec, opt, nil
 }

@@ -16,6 +16,9 @@ const (
 	// maxCheckpoints caps the checkpoints one stream's table keeps.
 	// Once full, further long skips still walk but are not recorded.
 	maxCheckpoints = 64
+	// maxWarmCheckpoints caps the warmed bridge ends one stream's table
+	// keeps (RecordWarm); once full, further bridges walk unrecorded.
+	maxWarmCheckpoints = 64
 )
 
 // Checkpoints is one stream's fast-forward checkpoint table: the
@@ -26,6 +29,12 @@ const (
 // the generator got there: a generator asked to skip to a recorded
 // position restores that state in O(1) instead of walking the gap.
 //
+// The table also memoizes warmed skips (RecordWarm): the generator
+// state at the end of a skip whose tail fed a caller's model, with that
+// model's state. Such an entry is keyed by the end position and by a
+// caller-chosen description of everything else the model's state
+// depends on.
+//
 // A table belongs to one stream and only hands out generators of that
 // stream (New), so it cannot be attached to another stream's generator.
 // It is safe for concurrent use by any number of its generators.
@@ -33,8 +42,16 @@ type Checkpoints struct {
 	model profile.Model
 	geo   Geometry
 
-	mu sync.Mutex
-	at map[uint64]*checkpoint
+	mu   sync.Mutex
+	at   map[uint64]*checkpoint
+	warm map[warmKey]*checkpoint
+}
+
+// warmKey names one warmed skip end: the caller's run description and
+// the stream position the skip reached.
+type warmKey struct {
+	run string
+	pos uint64
 }
 
 // checkpoint is the mutable generator state at one stream position; the
@@ -52,12 +69,14 @@ type checkpoint struct {
 	// next holds the target cursor of each polymorphic indirect site, in
 	// site order; monomorphic sites never move theirs.
 	next []uint8
+	// warm is the caller's state a warmed skip left behind (RecordWarm).
+	warm []byte
 }
 
 // NewCheckpoints returns an empty checkpoint table for the stream of
 // model over geo.
 func NewCheckpoints(model profile.Model, geo Geometry) *Checkpoints {
-	return &Checkpoints{model: model, geo: geo, at: make(map[uint64]*checkpoint)}
+	return &Checkpoints{model: model, geo: geo, at: make(map[uint64]*checkpoint), warm: make(map[warmKey]*checkpoint)}
 }
 
 // New builds a fresh generator of the table's stream that serves its
@@ -148,9 +167,67 @@ func (g *Generator) skipCheckpointed(n uint64) uint64 {
 	return n
 }
 
+// Pos returns the stream position: records emitted or skipped so far.
+func (g *Generator) Pos() uint64 { return g.pos }
+
+// RestoreWarm serves a warmed skip of n records from the generator's
+// table: when RecordWarm stored an entry under run at position Pos()+n,
+// the generator jumps there in O(1) and the caller's state recorded
+// with it is returned. Otherwise ok is false and the generator is
+// untouched, as it always is without a table.
+func (g *Generator) RestoreWarm(run string, n uint64) (state []byte, ok bool) {
+	if g.ckpt == nil {
+		return nil, false
+	}
+	end := g.pos + n
+	t := g.ckpt
+	t.mu.Lock()
+	cp, ok := t.warm[warmKey{run, end}]
+	t.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	g.restore(cp, end)
+	g.bridges++
+	return cp.warm, true
+}
+
+// RecordWarm offers the generator's state at its current position to
+// its table under run, with the caller's state that state builds. The
+// caller guarantees that every generator of the stream reaching this
+// position under run leaves that same caller state. state is called,
+// outside the table's lock, only while the table has room and no entry
+// there (generators racing to one entry may each build it; the first
+// store wins). Without a table it does nothing.
+func (g *Generator) RecordWarm(run string, state func() []byte) {
+	t := g.ckpt
+	if t == nil {
+		return
+	}
+	k := warmKey{run, g.pos}
+	wanted := func() bool {
+		_, ok := t.warm[k]
+		return !ok && len(t.warm) < maxWarmCheckpoints
+	}
+	t.mu.Lock()
+	want := wanted()
+	t.mu.Unlock()
+	if !want {
+		return
+	}
+	cp := g.capture()
+	cp.warm = state()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if wanted() {
+		t.warm[k] = cp
+	}
+}
+
 // CheckpointStats returns how many long cold skips this generator
-// walked (and offered to its table) and how many it restored from the
-// table. Both are zero for a generator built without a table.
-func (g *Generator) CheckpointStats() (walked, restored uint64) {
-	return g.walked, g.restored
+// walked (and offered to its table), how many it restored from the
+// table, and how many warmed skips it restored (RestoreWarm). All are
+// zero for a generator built without a table.
+func (g *Generator) CheckpointStats() (walked, restored, bridges uint64) {
+	return g.walked, g.restored, g.bridges
 }

@@ -89,13 +89,13 @@ func TestCheckpointRestoreEquivalence(t *testing.T) {
 				}
 				advance(walker, c.walkFrom)
 				skip(walker, c.end-c.walkFrom)
-				if w, r := walker.CheckpointStats(); w != 1 || r != 0 {
+				if w, r, _ := walker.CheckpointStats(); w != 1 || r != 0 {
 					t.Fatalf("%s: walker stats walked=%d restored=%d, want 1/0", c.label, w, r)
 				}
 				restorer, _ := table.New()
 				advance(restorer, c.restoreFrom)
 				skip(restorer, c.end-c.restoreFrom)
-				if w, r := restorer.CheckpointStats(); w != 0 || r != 1 {
+				if w, r, _ := restorer.CheckpointStats(); w != 0 || r != 1 {
 					t.Fatalf("%s: restorer stats walked=%d restored=%d, want 0/1", c.label, w, r)
 				}
 				sameTail(t, c.label+" (walked)", ref, walker)
@@ -117,13 +117,13 @@ func TestCheckpointBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Skip(minCheckpointSkip - 1)
-	if w, r := g.CheckpointStats(); w != 0 || r != 0 || len(table.at) != 0 {
+	if w, r, _ := g.CheckpointStats(); w != 0 || r != 0 || len(table.at) != 0 {
 		t.Fatalf("short skip: walked=%d restored=%d, %d checkpoints; want none", w, r, len(table.at))
 	}
 	// A warm skip must walk the gap to feed its observer, so it neither
 	// records nor restores, however long.
 	g.SkipWarm(minCheckpointSkip, func(*trace.Uop) {})
-	if w, r := g.CheckpointStats(); w != 0 || r != 0 || len(table.at) != 0 {
+	if w, r, _ := g.CheckpointStats(); w != 0 || r != 0 || len(table.at) != 0 {
 		t.Fatalf("warm skip: walked=%d restored=%d, %d checkpoints; want none", w, r, len(table.at))
 	}
 	for i := 0; i < maxCheckpoints+8; i++ {
@@ -132,7 +132,7 @@ func TestCheckpointBounds(t *testing.T) {
 	if len(table.at) != maxCheckpoints {
 		t.Fatalf("table holds %d checkpoints, want the cap %d", len(table.at), maxCheckpoints)
 	}
-	if w, _ := g.CheckpointStats(); w != maxCheckpoints+8 {
+	if w, _, _ := g.CheckpointStats(); w != maxCheckpoints+8 {
 		t.Fatalf("walked = %d, want %d", w, maxCheckpoints+8)
 	}
 	ref, _ := New(testModel(), testGeometry())
@@ -181,8 +181,8 @@ func TestCheckpointConcurrent(t *testing.T) {
 	}()
 	wg.Wait()
 
-	w0, r0 := gens[0].CheckpointStats()
-	w1, r1 := gens[1].CheckpointStats()
+	w0, r0, _ := gens[0].CheckpointStats()
+	w1, r1, _ := gens[1].CheckpointStats()
 	// The simultaneous skip to first is walked by one or both; second is
 	// walked by gens[0] and restored by gens[1]; third is walked.
 	if r1 < 1 || w0 < 2 || w0+w1+r0+r1 != 5 {
@@ -192,5 +192,64 @@ func TestCheckpointConcurrent(t *testing.T) {
 		ref, _ := New(m, testGeometry())
 		ref.Skip(g.pos)
 		sameTail(t, []string{"walker", "restorer"}[i], ref, g)
+	}
+}
+
+// TestCheckpointWarm checks the warmed-skip memo: an entry is served
+// only under its run and end position, restores the generator exactly
+// where a walk lands, builds the caller's state only when the table
+// keeps it, and stops recording at maxWarmCheckpoints. A generator
+// without a table neither records nor restores.
+func TestCheckpointWarm(t *testing.T) {
+	m := testModel()
+	table := NewCheckpoints(m, testGeometry())
+	probe, _ := New(m, testGeometry())
+	start, n := probe.Prologue()+5000, uint64(70000)
+
+	walker, _ := table.New()
+	advance(walker, start)
+	if _, ok := walker.RestoreWarm("a", n); ok {
+		t.Fatal("an empty table served a warmed skip")
+	}
+	walker.SkipWarm(n, func(*trace.Uop) {})
+	built := 0
+	walker.RecordWarm("a", func() []byte { built++; return []byte("state-a") })
+	walker.RecordWarm("a", func() []byte { built++; return []byte("again") })
+	if built != 1 || len(table.warm) != 1 {
+		t.Fatalf("state built %d times, table holds %d warm entries; want 1 and 1", built, len(table.warm))
+	}
+
+	restorer, _ := table.New()
+	advance(restorer, start)
+	if _, ok := restorer.RestoreWarm("b", n); ok {
+		t.Fatal("an entry was served under another run")
+	}
+	if _, ok := restorer.RestoreWarm("a", n-1); ok {
+		t.Fatal("an entry was served at another end position")
+	}
+	st, ok := restorer.RestoreWarm("a", n)
+	if !ok || string(st) != "state-a" {
+		t.Fatalf("RestoreWarm = %q, %v; want the recorded state", st, ok)
+	}
+	if _, _, b := restorer.CheckpointStats(); b != 1 {
+		t.Fatalf("restorer counts %d restored bridges, want 1", b)
+	}
+	ref, _ := New(m, testGeometry())
+	advance(ref, start+n)
+	sameTail(t, "warm restore", ref, restorer)
+
+	for range maxWarmCheckpoints + 8 {
+		walker.Skip(1000)
+		walker.RecordWarm("a", func() []byte { return nil })
+	}
+	if len(table.warm) != maxWarmCheckpoints {
+		t.Fatalf("table holds %d warm entries, want the cap %d", len(table.warm), maxWarmCheckpoints)
+	}
+
+	plain, _ := New(m, testGeometry())
+	advance(plain, start)
+	plain.RecordWarm("a", func() []byte { t.Fatal("a table-less generator built state"); return nil })
+	if _, ok := plain.RestoreWarm("a", n); ok || plain.pos != start {
+		t.Fatal("a table-less generator restored a warmed skip")
 	}
 }

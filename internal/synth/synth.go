@@ -160,9 +160,10 @@ type Generator struct {
 	pos uint64
 	// ckpt, when set, is the stream's shared checkpoint table (see
 	// Checkpoints); walked and restored count the long cold skips this
-	// generator walked or served from it.
-	ckpt             *Checkpoints
-	walked, restored uint64
+	// generator walked or served from it, bridges the warmed skips it
+	// served from it.
+	ckpt                      *Checkpoints
+	walked, restored, bridges uint64
 }
 
 // Model sanity bounds: far beyond anything a real profile carries, tight
