@@ -43,11 +43,13 @@ fuzz-seed:
 # — recorded numbers, so a loaded machine can't flake it. The status
 # codec benchmark (a 24-result campaign response, encode and decode)
 # gets the same one-iteration pass; its allocation gate is
-# TestCodecAllocs in internal/core.
+# TestCodecAllocs in internal/core. So do the store's record write and
+# load (hit and miss) benchmarks.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=Kernel -benchtime=1x .
 	$(GO) test -run='^$$' -bench=Kernel -benchtime=1x ./internal/machine
 	$(GO) test -run='^$$' -bench=CampaignStatusCodec -benchtime=1x -benchmem ./internal/server
+	$(GO) test -run='^$$' -bench=Store -benchtime=1x -benchmem ./internal/store
 	$(GO) test -run='^TestKernelBenchBaselines$$' -count=1 .
 
 # Report-only freshness check of the kernel ledger: run

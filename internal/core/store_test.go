@@ -428,19 +428,17 @@ func TestCorruptStoreRecordRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Truncate every record file to simulate a crash mid-write.
+	// Tear every record inside its segment, as a crash mid-write leaves
+	// a file whose length grew before its data landed: the last
+	// two-thirds of each payload read as zeros.
 	damaged := 0
-	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
+	for _, key := range st.Keys() {
+		rec, ok := st.Load(key)
+		if !ok {
+			t.Fatalf("record %s does not load", key)
 		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		damaged++
-		return os.WriteFile(path, data[:len(data)/3], 0o644)
-	})
+		damaged += tearRecords(t, dir, rec)
+	}
 	if damaged != len(pairs) {
 		t.Fatalf("damaged %d records, want %d", damaged, len(pairs))
 	}
@@ -484,6 +482,38 @@ func TestCorruptStoreRecordRecomputes(t *testing.T) {
 	}
 }
 
+// tearRecords zeroes the last two-thirds of every copy of payload in the
+// store's segments under dir and returns how many it found. Records keep
+// their payload bytes verbatim, so the payload locates its record.
+func tearRecords(t *testing.T, dir string, payload []byte) int {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, path := range segs {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; ; {
+			i := bytes.Index(data[off:], payload)
+			if i < 0 {
+				break
+			}
+			i += off
+			clear(data[i+len(payload)/3 : i+len(payload)])
+			off = i + len(payload)
+			n++
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
+}
+
 // TestUnknownEventRecordRecomputes: a stored record whose checksum holds
 // but whose counters name an event the simulator does not record fails
 // to decode, so the pair is simulated again rather than served.
@@ -499,19 +529,14 @@ func TestUnknownEventRecordRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	renamed := 0
-	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		key := strings.TrimSuffix(d.Name(), ".json")
+	for _, key := range st.Keys() {
 		rec, ok := st.Load(key)
 		if !ok {
 			t.Fatalf("record %s does not load", key)
 		}
 		st.Store(key, bytes.Replace(rec, []byte(`"icache.misses"`), []byte(`"icache.misses_other"`), 1))
 		renamed++
-		return nil
-	})
+	}
 	if renamed != len(pairs) {
 		t.Fatalf("rewrote %d records, want %d", renamed, len(pairs))
 	}

@@ -7,9 +7,7 @@ package server_test
 import (
 	"bytes"
 	"encoding/json"
-	"io/fs"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -76,18 +74,13 @@ func newCoordinator(t *testing.T, workers []server.RemoteWorker, chunk int, base
 // storeKeys returns the set of record keys a store directory holds.
 func storeKeys(t *testing.T, dir string) map[string]bool {
 	t.Helper()
-	keys := map[string]bool{}
-	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if !d.IsDir() && strings.HasSuffix(d.Name(), ".json") {
-			keys[strings.TrimSuffix(d.Name(), ".json")] = true
-		}
-		return nil
-	})
+	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	keys := map[string]bool{}
+	for _, k := range st.Keys() {
+		keys[k] = true
 	}
 	return keys
 }

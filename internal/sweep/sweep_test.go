@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -467,24 +468,40 @@ func TestSweepCorruptStoreCellDegradesToMiss(t *testing.T) {
 		t.Fatalf("cold run simulated %d, want %d", res1.Screen.Simulated, cells)
 	}
 
-	// Truncate one record file mid-write style (same failure mode the
-	// internal/store corruption table covers).
-	var records []string
-	filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err == nil && !d.IsDir() {
-			records = append(records, path)
-		}
-		return err
-	})
-	if len(records) != cells {
-		t.Fatalf("store holds %d records, want %d", len(records), cells)
+	// Cut the segment short inside its last record, mid-write style (the
+	// torn tail the internal/store tests cover). Records keep their
+	// payload bytes verbatim, so the last payload in the segment marks
+	// the last record.
+	keys := st1.Keys()
+	if len(keys) != cells {
+		t.Fatalf("store holds %d records, want %d", len(keys), cells)
 	}
-	sort.Strings(records)
-	data, err := os.ReadFile(records[0])
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("store segments %v (%v), want one", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(records[0], data[:len(data)/3], 0o644); err != nil {
+	cut := -1
+	for _, key := range keys {
+		rec, ok := st1.Load(key)
+		if !ok {
+			t.Fatalf("record %s does not load", key)
+		}
+		if i := bytes.LastIndex(data, rec); i >= 0 && i+len(rec)/3 > cut {
+			cut = i + len(rec)/3
+		}
+	}
+	if err := os.Truncate(segs[0], int64(cut)); err != nil {
+		t.Fatal(err)
+	}
+	// The crash was long ago: a record cut short in a segment that
+	// changed within the last minute may be a write still landing, and
+	// is not counted as corrupt.
+	crashed := time.Now().Add(-time.Hour)
+	if err := os.Chtimes(segs[0], crashed, crashed); err != nil {
 		t.Fatal(err)
 	}
 
