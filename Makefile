@@ -57,10 +57,15 @@ bench-smoke:
 # fresh beside the recorded one and its floor. It gates nothing (a
 # loaded machine would make a live gate flaky) and is not part of ci; a
 # ledger that no longer holds shows here before anyone re-records it.
+# The ratio benchmarks run twice, as recorded and at -cpu 1: the exact
+# denominators overlap synthesis on a second CPU and the numerators
+# cannot, so only the one-CPU column measures the algorithms alone.
 bench-fresh:
 	$(GO) test -run='^$$' -bench='KernelSynth|KernelCache|KernelSampled|KernelParallel|KernelAnalytic' -benchtime=50x . > .bench_fresh.txt
 	$(GO) test -run='^$$' -bench=KernelMachine -benchtime=50x ./internal/machine >> .bench_fresh.txt
-	$(GO) test -run='^TestKernelBenchFresh$$' -count=1 -v . -args -kernel.fresh=.bench_fresh.txt
+	$(GO) test -run='^$$' -bench='KernelSampled|KernelParallel|KernelAnalytic' -benchtime=50x -cpu=1 . > .bench_fresh1.txt
+	$(GO) test -run='^$$' -bench=KernelMachine -benchtime=50x -cpu=1 ./internal/machine >> .bench_fresh1.txt
+	$(GO) test -run='^TestKernelBenchFresh$$' -count=1 -v . -args -kernel.fresh=.bench_fresh.txt -kernel.fresh1=.bench_fresh1.txt
 
 # The analytic tier's accuracy gate, forced fresh (-count=1): the
 # per-family tolerance harness comparing analytic predictions against

@@ -87,30 +87,44 @@ func (b *benchBaselines) floor(t *testing.T, name string) float64 {
 	return f
 }
 
-var kernelFresh = flag.String("kernel.fresh", "", "file of `go test -bench` output for TestKernelBenchFresh to report on")
+var (
+	kernelFresh  = flag.String("kernel.fresh", "", "file of `go test -bench` output for TestKernelBenchFresh to report on")
+	kernelFresh1 = flag.String("kernel.fresh1", "", "the same benchmarks' output at -cpu 1, for TestKernelBenchFresh's one-CPU column")
+)
 
 // TestKernelBenchFresh is the report behind make bench-fresh: it reads
 // the output of BENCH_kernel.json's regenerate commands from the
-// -kernel.fresh file and prints each gated ratio, fresh, beside the
-// recorded one and its floor. It gates nothing, so a stale ledger shows
-// without failing anyone's build; it skips without the flag.
+// -kernel.fresh file, and the same benchmarks at -cpu 1 from the
+// optional -kernel.fresh1 file, and prints each gated ratio fresh in
+// both columns beside the recorded one and its floor. It gates nothing,
+// so a stale ledger shows without failing anyone's build; it skips
+// without the flag.
 func TestKernelBenchFresh(t *testing.T) {
 	if *kernelFresh == "" {
 		t.Skip("no -kernel.fresh file; run make bench-fresh")
 	}
-	raw, err := os.ReadFile(*kernelFresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := parseBenchRates(raw)
-	b := loadBaselines(t)
-	fmt.Printf("%-28s %8s %9s %6s\n", "gated ratio", "fresh", "recorded", "floor")
-	for _, r := range kernelRatios {
-		got := "n/a"
-		if num, den := fresh[r.num], fresh[r.den]; num > 0 && den > 0 {
-			got = fmt.Sprintf("%.2fx", num/den)
+	read := func(path string) map[string]float64 {
+		if path == "" {
+			return nil
 		}
-		fmt.Printf("%-28s %8s %8.2fx %5.1fx\n", r.floor, got, b.uops(t, r.num)/b.uops(t, r.den), b.floor(t, r.floor))
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return parseBenchRates(raw)
+	}
+	fresh, fresh1 := read(*kernelFresh), read(*kernelFresh1)
+	b := loadBaselines(t)
+	ratio := func(rates map[string]float64, num, den string) string {
+		if n, d := rates[num], rates[den]; n > 0 && d > 0 {
+			return fmt.Sprintf("%.2fx", n/d)
+		}
+		return "n/a"
+	}
+	fmt.Printf("%-28s %8s %8s %9s %6s\n", "gated ratio", "fresh", "1 CPU", "recorded", "floor")
+	for _, r := range kernelRatios {
+		fmt.Printf("%-28s %8s %8s %8.2fx %5.1fx\n", r.floor, ratio(fresh, r.num, r.den), ratio(fresh1, r.num, r.den),
+			b.uops(t, r.num)/b.uops(t, r.den), b.floor(t, r.floor))
 	}
 }
 

@@ -100,6 +100,18 @@ func TestCharacterizeTraceManifest(t *testing.T) {
 				t.Errorf("%s: missing %s stage (have %v)", p.Name(), want, stages)
 			}
 		}
+		// A simulating stage carries the time its kernel waited for
+		// the feed, a part of the stage; a skip has no feed.
+		for _, name := range []string{"warmup", "detail"} {
+			st := stages[name]
+			w, ok := st.Attrs["feed_wait_s"].(float64)
+			if !ok || w < 0 || w*1e6 > float64(st.DurUS)+1 {
+				t.Errorf("%s: %s feed_wait_s = %v, stage %dus", p.Name(), name, st.Attrs["feed_wait_s"], st.DurUS)
+			}
+		}
+		if _, ok := stages["fast-forward"].Attrs["feed_wait_s"]; ok {
+			t.Errorf("%s: fast-forward stage carries feed_wait_s", p.Name())
+		}
 		// Stage time is a subset of the pair's wall time.
 		var stageSum int64
 		for _, s := range stages {

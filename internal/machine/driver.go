@@ -38,11 +38,25 @@ var metStageSeconds = [numStages]*obs.Histogram{
 	obs.Default().Histogram("speckit_stage_seconds", "", obs.LatencyBuckets, "stage", "detail"),
 }
 
+// Feed wait histograms, one observation per run and side: how long the
+// kernel waited for its feeds' records and how long their producers
+// waited for buffers to fill. A kernel that waits is held up by
+// synthesis; a producer that waits is ahead of it.
+var metFeedWait = struct{ kernel, producer *obs.Histogram }{
+	obs.Default().Histogram("speckit_feed_wait_seconds", "Time each side of the synth feed waited for the other, accumulated over one run.", obs.LatencyBuckets, "side", "kernel"),
+	obs.Default().Histogram("speckit_feed_wait_seconds", "", obs.LatencyBuckets, "side", "producer"),
+}
+
 // stageTimes accumulates a run's wall time per stage. Each stage that
 // ran is recorded once, when the run ends, however many windows fed it.
 type stageTimes struct {
 	dur [numStages]time.Duration
 	ran [numStages]bool
+	// wait is the part of each stage the kernel spent waiting for its
+	// feeds' records; producerWait is what the producers spent waiting
+	// for buffers, over all stages.
+	wait         [numStages]time.Duration
+	producerWait time.Duration
 }
 
 func (t *stageTimes) add(st stage, since time.Time) {
@@ -54,18 +68,29 @@ func (t *stageTimes) merge(o *stageTimes) {
 	for st := range t.dur {
 		t.dur[st] += o.dur[st]
 		t.ran[st] = t.ran[st] || o.ran[st]
+		t.wait[st] += o.wait[st]
 	}
+	t.producerWait += o.producerWait
 }
 
-// record feeds each stage that ran into its histogram and, when a span
-// is attached, records it as a finished stage child span.
+// record feeds each stage that ran into its histogram and the feed
+// waits into theirs and, when a span is attached, records each stage
+// as a finished stage child span. A stage that simulates (all but
+// fast-forward) carries its kernel feed wait as feed_wait_s.
 func (t *stageTimes) record(span *obs.Span) {
+	var wait time.Duration
 	for st, ran := range t.ran {
 		if ran {
 			metStageSeconds[st].ObserveDuration(t.dur[st])
-			span.Stage(stageNames[st], t.dur[st])
+			ss := span.Stage(stageNames[st], t.dur[st])
+			if stage(st) != stageFastForward {
+				ss.SetAttr("feed_wait_s", t.wait[st].Seconds())
+			}
 		}
+		wait += t.wait[st]
 	}
+	metFeedWait.kernel.ObserveDuration(wait)
+	metFeedWait.producer.ObserveDuration(t.producerWait)
 }
 
 // skipChunkLen bounds one uninterrupted skip so a cancelled context is
@@ -153,15 +178,18 @@ func newDriver(cfg Config, opt Options, srcs []trace.Source, shared bool, ring [
 		d.cores = append(d.cores, newCore(cfg, l3))
 		d.feeds = append(d.feeds, newFeed(trace.AsBatch(src), ring))
 	}
+	demand.Add(1)
 	return d
 }
 
-// close stops and joins every core's producer. Each run mode defers it
-// right after newDriver, so no exit path leaves a goroutine behind.
+// close stops and joins every core's producer and takes the kernel out
+// of demand. Each run mode defers it right after newDriver, so no exit
+// path leaves a goroutine behind or the count raised.
 func (d *driver) close() {
 	for _, f := range d.feeds {
 		f.close()
 	}
+	demand.Add(-1)
 }
 
 // backInvalidate drops a line the shared L3 evicted from every core's
@@ -196,7 +224,7 @@ func (d *driver) simulate(n uint64, st stage) error {
 	for _, f := range d.feeds {
 		f.request(n)
 	}
-	defer d.endRequests()
+	defer d.endRequests(st)
 	q := n
 	if len(d.cores) > 1 {
 		q = sharedQuantum
@@ -223,10 +251,13 @@ func (d *driver) simulate(n uint64, st stage) error {
 }
 
 // endRequests closes every feed's request, stopping the producers of
-// any the kernel left early.
-func (d *driver) endRequests() {
+// any the kernel left early, and charges the feeds' waits to st.
+func (d *driver) endRequests(st stage) {
 	for _, f := range d.feeds {
 		f.end()
+		kernel, producer := f.waits()
+		d.stages.wait[st] += kernel
+		d.stages.producerWait += producer
 	}
 }
 

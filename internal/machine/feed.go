@@ -1,22 +1,25 @@
 package machine
 
 import (
+	"runtime"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/trace"
 )
 
-// feedDepth is the number of uop buffers in each core's ring. Waking a
-// parked producer takes the Go scheduler tens of microseconds, as long
-// as generating a buffer or longer, so the producer stays ahead of the
-// kernel only with several buffers in hand: with two, the kernel still
-// waited on synthesis for about a third of its batches.
+// feedDepth is the number of uop buffers in each core's ring: enough
+// that whichever side is ahead can run a few buffers before it must
+// wait, so a partner that was parked (the wait policy below parks when
+// the process has no CPU to spare) has time to be woken.
 const feedDepth = 4
 
 // feed generates one core's uops ahead of the kernel. A long-lived
 // producer goroutine fills a ring of feedDepth buffers from the core's
 // source, in stream order, while the kernel simulates the filled ones in
-// place, so synthesis overlaps simulation on a second CPU.
+// place, so synthesis overlaps simulation on a second CPU. Buffers pass
+// between the two sides through two handoffs: full ones to the kernel,
+// consumed ones back to the producer.
 //
 // The producer works only inside a request: simulate asks each core's
 // feed for exactly the records it will consume (request) and closes the
@@ -37,13 +40,79 @@ type feed struct {
 	free chan []trace.Uop // consumed buffers handed back
 	// full and free are each sized to hold all feedDepth buffers, so
 	// neither side ever blocks on a send.
-	stop atomic.Bool   // set by end: fill nothing more in this request
-	done chan struct{} // closed when the producer exits
+	stop atomic.Bool // set by end: fill nothing more in this request
+	// genTime is how long the producer took to fill its last whole
+	// buffer, in nanoseconds: the scale of a wait for either side.
+	genTime atomic.Int64
+	// producerWait is the time the producer has waited for free
+	// buffers, in nanoseconds, since the driver last took it.
+	producerWait atomic.Int64
+	done         chan struct{} // closed when the producer exits
 
 	// The consumer's side of the current request.
 	cur  []trace.Uop // the buffer being consumed
 	off  int         // records of cur already consumed
 	left uint64      // records requested but not yet received
+	// kernelWait is the time the kernel has waited for full buffers
+	// since the driver last took it.
+	kernelWait time.Duration
+}
+
+// demand counts the simulation goroutines that want a CPU: the kernel
+// of every open driver and the producer of every open request. A side
+// waiting for the other stays counted, since it has work the moment
+// its buffer arrives. The kernel counts a producer in when it sends the
+// request, not when the producer wakes for it, so the count never lags
+// the goroutines about to run.
+var demand atomic.Int64
+
+// maxSpin bounds how long one wait yields before it parks.
+const maxSpin = 200 * time.Microsecond
+
+// spins is the wait policy: a side that must wait keeps its CPU,
+// yielding to the scheduler between checks, only while every
+// simulation goroutine that wants a CPU can have one. Otherwise it
+// parks, and a CPU it would hold is left to goroutines with work. With
+// one CPU nothing spins.
+func spins(demand int64, procs int) bool {
+	return procs > 1 && demand <= int64(procs)
+}
+
+// spinFor is how long a wait may yield before it parks: two buffers'
+// generation time, which covers the producer finishing a buffer and
+// the kernel consuming one, up to maxSpin (also the bound before the
+// first buffer is timed).
+func (f *feed) spinFor() time.Duration {
+	if g := time.Duration(f.genTime.Load()); g > 0 {
+		return min(2*g, maxSpin)
+	}
+	return maxSpin
+}
+
+// wait is both sides' one wait: it returns the next buffer from c and
+// how long it waited for it. While the wait policy allows, it yields
+// for up to spin before it parks. Waking a parked goroutine costs the
+// scheduler about as long as generating a buffer, and the woken side
+// is queued behind its waker on the waker's CPU, so a feed whose sides
+// park on every wait runs them in turns on one CPU.
+func wait(c chan []trace.Uop, spin time.Duration) ([]trace.Uop, time.Duration) {
+	select {
+	case buf := <-c:
+		return buf, 0
+	default:
+	}
+	start := time.Now()
+	if spins(demand.Load(), runtime.GOMAXPROCS(0)) {
+		for time.Since(start) < spin {
+			runtime.Gosched()
+			select {
+			case buf := <-c:
+				return buf, time.Since(start)
+			default:
+			}
+		}
+	}
+	return <-c, time.Since(start)
 }
 
 // newFeed starts src's producer on ring, which it splits into feedDepth
@@ -67,16 +136,23 @@ func newFeed(src trace.BatchSource, ring []trace.Uop) *feed {
 
 // produce is the producer goroutine: for each request it fills free
 // buffers until the request is met, the source is exhausted or end
-// stops it, and sends each on full. A request cut short ends with an
-// empty buffer.
+// stops it, and hands each over. A request cut short ends with an
+// empty buffer. The producer leaves demand when its request ends;
+// request counted it in.
 func (f *feed) produce() {
 	defer close(f.done)
 	for n := range f.want {
 		for n > 0 {
-			buf := <-f.free
+			buf, waited := wait(f.free, f.spinFor())
+			f.producerWait.Add(int64(waited))
 			got := 0
 			if !f.stop.Load() {
-				got = f.src.NextBatch(buf[:min(n, uint64(len(buf)))])
+				buf = buf[:min(n, uint64(len(buf)))]
+				start := time.Now()
+				got = f.src.NextBatch(buf)
+				if got == cap(buf) {
+					f.genTime.Store(int64(time.Since(start)))
+				}
 			}
 			f.full <- buf[:got]
 			if got == 0 {
@@ -84,6 +160,7 @@ func (f *feed) produce() {
 			}
 			n -= uint64(got)
 		}
+		demand.Add(-1)
 	}
 }
 
@@ -91,6 +168,7 @@ func (f *feed) produce() {
 // then takes with next. The previous request must have ended.
 func (f *feed) request(n uint64) {
 	f.left = n
+	demand.Add(1)
 	f.want <- n
 }
 
@@ -103,7 +181,7 @@ func (f *feed) next(max uint64) []trace.Uop {
 		if f.left == 0 {
 			return nil
 		}
-		buf := <-f.full
+		buf := f.take()
 		if len(buf) == 0 {
 			f.free <- buf[:cap(buf)]
 			f.left = 0
@@ -117,6 +195,13 @@ func (f *feed) next(max uint64) []trace.Uop {
 	return recs
 }
 
+// take waits for the producer's next full buffer.
+func (f *feed) take() []trace.Uop {
+	buf, waited := wait(f.full, f.spinFor())
+	f.kernelWait += waited
+	return buf
+}
+
 // release hands the buffer being consumed back to the producer.
 func (f *feed) release() {
 	if f.cur != nil {
@@ -128,7 +213,8 @@ func (f *feed) release() {
 // end closes the request. When the kernel stopped short of it (an
 // error or a cancelled context), the producer is told to fill nothing
 // more and the buffers it already filled are drained, so afterwards it
-// is parked and holds no buffer whichever way the request went.
+// holds no buffer whichever way the request went and is about to park
+// for the next request.
 func (f *feed) end() {
 	f.release()
 	if f.left == 0 {
@@ -136,7 +222,7 @@ func (f *feed) end() {
 	}
 	f.stop.Store(true)
 	for f.left > 0 {
-		buf := <-f.full
+		buf := f.take()
 		f.free <- buf[:cap(buf)]
 		if len(buf) == 0 {
 			break
@@ -145,6 +231,13 @@ func (f *feed) end() {
 	}
 	f.left = 0
 	f.stop.Store(false)
+}
+
+// waits returns and resets the time each side has waited since the
+// last call. Called after end, it covers every wait of the request.
+func (f *feed) waits() (kernel, producer time.Duration) {
+	kernel, f.kernelWait = f.kernelWait, 0
+	return kernel, time.Duration(f.producerWait.Swap(0))
 }
 
 // close ends any open request, then stops the producer and waits for it

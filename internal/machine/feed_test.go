@@ -72,10 +72,11 @@ func waitGoroutines(t *testing.T, base int) {
 // TestFeedLifecycle drives every batched mode to a normal end, an
 // exhausted source, a context cancelled while the producers are
 // filling a window, and an invalid configuration. Each run must leave
-// no producer goroutine behind, fail with the mode's error, and leave
-// a fresh run bit-identical to the reference one. A cancelled run's
-// producers must stop within a ring of the cancellation rather than
-// generate the rest of their request.
+// no producer goroutine behind and the wait policy's demand count
+// where it found it, fail with the mode's error, and leave a fresh run
+// bit-identical to the reference one. A cancelled run's producers must
+// stop within a ring of the cancellation rather than generate the rest
+// of their request.
 func TestFeedLifecycle(t *testing.T) {
 	const instr = 120000
 	type src struct {
@@ -159,17 +160,27 @@ func TestFeedLifecycle(t *testing.T) {
 	}
 	for name, run := range modes {
 		t.Run(name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
+			base, baseDemand := runtime.NumGoroutine(), demand.Load()
+			// Every run joins its producers before it returns, so the
+			// count is back at once.
+			checkDemand := func(after string) {
+				t.Helper()
+				if d := demand.Load(); d != baseDemand {
+					t.Errorf("after %s: demand = %d, want %d", after, d, baseDemand)
+				}
+			}
 			want, err := run(HaswellScaled(), context.Background(), nil, src{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkDemand("the reference run")
 			waitGoroutines(t, base)
 			for _, tc := range cases {
 				ctx, cancel := context.WithCancel(context.Background())
 				made = nil
 				_, err := run(tc.cfg, ctx, cancel, tc.sc)
 				cancel()
+				checkDemand(tc.name)
 				if !tc.wantErr(err) {
 					t.Errorf("%s: err = %v", tc.name, err)
 				}
@@ -186,9 +197,41 @@ func TestFeedLifecycle(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("after %s: a fresh run differs from the reference", tc.name)
 				}
+				checkDemand("the run after " + tc.name)
 				waitGoroutines(t, base)
 			}
 		})
+	}
+}
+
+// TestFeedWaitPolicy pins the feed's wait decision: with one CPU a
+// waiting side always parks; with more it yields only while the
+// simulation goroutines that want a CPU fit on them, and for a bounded
+// time sized from the producer's last buffer.
+func TestFeedWaitPolicy(t *testing.T) {
+	for _, tc := range []struct {
+		demand int64
+		procs  int
+		want   bool
+	}{
+		{0, 1, false}, {1, 1, false}, {2, 1, false},
+		{1, 2, true}, {2, 2, true}, {3, 2, false}, {4, 2, false},
+		{4, 4, true}, {5, 4, false},
+	} {
+		if got := spins(tc.demand, tc.procs); got != tc.want {
+			t.Errorf("spins(demand %d, %d CPUs) = %v, want %v", tc.demand, tc.procs, got, tc.want)
+		}
+	}
+	var f feed
+	for _, tc := range []struct{ gen, want time.Duration }{
+		{0, maxSpin},
+		{10 * time.Microsecond, 20 * time.Microsecond},
+		{time.Millisecond, maxSpin},
+	} {
+		f.genTime.Store(int64(tc.gen))
+		if got := f.spinFor(); got != tc.want {
+			t.Errorf("spinFor after a %v buffer = %v, want %v", tc.gen, got, tc.want)
+		}
 	}
 }
 

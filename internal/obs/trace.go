@@ -82,13 +82,15 @@ func (s *Span) Child(name string) *Span {
 // Stage records an already-measured phase as a finished child span of
 // kind "stage", back-dated so it ends now. This is how window-loop
 // code reports accumulated stage time without opening a span per
-// window. No-op on a nil span.
-func (s *Span) Stage(name string, d time.Duration) {
+// window. It returns the stage span for attributes; no-op, returning
+// nil, on a nil span.
+func (s *Span) Stage(name string, d time.Duration) *Span {
 	if s == nil {
-		return
+		return nil
 	}
 	st := s.t.newSpan(name, "stage", s.id, time.Now().Add(-d))
 	st.dur = d
+	return st
 }
 
 // SetAttr attaches a key/value attribute, overwriting an existing key.

@@ -234,6 +234,7 @@ func TestEndToEnd(t *testing.T) {
 	}
 	for _, series := range []string{
 		"speckit_stage_seconds_bucket",
+		"speckit_feed_wait_seconds_bucket",
 		"speckit_store_ops_total",
 		"speckit_http_requests_total",
 		"speckit_http_request_seconds_bucket",
