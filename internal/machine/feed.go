@@ -41,9 +41,6 @@ type feed struct {
 	// full and free are each sized to hold all feedDepth buffers, so
 	// neither side ever blocks on a send.
 	stop atomic.Bool // set by end: fill nothing more in this request
-	// genTime is how long the producer took to fill its last whole
-	// buffer, in nanoseconds: the scale of a wait for either side.
-	genTime atomic.Int64
 	// producerWait is the time the producer has waited for free
 	// buffers, in nanoseconds, since the driver last took it.
 	producerWait atomic.Int64
@@ -66,7 +63,11 @@ type feed struct {
 // the goroutines about to run.
 var demand atomic.Int64
 
-// maxSpin bounds how long one wait yields before it parks.
+// maxSpin bounds how long one wait yields before it parks. A running
+// partner delivers within about one buffer's generation time (1024
+// records take some 13 µs to synthesize), so a wait that outlasts
+// maxSpin means the partner is not running, and the waiting side stops
+// holding a CPU.
 const maxSpin = 200 * time.Microsecond
 
 // spins is the wait policy: a side that must wait keeps its CPU,
@@ -78,24 +79,13 @@ func spins(demand int64, procs int) bool {
 	return procs > 1 && demand <= int64(procs)
 }
 
-// spinFor is how long a wait may yield before it parks: two buffers'
-// generation time, which covers the producer finishing a buffer and
-// the kernel consuming one, up to maxSpin (also the bound before the
-// first buffer is timed).
-func (f *feed) spinFor() time.Duration {
-	if g := time.Duration(f.genTime.Load()); g > 0 {
-		return min(2*g, maxSpin)
-	}
-	return maxSpin
-}
-
 // wait is both sides' one wait: it returns the next buffer from c and
 // how long it waited for it. While the wait policy allows, it yields
-// for up to spin before it parks. Waking a parked goroutine costs the
+// for up to maxSpin before it parks. Waking a parked goroutine costs the
 // scheduler about as long as generating a buffer, and the woken side
 // is queued behind its waker on the waker's CPU, so a feed whose sides
 // park on every wait runs them in turns on one CPU.
-func wait(c chan []trace.Uop, spin time.Duration) ([]trace.Uop, time.Duration) {
+func wait(c chan []trace.Uop) ([]trace.Uop, time.Duration) {
 	select {
 	case buf := <-c:
 		return buf, 0
@@ -103,7 +93,7 @@ func wait(c chan []trace.Uop, spin time.Duration) ([]trace.Uop, time.Duration) {
 	}
 	start := time.Now()
 	if spins(demand.Load(), runtime.GOMAXPROCS(0)) {
-		for time.Since(start) < spin {
+		for time.Since(start) < maxSpin {
 			runtime.Gosched()
 			select {
 			case buf := <-c:
@@ -143,16 +133,11 @@ func (f *feed) produce() {
 	defer close(f.done)
 	for n := range f.want {
 		for n > 0 {
-			buf, waited := wait(f.free, f.spinFor())
+			buf, waited := wait(f.free)
 			f.producerWait.Add(int64(waited))
 			got := 0
 			if !f.stop.Load() {
-				buf = buf[:min(n, uint64(len(buf)))]
-				start := time.Now()
-				got = f.src.NextBatch(buf)
-				if got == cap(buf) {
-					f.genTime.Store(int64(time.Since(start)))
-				}
+				got = f.src.NextBatch(buf[:min(n, uint64(len(buf)))])
 			}
 			f.full <- buf[:got]
 			if got == 0 {
@@ -197,7 +182,7 @@ func (f *feed) next(max uint64) []trace.Uop {
 
 // take waits for the producer's next full buffer.
 func (f *feed) take() []trace.Uop {
-	buf, waited := wait(f.full, f.spinFor())
+	buf, waited := wait(f.full)
 	f.kernelWait += waited
 	return buf
 }
