@@ -65,10 +65,15 @@ var demand atomic.Int64
 
 // maxSpin bounds how long one wait yields before it parks. A running
 // partner delivers within about one buffer's generation time (1024
-// records take some 13 µs to synthesize), so a wait that outlasts
-// maxSpin means the partner is not running, and the waiting side stops
-// holding a CPU.
-const maxSpin = 200 * time.Microsecond
+// records take some 13 µs to synthesize on a 2-vCPU AMD EPYC), so a
+// wait that outlasts maxSpin means the partner is not running, and the
+// waiting side stops holding a CPU. The bound also caps what a wrong
+// spin costs: demand does not count goroutines outside the simulation
+// (another pair worker between runs, HTTP handlers), and a P that
+// yields takes its own goroutine back from the global run queue
+// instead of stealing theirs from another P's queue (DESIGN.md §7 has
+// the measurements).
+const maxSpin = 50 * time.Microsecond
 
 // spins is the wait policy: a side that must wait keeps its CPU,
 // yielding to the scheduler between checks, only while every
